@@ -36,6 +36,8 @@ def _as_square_complex(columns) -> np.ndarray:
         raise DimensionMismatch(f"ragged or non-numeric column data: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
+    if mat.shape[0] < 2:
+        raise DimensionMismatch(f"need dim >= 2, got {mat.shape[0]}")
     return mat
 
 
@@ -48,15 +50,16 @@ def _gram_defect(mat: np.ndarray) -> float:
 
 
 def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
-    out = np.array(mat, copy=True)
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        pivots = np.flatnonzero(np.abs(col) > PHASE_PIVOT_TOL)
-        if pivots.size == 0:
-            raise NotOrthonormal(f"column {k} is numerically zero")
-        pivot = col[pivots[0]]
-        out[:, k] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    """Rotate every column so its first component above the pivot floor is real and >= 0."""
+    mags = np.abs(mat)
+    significant = mags > PHASE_PIVOT_TOL
+    rows = np.argmax(significant, axis=0)  # first significant row of each column
+    cols = np.arange(mat.shape[1])
+    empty = ~significant[rows, cols]
+    if empty.any():
+        raise NotOrthonormal(f"column {int(np.flatnonzero(empty)[0])} is numerically zero")
+    pivots = mat[rows, cols]
+    return mat * (np.conj(pivots) / mags[rows, cols])
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -127,17 +130,14 @@ class Basis:
         if mat.shape[0] != payload["dim"]:
             raise DimensionMismatch("declared dim does not match matrix shape")
         defect = _gram_defect(mat)
-        if defect > GRAM_INPUT_TOL:
+        if not defect <= GRAM_INPUT_TOL:
             raise NotOrthonormal(f"Gram defect {defect:.3e} exceeds {GRAM_INPUT_TOL}")
-        values = payload.get("values")
+        labels, values = _checked_labels_values(
+            mat.shape[0], payload["labels"], payload.get("values")
+        )
         # Round-trip fidelity: stored floats are used verbatim, with no
         # re-orthonormalization or re-phasing.
-        return cls(
-            dim=int(payload["dim"]),
-            vectors=_freeze(mat),
-            labels=tuple(str(s) for s in payload["labels"]),
-            values=None if values is None else _freeze(np.array(values, dtype=np.float64)),
-        )
+        return cls(dim=mat.shape[0], vectors=_freeze(mat), labels=labels, values=values)
 
 
 @dataclass(frozen=True)
@@ -180,39 +180,59 @@ def make_basis(
         On ragged input, dim < 2, or label/value length mismatch.
     """
     mat = _as_square_complex(columns)
-    dim = mat.shape[0]
-    if dim < 2:
-        raise DimensionMismatch(f"need dim >= 2, got {dim}")
     defect = _gram_defect(mat)
-    if defect > GRAM_INPUT_TOL:
+    if not defect <= GRAM_INPUT_TOL:
         raise NotOrthonormal(f"Gram defect {defect:.3e} exceeds {GRAM_INPUT_TOL}")
     # Nearest unitary via polar decomposition; a no-op (to rounding) for
     # already-unitary input, which keeps the phase convention idempotent.
     u, _, vh = np.linalg.svd(mat)
-    mat = u @ vh
-    mat = _fix_column_phases(mat)
-    internal = _gram_defect(mat)
-    if internal > GRAM_INTERNAL_TOL:
-        raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
+    return _finish_basis(u @ vh, labels, values)
 
+
+def _finish_basis(
+    mat: np.ndarray,
+    labels: Sequence[str] | None = None,
+    values: Sequence[float] | None = None,
+) -> Basis:
+    """Gauge-fix, Gram-check, label and freeze a square unitary matrix, dim >= 2.
+
+    ``make_basis`` ends here after its polar step.  Matrices that are
+    unitary by construction (identity, DFT, Haar QR, ``eigh`` output) come
+    here directly: they skip the polar step but keep the Gram gate.
+    """
+    dim = mat.shape[0]
+    mat = _fix_column_phases(mat)
+    # One side suffices: for square U, U^H U and U U^H are similar, so their
+    # deviations from I share one spectrum (and spectral norm).
+    internal = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
+    if not internal <= GRAM_INTERNAL_TOL:
+        raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
+    label_tuple, value_arr = _checked_labels_values(dim, labels, values)
+    return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
+
+
+def _checked_labels_values(
+    dim: int, labels: Sequence[str] | None, values: Sequence[float] | None
+) -> tuple[tuple[str, ...], np.ndarray | None]:
     if labels is None:
         label_tuple = _default_labels(dim)
     else:
         label_tuple = tuple(str(s) for s in labels)
         if len(label_tuple) != dim:
             raise DimensionMismatch(f"{len(label_tuple)} labels for dim {dim}")
-    value_arr = None
-    if values is not None:
-        value_arr = np.array(values, dtype=np.float64)
-        if value_arr.shape != (dim,):
-            raise DimensionMismatch(f"{value_arr.shape} values for dim {dim}")
-        value_arr = _freeze(value_arr)
-    return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
+    if values is None:
+        return label_tuple, None
+    value_arr = np.array(values, dtype=np.float64)
+    if value_arr.shape != (dim,):
+        raise DimensionMismatch(f"{value_arr.shape} values for dim {dim}")
+    return label_tuple, _freeze(value_arr)
 
 
 def computational_basis(dim: int, values: Sequence[float] | None = None) -> Basis:
     """Identity-column basis {|0>, ..., |dim-1>}."""
-    return make_basis(np.eye(dim, dtype=np.complex128), values=values)
+    if dim < 2:
+        raise DimensionMismatch(f"need dim >= 2, got {dim}")
+    return _finish_basis(np.eye(dim, dtype=np.complex128), values=values)
 
 
 def fourier_basis(dim: int) -> Basis:
@@ -224,7 +244,7 @@ def fourier_basis(dim: int) -> Basis:
         raise DimensionMismatch(f"need dim >= 2, got {dim}")
     j = np.arange(dim)
     mat = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    return make_basis(mat, labels=[f"f{k}" for k in range(dim)])
+    return _finish_basis(mat, labels=[f"f{k}" for k in range(dim)])
 
 
 def haar_random_basis(dim: int, seed: int) -> Basis:
@@ -242,7 +262,7 @@ def haar_random_basis(dim: int, seed: int) -> Basis:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     q = q * (diag / np.abs(diag))
-    return make_basis(q, labels=[f"u{k}" for k in range(dim)])
+    return _finish_basis(q, labels=[f"u{k}" for k in range(dim)])
 
 
 def ergodic_prob(basis_x: Basis, x: int, basis_y: Basis, y: int) -> float:

@@ -286,7 +286,8 @@ def phase_antisymmetry_check(
 
     Checks Arg p(a|m,b) = -Arg p(m|a,b) and Arg p(m|a,b) = -Arg p(m|b,a)
     over all defined triples, skipping entries whose magnitude is below
-    ``PHASE_FLOOR`` (the phase of a numerical zero is noise).
+    ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  A NaN entry
+    is not skipped, so it makes the result NaN.
     """
     t_mab = ccp_table(basis_m, basis_a, basis_b)
     t_amb = ccp_table(basis_a, basis_m, basis_b)
@@ -297,18 +298,18 @@ def phase_antisymmetry_check(
     rev = np.transpose(t_amb.vals, (1, 0, 2))  # p(a|m,b) -> [m, a, b]
     swap = np.transpose(t_mba.vals, (0, 2, 1))  # p(m|b,a) -> [m, a, b]
 
-    ok_fwd = t_mab.defined_mask[np.newaxis, :, :] & (np.abs(fwd) >= PHASE_FLOOR)
-    ok_rev = t_amb.defined_mask.T[np.newaxis, :, :] & (np.abs(rev) >= PHASE_FLOOR)
-    ok_swap = t_mba.defined_mask.T[np.newaxis, :, :] & (np.abs(swap) >= PHASE_FLOOR)
+    ok_fwd = t_mab.defined_mask[np.newaxis, :, :] & ~(np.abs(fwd) < PHASE_FLOOR)
+    ok_rev = t_amb.defined_mask.T[np.newaxis, :, :] & ~(np.abs(rev) < PHASE_FLOOR)
+    ok_swap = t_mba.defined_mask.T[np.newaxis, :, :] & ~(np.abs(swap) < PHASE_FLOOR)
 
     pair1 = ok_fwd & ok_rev
     if pair1.any():
         d1 = _circle_distance(np.angle(rev[pair1]) + np.angle(fwd[pair1]))
-        worst = max(worst, float(np.max(d1)))
+        worst = float(np.maximum(worst, np.max(d1)))  # NaN-propagating
     pair2 = ok_fwd & ok_swap
     if pair2.any():
         d2 = _circle_distance(np.angle(fwd[pair2]) + np.angle(swap[pair2]))
-        worst = max(worst, float(np.max(d2)))
+        worst = float(np.maximum(worst, np.max(d2)))
     return worst
 
 

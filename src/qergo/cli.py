@@ -2,9 +2,10 @@
 
 Exit codes: 0 all checks passed, 1 identity violation, 2 configuration or
 usage error, 3 internal numeric failure.  Every command is deterministic
-for a fixed (config, seed) pair; the QERGO_THREADS environment variable
-caps internal parallelism (computation is sequential, so any positive cap
-is honored).
+for a fixed (config, seed) pair.  The QERGO_THREADS environment variable
+must be a positive integer if set, but it caps nothing: numpy's BLAS
+library picks its own thread count, so dense linear algebra such as the
+lattice ``eigh`` may run on every core.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from .bridge import pure_state_joint
 from .errors import ConfigError, NumericsError, ParseError, QergoError
 from .render import render_distribution
 from .transform import quantized_spectrum_check
-from .verify import run_verification_suite
-from .weak import simulate_sequential, simulate_weak_value
+from .verify import MAX_DIM, run_verification_suite
+from .weak import MAX_COUPLING, MIN_SHOTS, simulate_sequential, simulate_weak_value
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAILURE = 1
@@ -129,8 +130,8 @@ def _validate_params(kind: str, params: dict) -> None:
     """Fail-fast validation: no scenario computation before this passes."""
     if kind == "verify":
         dims = _need(params, "dims", list, "a list of integers")
-        if not dims or not all(isinstance(d, int) and 2 <= d <= 32 for d in dims):
-            raise ConfigError(f"dims must be integers within 2..32, got {dims}")
+        if not dims or not all(isinstance(d, int) and 2 <= d <= MAX_DIM for d in dims):
+            raise ConfigError(f"dims must be integers within 2..{MAX_DIM}, got {dims}")
         seeds = _need(params, "seeds_per_dim", int, "an integer")
         if seeds < 1:
             raise ConfigError("seeds_per_dim must be >= 1")
@@ -148,11 +149,11 @@ def _validate_params(kind: str, params: dict) -> None:
             _need(params, key, dict, "an object")
         _need(params, "m_index", int, "an integer")
         g = _need(params, "g", (int, float), "a number")
-        if not 0 < g <= 0.2:
-            raise ConfigError("g must lie in (0, 0.2]")
+        if not 0 < g <= MAX_COUPLING:
+            raise ConfigError(f"g must lie in (0, {MAX_COUPLING}]")
         shots = _need(params, "shots", int, "an integer")
-        if shots < 10_000:
-            raise ConfigError("shots must be >= 10000")
+        if shots < MIN_SHOTS:
+            raise ConfigError(f"shots must be >= {MIN_SHOTS}")
     elif kind == "sequential_run":
         dim = _need(params, "dim", int, "an integer")
         if dim < 2:
@@ -161,8 +162,8 @@ def _validate_params(kind: str, params: dict) -> None:
         _need(params, "m_basis", dict, "an object")
         _need(params, "b_basis", dict, "an object")
         shots = _need(params, "shots", int, "an integer")
-        if shots < 10_000:
-            raise ConfigError("shots must be >= 10000")
+        if shots < MIN_SHOTS:
+            raise ConfigError(f"shots must be >= {MIN_SHOTS}")
     elif kind == "lattice":
         d = _need(params, "d", int, "an integer")
         if d < 8 or d % 2:

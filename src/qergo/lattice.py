@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, make_basis
+from .basis import Basis, _finish_basis
 from .ccp import ORTHOGONALITY_CUTOFF, ccp_column
 from .errors import (
     BadGrid,
@@ -117,10 +117,6 @@ class LatticeSystem:
         return json.dumps(payload, sort_keys=True, indent=indent)
 
 
-def _momentum_operator(fourier: np.ndarray, momenta: np.ndarray) -> np.ndarray:
-    return fourier @ np.diag(momenta) @ fourier.conj().T
-
-
 def build_lattice(
     d: int,
     length: float,
@@ -154,8 +150,8 @@ def build_lattice(
     v, spec = _parse_potential(potential, positions, length, mass, hbar)
 
     fourier = np.exp(1j * np.outer(positions, momenta) / hbar) / math.sqrt(d)
-    kinetic = fourier @ np.diag(momenta**2 / (2.0 * mass)) @ fourier.conj().T
-    h = kinetic + np.diag(v)
+    h = (fourier * (momenta**2 / (2.0 * mass))) @ fourier.conj().T
+    h[np.diag_indices(d)] += v
     herm_defect = float(np.max(np.abs(h - h.conj().T)))
     scale = max(1.0, float(np.max(np.abs(h))))
     if herm_defect > 1e-10 * scale:
@@ -168,7 +164,6 @@ def build_lattice(
 
     # Re-diagonalize (near-)degenerate blocks against momentum so the
     # energy basis is deterministic and running waves come out pure.
-    p_op = _momentum_operator(fourier, momenta)
     start = 0
     while start < d:
         stop = start + 1
@@ -176,7 +171,8 @@ def build_lattice(
             stop += 1
         if stop - start > 1:
             block = vectors[:, start:stop]
-            sub = block.conj().T @ p_op @ block
+            fb = fourier.conj().T @ block  # momentum amplitudes of the block
+            sub = (fb.conj().T * momenta) @ fb
             sub = 0.5 * (sub + sub.conj().T)
             _, rot = np.linalg.eigh(sub)
             vectors[:, start:stop] = block @ rot
@@ -188,17 +184,12 @@ def build_lattice(
             f"eigen-residual {residuals.max():.3e} exceeds 1e-8 * ||H||"
         )
 
-    x_basis = make_basis(
-        np.eye(d, dtype=np.complex128),
-        labels=[f"x{j}" for j in range(d)],
-        values=positions,
+    # All three are unitary by construction, so they skip make_basis's polar step.
+    x_basis = _finish_basis(
+        np.eye(d, dtype=np.complex128), [f"x{j}" for j in range(d)], positions
     )
-    p_basis = make_basis(
-        fourier, labels=[f"p{k}" for k in range(d)], values=momenta
-    )
-    e_basis = make_basis(
-        vectors, labels=[f"E{n}" for n in range(d)], values=energies
-    )
+    p_basis = _finish_basis(fourier, [f"p{k}" for k in range(d)], momenta)
+    e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies)
 
     positions.setflags(write=False)
     momenta.setflags(write=False)
@@ -310,8 +301,8 @@ def schrodinger_residual(sys: LatticeSystem, e_index: int, p_ref: int) -> float:
     col = ccp_xEp(sys, e_index, p_ref)
     fourier = sys.p_basis.vectors
     shifted_sq = (sys.momenta + sys.momenta[p_ref]) ** 2 / (2.0 * sys.mass)
-    op = fourier @ np.diag(shifted_sq) @ fourier.conj().T + np.diag(sys.potential)
-    resid = op @ col - float(sys.energies[e_index]) * col
+    kinetic_col = fourier @ (shifted_sq * (fourier.conj().T @ col))
+    resid = kinetic_col + (sys.potential - float(sys.energies[e_index])) * col
     return float(np.linalg.norm(resid) / np.linalg.norm(col))
 
 

@@ -9,6 +9,7 @@ compared against an independent linear-algebra oracle where one exists.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,8 @@ class IdentityCheck:
 
     @property
     def passed(self) -> bool:
-        return self.worst < self.tolerance
+        # Fail closed: a NaN or infinite worst never passes.
+        return math.isfinite(self.worst) and self.worst < self.tolerance
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,15 @@ def conjugation_prob(
     return float(abs(amp) ** 2)
 
 
+def _worst(*values: float) -> float:
+    """Largest value, NaN if any value is NaN.
+
+    Python's ``max`` keeps its first argument unless a later one compares
+    greater, so ``max(0.0, nan)`` is 0.0 and a NaN deviation would vanish.
+    """
+    return float(np.max(values))
+
+
 def _masked_max(dev: np.ndarray, mask: np.ndarray) -> float:
     if not mask.any():
         return 0.0
@@ -135,8 +146,8 @@ def _triple_worsts(
 
     mask3 = t_mab.defined_mask[np.newaxis, :, :]
 
-    worst["column normalization"] = max(
-        t.normalization_defect() for t in (t_mab, t_amb, t_fmb, t_fab, t_mba)
+    worst["column normalization"] = _worst(
+        *(t.normalization_defect() for t in (t_mab, t_amb, t_fmb, t_fab, t_mba))
     )
 
     composed = chain_compose(t_fmb, t_mab)
@@ -210,7 +221,7 @@ def _triple_worsts(
         np.sqrt(p_a_b[np.newaxis, :, b_ref] / p_f_b[:, np.newaxis, b_ref])
         * t_fab.vals[:, :, b_ref]
     )
-    worst["inner product"] = max(inner_dev, float(np.max(np.abs(inner - alt))))
+    worst["inner product"] = _worst(inner_dev, np.max(np.abs(inner - alt)))
 
     # Born coherence double sum for all (f, a) at the reference condition.
     t_mfb = ccp_table(m_b, f_b, b_b)
@@ -218,8 +229,8 @@ def _triple_worsts(
     d2 = np.einsum("am,mf->fa", t_amb.vals[:, :, b_ref], t_mfb.vals[:, :, b_ref])
     born = d1 * d2
     p_f_a = np.abs(f_b.overlaps_with(a_b)) ** 2
-    worst["born coherence"] = float(
-        max(np.max(np.abs(born.imag)), np.max(np.abs(born.real - p_f_a)))
+    worst["born coherence"] = _worst(
+        np.max(np.abs(born.imag)), np.max(np.abs(born.real - p_f_a))
     )
 
     # Pure-state joint: total, marginals, and outcome prediction.
@@ -227,19 +238,18 @@ def _triple_worsts(
     psi = m_b.vectors[:, 0]
     born_a = np.abs(a_b.vectors.conj().T @ psi) ** 2
     born_b = np.abs(b_b.vectors.conj().T @ psi) ** 2
-    joint_dev = max(
+    worst["joint quasiprobability"] = _worst(
         abs(joint.total() - 1.0),
-        float(np.max(np.abs(joint.marginal_a() - born_a))),
-        float(np.max(np.abs(joint.marginal_b() - born_b))),
+        np.max(np.abs(joint.marginal_a() - born_a)),
+        np.max(np.abs(joint.marginal_b() - born_b)),
     )
-    worst["joint quasiprobability"] = float(joint_dev)
 
     f_a = f_b.vectors.conj().T @ joint.a_basis.vectors  # <f|a>
     b_f = np.conj(f_b.vectors.conj().T @ joint.b_basis.vectors)  # <b|f>
     pred = np.einsum("fa,fb,ab->f", f_a, b_f, joint.sandwich)
     born_f = np.abs(f_b.vectors.conj().T @ psi) ** 2
-    worst["outcome prediction"] = float(
-        max(np.max(np.abs(pred.imag)), np.max(np.abs(pred.real - born_f)))
+    worst["outcome prediction"] = _worst(
+        np.max(np.abs(pred.imag)), np.max(np.abs(pred.real - born_f))
     )
 
     # Conditional spread of outcome values under every condition b.
@@ -256,7 +266,7 @@ def _triple_worsts(
     for direction in ("on_a", "on_b"):
         via_ccp = transformed_prob(t_mab, profile, 0, 0, direction)
         via_matrix = conjugation_prob(m_b, phases, a_b, 0, b_b, 0, direction)
-        t_dev = max(t_dev, abs(via_ccp - via_matrix))
+        t_dev = _worst(t_dev, abs(via_ccp - via_matrix))
     worst["transform oracle"] = t_dev
 
     return worst
@@ -288,7 +298,7 @@ def run_verification_suite(
             )
             triple_worst = _triple_worsts(*bases, rng_seed=s_phi)
             for name, value in triple_worst.items():
-                worst[name] = max(worst[name], value)
+                worst[name] = _worst(worst[name], value)
 
     scale = max(1.0, max(dims) / 16.0)  # rounding grows with the dim^3 sums
     checks = tuple(

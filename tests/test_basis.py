@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from qergo import (
     haar_random_basis,
     make_basis,
 )
+from qergo.basis import PHASE_PIVOT_TOL, _finish_basis, _fix_column_phases
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -188,3 +191,87 @@ class TestSerialization:
         b = haar_random_basis(3, 1)
         with pytest.raises(ValueError):
             b.vectors[0, 0] = 0.0
+
+
+class TestFinishBasis:
+    """The tail of make_basis, entered directly by unitary-by-construction input."""
+
+    def test_non_unitary_input_rejected(self):
+        with pytest.raises(NotOrthonormal):
+            _finish_basis(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+
+    def test_zero_column_rejected(self):
+        mat = np.eye(3, dtype=complex)
+        mat[:, 1] = 0.5 * PHASE_PIVOT_TOL
+        with pytest.raises(NotOrthonormal, match="column 1 is numerically zero"):
+            _finish_basis(mat)
+
+    def test_dim_one_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            computational_basis(1)
+
+    def test_label_and_value_lengths_checked(self):
+        with pytest.raises(DimensionMismatch):
+            _finish_basis(np.eye(3, dtype=complex), labels=["a", "b"])
+        with pytest.raises(DimensionMismatch):
+            _finish_basis(np.eye(3, dtype=complex), values=[1.0, 2.0])
+
+
+def _loop_phase_fix(mat: np.ndarray) -> np.ndarray:
+    """Column-by-column reference for the vectorized gauge fix."""
+    out = np.array(mat, copy=True)
+    for k in range(out.shape[1]):
+        col = out[:, k]
+        pivot = col[np.flatnonzero(np.abs(col) > PHASE_PIVOT_TOL)[0]]
+        out[:, k] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    leading=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+    exponents=st.lists(st.floats(-0.05, 0.05), min_size=24, max_size=24),
+)
+def test_vectorized_gauge_matches_loop_near_pivot_floor(dim, seed, leading, exponents):
+    # Each column opens with up to three components whose magnitudes lie
+    # within about 12% of the pivot floor, so the pivot may be any of them
+    # or the first ordinary component after them.
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for k in range(dim):
+        for j in range(min(leading[k], dim - 1)):
+            phase = np.exp(2j * np.pi * rng.uniform())
+            mat[j, k] = PHASE_PIVOT_TOL * 10.0 ** exponents[3 * k + j] * phase
+    fixed = _fix_column_phases(mat)
+    assert np.max(np.abs(fixed - _loop_phase_fix(mat))) <= 1e-14
+
+
+class TestFromJsonChecks:
+    """The loader rejects what make_basis would reject."""
+
+    @staticmethod
+    def _payload():
+        return json.loads(make_basis(np.eye(3), values=[0.0, 1.0, 2.0]).to_json())
+
+    @staticmethod
+    def _load(payload):
+        return Basis.from_json(json.dumps(payload))
+
+    def test_label_count_rejected(self):
+        payload = self._payload()
+        payload["labels"] = payload["labels"][:2]
+        with pytest.raises(DimensionMismatch):
+            self._load(payload)
+
+    def test_value_count_rejected(self):
+        payload = self._payload()
+        payload["values"] = payload["values"] + [3.0]
+        with pytest.raises(DimensionMismatch):
+            self._load(payload)
+
+    def test_dim_one_rejected(self):
+        payload = {"dim": 1, "labels": ["0"], "values": None, "re": [[1.0]], "im": [[0.0]]}
+        with pytest.raises(DimensionMismatch):
+            self._load(payload)

@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from qergo.cli import main
+from qergo.cli import build_scenario, main
 from qergo.render import parse_grid_csv, parse_profile_csv, render_distribution
-from qergo.errors import ParseError
+from qergo.errors import ConfigError, ParseError
+from qergo.verify import MAX_DIM
+from qergo.weak import MAX_COUPLING, MIN_SHOTS
 
 HADAMARD = {
     "kind": "explicit",
@@ -182,6 +184,23 @@ class TestLatticeAndQuantize:
         assert main(["render", str(tmp_path / "l.csv"), "--style", "profile", "--out", out]) == 0
         assert (tmp_path / "l.svg").read_text().startswith("<svg ")
 
+    def test_lattice_reruns_byte_identical(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "l.json",
+            {
+                "params": {
+                    "d": 64, "L": 20.0, "mass": 1.0, "hbar": 1.0,
+                    "potential": {"kind": "harmonic", "omega": 1.0},
+                    "column": {"energy_index": 2, "p_ref_index": 32},
+                }
+            },
+        )
+        for run in ("a", "b"):
+            assert main(["lattice", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        for ext in (".json", ".csv"):
+            assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
+
     def test_column_index_validated_before_run(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -296,3 +315,36 @@ class TestEnvironment:
         monkeypatch.setenv("QERGO_THREADS", "8")
         main(["verify", "--config", cfg, "--out", str(tmp_path / "t8")])
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t8.json").read_bytes()
+
+
+_WEAK = {
+    "dim": 2,
+    "initial": {"basis": {"kind": "computational"}, "index": 0},
+    "final": {"basis": HADAMARD, "index": 0},
+    "meter_basis": Y_BASIS,
+    "m_index": 0,
+    "g": 0.05,
+    "shots": 20000,
+}
+_SEQ = {
+    "dim": 2,
+    "initial": {"basis": {"kind": "computational"}, "index": 0},
+    "m_basis": HADAMARD,
+    "b_basis": Y_BASIS,
+    "shots": 20000,
+}
+
+
+@pytest.mark.parametrize(
+    "kind, base, key, at_limit, past_limit",
+    [
+        ("verify", {"seeds_per_dim": 1}, "dims", [MAX_DIM], [MAX_DIM + 1]),
+        ("weak_run", _WEAK, "g", MAX_COUPLING, float(np.nextafter(MAX_COUPLING, 1.0))),
+        ("weak_run", _WEAK, "shots", MIN_SHOTS, MIN_SHOTS - 1),
+        ("sequential_run", _SEQ, "shots", MIN_SHOTS, MIN_SHOTS - 1),
+    ],
+)
+def test_cli_limit_follows_library_constant(kind, base, key, at_limit, past_limit):
+    build_scenario(kind, {"params": {**base, key: at_limit}}, None, "out")
+    with pytest.raises(ConfigError):
+        build_scenario(kind, {"params": {**base, key: past_limit}}, None, "out")

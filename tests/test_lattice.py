@@ -6,8 +6,10 @@ from qergo import (
     OrthogonalCondition,
     PhaseUnwrapFailure,
     build_lattice,
+    make_basis,
     quantized_spectrum_check,
 )
+from qergo.ccp import ccp_table
 from qergo.lattice import (
     ccp_xEp,
     classical_momentum_check,
@@ -82,6 +84,24 @@ class TestBuildLattice:
         v = harmonic64.e_basis.vectors
         resid = np.linalg.norm(h @ v - v * harmonic64.energies, axis=0)
         assert resid.max() < 1e-8 * harmonic64.hamiltonian_norm
+
+    @pytest.mark.parametrize("which", ["box32", "harmonic64", "smooth_well"])
+    def test_bases_match_make_basis_up_to_column_phases(self, which, request):
+        sys_ = smooth_well(64) if which == "smooth_well" else request.getfixturevalue(which)
+        ours = (sys_.x_basis, sys_.e_basis, sys_.p_basis)
+        theirs = tuple(make_basis(b.vectors, b.labels, b.values) for b in ours)
+        # Raw columns may differ by a phase: the polar step moves components
+        # near the pivot floor by rounding, which can move the pivot.  The
+        # magnitudes and the conditionals do not depend on column phases.
+        for a, b in zip(ours, theirs):
+            assert np.max(np.abs(np.abs(a.vectors) - np.abs(b.vectors))) <= 1e-14
+        t_ours, t_theirs = ccp_table(*ours), ccp_table(*theirs)
+        assert np.array_equal(t_ours.defined_mask, t_theirs.defined_mask)
+        # p(x|E,p) = <p|x><x|E>/<p|E>; rounding in the denominator moves the
+        # ratio by about |numerator| * d * eps / |<p|E>|^2.
+        den_sq = np.abs(sys_.p_basis.overlaps_with(sys_.e_basis)).T ** 2  # [E, p]
+        dev = np.abs(t_ours.vals - t_theirs.vals) * den_sq[np.newaxis]
+        assert dev.max() <= sys_.d * np.finfo(float).eps
 
     def test_config_json(self, harmonic64):
         import json
