@@ -30,7 +30,7 @@ from .bridge import (
 )
 from .ccp import (
     CcpTable,
-    OzawaReport,
+    IdentitySides,
     backaction_check,
     bayes_convert,
     ccp_column,
@@ -39,6 +39,7 @@ from .ccp import (
     chain_compose,
     determinism_residual,
     ergodicity_product,
+    is_defined,
     ozawa_error,
     phase_antisymmetry_check,
     sampling_variance,

@@ -19,6 +19,7 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     NotOrthonormal,
+    ParseError,
 )
 
 #: Gram-matrix deviation accepted on user-supplied columns.
@@ -60,6 +61,25 @@ def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
         raise NotOrthonormal(f"column {int(np.flatnonzero(empty)[0])} is numerically zero")
     pivots = mat[rows, cols]
     return mat * (np.conj(pivots) / mags[rows, cols])
+
+
+def _json_field(payload, key: str):
+    """A required field of a loaded JSON object; ParseError if it is absent."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ParseError(f"missing field {key!r}", 1)
+    return payload[key]
+
+
+def _json_complex(payload, re_key: str, im_key: str) -> np.ndarray:
+    """Complex array from a real and an imaginary nested list of one shape."""
+    try:
+        re = np.array(_json_field(payload, re_key), dtype=np.float64)
+        im = np.array(_json_field(payload, im_key), dtype=np.float64)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"ragged or non-numeric {re_key}/{im_key}: {exc}", 1) from None
+    if re.shape != im.shape:
+        raise ParseError(f"{re_key} of shape {re.shape} but {im_key} of {im.shape}", 1)
+    return re + 1j * im
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -123,17 +143,14 @@ class Basis:
     @classmethod
     def from_json(cls, text: str) -> "Basis":
         payload = json.loads(text)
-        mat = np.array(payload["re"], dtype=np.float64) + 1j * np.array(
-            payload["im"], dtype=np.float64
-        )
-        mat = _as_square_complex(mat)
-        if mat.shape[0] != payload["dim"]:
+        mat = _as_square_complex(_json_complex(payload, "re", "im"))
+        if mat.shape[0] != _json_field(payload, "dim"):
             raise DimensionMismatch("declared dim does not match matrix shape")
         defect = _gram_defect(mat)
         if not defect <= GRAM_INPUT_TOL:
             raise NotOrthonormal(f"Gram defect {defect:.3e} exceeds {GRAM_INPUT_TOL}")
         labels, values = _checked_labels_values(
-            mat.shape[0], payload["labels"], payload.get("values")
+            mat.shape[0], _json_field(payload, "labels"), payload.get("values")
         )
         # Round-trip fidelity: stored floats are used verbatim, with no
         # re-orthonormalization or re-phasing.

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ergodic_prob
-from .ccp import (
-    CcpTable,
-    IMAG_RESIDUE_TOL,
-    ORTHOGONALITY_CUTOFF,
-    ccp_table,
-)
+from .basis import Basis, _json_complex, _json_field
+from .ccp import CcpTable, IMAG_RESIDUE_TOL, ccp_table, is_defined
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -34,23 +29,27 @@ from .errors import (
 REFERENCE_OVERLAP_FLOOR = 1e-14
 
 
-def reconstruct_vector(table: CcpTable, a: int, b_ref: int) -> np.ndarray:
-    """Unit vector of outcome a in the intermediate basis, from conditionals.
+def _reference_probs(basis: Basis, basis_b: Basis, b_ref: int) -> np.ndarray:
+    """Transition probabilities p(x|b_ref) for every outcome x of ``basis``."""
+    return np.abs(basis.vectors.conj().T @ basis_b.column(b_ref)) ** 2
 
-    Component m is sqrt(p(a|b_ref)/p(m|b_ref)) * p(m|a,b_ref).  The result
+
+def reconstruct_vector(table: CcpTable, b_ref: int) -> np.ndarray:
+    """Unit vectors of every outcome a in the intermediate basis, from conditionals.
+
+    Column a holds sqrt(p(a|b_ref)/p(m|b_ref)) * p(m|a,b_ref) over m.  It
     has unit norm and equals the amplitude column <m|a> in the gauge fixed
     by the reference outcome, up to one global phase.
     """
-    col = table.column(a, b_ref)
-    p_m_b = np.abs(
-        table.m_basis.vectors.conj().T @ table.b_basis.vectors[:, b_ref]
-    ) ** 2
+    p_m_b = _reference_probs(table.m_basis, table.b_basis, b_ref)
+    if not table.defined_mask[:, b_ref].all():
+        raise OrthogonalCondition("an initial outcome is orthogonal to the reference")
     if np.any(p_m_b <= REFERENCE_OVERLAP_FLOOR):
         raise ZeroReferenceOverlap(
             "reference outcome is orthogonal to an intermediate outcome"
         )
-    p_a_b = ergodic_prob(table.a_basis, a, table.b_basis, b_ref)
-    return np.sqrt(p_a_b / p_m_b) * col
+    p_a_b = _reference_probs(table.a_basis, table.b_basis, b_ref)
+    return np.sqrt(p_a_b[np.newaxis, :] / p_m_b[:, np.newaxis]) * table.vals[:, :, b_ref]
 
 
 def reference_gauge_amplitudes(
@@ -78,85 +77,67 @@ def align_global_phase(candidate: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def _paired_conditionals(
-    basis_t: Basis,
-    t: int,
-    basis_m: Basis,
-    basis_s: Basis,
-    s: int,
-    basis_b: Basis,
-    b_ref: int,
-) -> np.ndarray:
-    """Products p(t|m,b) p(m|s,b) over m, finite at <b|m> = 0.
+    basis_t: Basis, basis_m: Basis, basis_s: Basis, basis_b: Basis, b_ref: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of p(t|m,b) p(m|s,b) at the reference b, finite at <b|m> = 0.
 
-    Where the intermediate overlap <b|m> is above cutoff, both
-    conditionals are formed separately and multiplied; at (numerically)
-    orthogonal intermediates the product is assigned its analytic limit
-    <b|t><t|m><m|s>/<b|s>, in which <b|m> cancels.
+    Returns ``left[t, m]`` and ``right[m, s]`` whose product over each
+    (t, m, s) is the paired conditional, so ``left @ right`` sums it over m.
+    Where <b|m> is above cutoff they are the two conditionals; at
+    (numerically) orthogonal intermediates, where each alone diverges or
+    vanishes, they are rescaled by <b|m> and 1/<b|m>, which leaves their
+    product at its analytic limit <b|t><t|m><m|s>/<b|s>.
     """
     if len({basis_t.dim, basis_m.dim, basis_s.dim, basis_b.dim}) != 1:
         raise DimensionMismatch("all four bases must share one dimension")
-    b_vec = basis_b.vectors[:, b_ref]
-    b_s = complex(np.vdot(b_vec, basis_s.vectors[:, s]))
-    if abs(b_s) <= ORTHOGONALITY_CUTOFF:
-        raise OrthogonalCondition("initial outcome orthogonal to the reference")
-    b_t = complex(np.vdot(b_vec, basis_t.vectors[:, t]))
+    b_vec = basis_b.column(b_ref)
+    b_s = np.conj(basis_s.vectors.conj().T @ b_vec)  # <b|s>
+    if not is_defined(b_s).all():
+        raise OrthogonalCondition("an initial outcome is orthogonal to the reference")
+    b_t = np.conj(basis_t.vectors.conj().T @ b_vec)  # <b|t>
     b_m = np.conj(basis_m.vectors.conj().T @ b_vec)  # <b|m>
-    t_m = np.conj(basis_m.vectors.conj().T @ basis_t.vectors[:, t])  # <t|m>
-    m_s = basis_m.vectors.conj().T @ basis_s.vectors[:, s]  # <m|s>
-    limit = b_t * t_m * m_s / b_s
-    fine = np.abs(b_m) > ORTHOGONALITY_CUTOFF
-    out = np.array(limit)
-    out[fine] = (b_t * t_m[fine] / b_m[fine]) * (b_m[fine] * m_s[fine] / b_s)
-    return out
+    scale = np.where(is_defined(b_m), b_m, 1.0)
+    left = b_t[:, np.newaxis] * basis_t.overlaps_with(basis_m) / scale  # p(t|m,b)
+    right = scale[:, np.newaxis] * basis_m.overlaps_with(basis_s) / b_s  # p(m|s,b)
+    return left, right
 
 
 def inner_product_ccp(
-    basis_f: Basis,
-    f: int,
-    basis_a: Basis,
-    a: int,
-    basis_m: Basis,
-    basis_b: Basis,
-    b_ref: int,
-) -> complex:
-    """Inner product <f|a> assembled from conditionals through basis M.
+    basis_f: Basis, basis_a: Basis, basis_m: Basis, basis_b: Basis, b_ref: int
+) -> np.ndarray:
+    """Inner products <f|a> assembled from conditionals through basis M.
 
-    Returns sqrt(p(a|b)/p(f|b)) * sum_m p(f|m,b) p(m|a,b).  The magnitude
-    equals |<f|a>|; the phase is fixed by the reference outcome and is
-    independent of the intermediate basis M.
+    Entry [f, a] is sqrt(p(a|b)/p(f|b)) * sum_m p(f|m,b) p(m|a,b).  Its
+    magnitude equals |<f|a>|; the phase is fixed by the reference outcome
+    and is independent of the intermediate basis M.
     """
-    p_f_b = ergodic_prob(basis_f, f, basis_b, b_ref)
-    p_a_b = ergodic_prob(basis_a, a, basis_b, b_ref)
-    if p_f_b <= REFERENCE_OVERLAP_FLOOR:
-        raise OrthogonalCondition("target outcome orthogonal to the reference")
-    terms = _paired_conditionals(basis_f, f, basis_m, basis_a, a, basis_b, b_ref)
-    return complex(np.sqrt(p_a_b / p_f_b) * terms.sum())
+    p_f_b = _reference_probs(basis_f, basis_b, b_ref)
+    if np.any(p_f_b <= REFERENCE_OVERLAP_FLOOR):
+        raise OrthogonalCondition("a target outcome is orthogonal to the reference")
+    p_a_b = _reference_probs(basis_a, basis_b, b_ref)
+    left, right = _paired_conditionals(basis_f, basis_m, basis_a, basis_b, b_ref)
+    return np.sqrt(p_a_b[np.newaxis, :] / p_f_b[:, np.newaxis]) * (left @ right)
 
 
 def born_rule_coherence(
-    basis_f: Basis,
-    f: int,
-    basis_a: Basis,
-    a: int,
-    basis_m: Basis,
-    reference: tuple[Basis, int],
-) -> float:
-    """Transition probability p(f|a) from the conditional double sum.
+    basis_f: Basis, basis_a: Basis, basis_m: Basis, reference: tuple[Basis, int]
+) -> np.ndarray:
+    """Transition probabilities p(f|a) from the conditional double sum.
 
-    Evaluates sum_{m,m'} (p(m|a,b) p(a|m',b)) (p(m'|f,b) p(f|m,b)) at the
-    reference condition.  The summand is Hermitian under swapping (m, m'),
-    so the total is real; it equals |<f|a>|^2.
+    Entry [f, a] is sum_{m,m'} (p(m|a,b) p(a|m',b)) (p(m'|f,b) p(f|m,b)) at
+    the reference condition.  The summand is Hermitian under swapping
+    (m, m'), so the total is real; it equals |<f|a>|^2.
     """
     basis_b, b_ref = reference
-    # Grouped per index so each factor pair stays finite at <b|m> = 0:
-    # summand[m, m'] = (p(m|a,b) p(f|m,b)) * (p(a|m',b) p(m'|f,b)).
-    left = _paired_conditionals(basis_f, f, basis_m, basis_a, a, basis_b, b_ref)
-    right = _paired_conditionals(basis_a, a, basis_m, basis_f, f, basis_b, b_ref)
-    summand = np.outer(left, right)
-    total = complex(summand.sum())
-    if abs(total.imag) >= IMAG_RESIDUE_TOL / 10:
-        raise NumericsError(f"imaginary residue {total.imag:.3e} in coherence sum")
-    return float(total.real)
+    # Grouped per index so each factor pair stays finite at <b|m> = 0; the
+    # double sum factorizes into sum_m p(f|m,b) p(m|a,b) times its mirror.
+    left, right = _paired_conditionals(basis_f, basis_m, basis_a, basis_b, b_ref)
+    back_left, back_right = _paired_conditionals(basis_a, basis_m, basis_f, basis_b, b_ref)
+    total = (left @ right) * (back_left @ back_right).T
+    residue = float(np.max(np.abs(total.imag)))
+    if residue >= IMAG_RESIDUE_TOL / 10:
+        raise NumericsError(f"imaginary residue {residue:.3e} in coherence sum")
+    return total.real
 
 
 @dataclass(frozen=True)
@@ -201,19 +182,15 @@ class JointQuasiProb:
     @classmethod
     def from_json(cls, text: str) -> "JointQuasiProb":
         payload = json.loads(text)
-        vals = np.array(payload["re"], dtype=np.float64) + 1j * np.array(
-            payload["im"], dtype=np.float64
-        )
+        vals = _json_complex(payload, "re", "im")
         sandwich = None
         if payload.get("sandwich_re") is not None:
-            sandwich = np.array(payload["sandwich_re"], dtype=np.float64) + 1j * np.array(
-                payload["sandwich_im"], dtype=np.float64
-            )
+            sandwich = _json_complex(payload, "sandwich_re", "sandwich_im")
             sandwich.setflags(write=False)
         vals.setflags(write=False)
         return cls(
-            a_basis=Basis.from_json(json.dumps(payload["a_basis"])),
-            b_basis=Basis.from_json(json.dumps(payload["b_basis"])),
+            a_basis=Basis.from_json(json.dumps(_json_field(payload, "a_basis"))),
+            b_basis=Basis.from_json(json.dumps(_json_field(payload, "b_basis"))),
             vals=vals,
             sandwich=sandwich,
         )
@@ -295,8 +272,8 @@ def mix_joints(joints, weights) -> JointQuasiProb:
     )
 
 
-def predict_outcome_prob(joint: JointQuasiProb, basis_m: Basis, m: int) -> float:
-    """Probability of outcome m predicted from a joint quasiprobability.
+def predict_outcome_prob(joint: JointQuasiProb, basis_m: Basis) -> np.ndarray:
+    """Probabilities of every outcome m predicted from a joint quasiprobability.
 
     Evaluates p(m) = sum_{a,b} p(m|a,b) rho(a,b).  When the joint carries
     its sandwich factor the sum is evaluated in the overlap-free form
@@ -306,18 +283,17 @@ def predict_outcome_prob(joint: JointQuasiProb, basis_m: Basis, m: int) -> float
     """
     if basis_m.dim != joint.dim:
         raise BasisMismatch(f"dim {basis_m.dim} vs joint dim {joint.dim}")
-    basis_m.check_index(m)
-    m_a = (basis_m.vectors.conj().T @ joint.a_basis.vectors)[m, :]  # <m|a>
-    b_m = np.conj((basis_m.vectors.conj().T @ joint.b_basis.vectors)[m, :])  # <b|m>
     if joint.sandwich is not None:
-        total = complex(np.einsum("a,b,ab->", m_a, b_m, joint.sandwich))
+        m_a = basis_m.overlaps_with(joint.a_basis)  # <m|a>
+        b_m = np.conj(basis_m.overlaps_with(joint.b_basis))  # <b|m>, indexed [m, b]
+        total = np.sum((m_a @ joint.sandwich) * b_m, axis=1)
     else:
         table = ccp_table(basis_m, joint.a_basis, joint.b_basis)
-        weighted = np.where(table.defined_mask, table.vals[m] * joint.vals, 0.0)
-        total = complex(weighted.sum())
-    if abs(total.imag) >= 1e-10:
-        raise NumericsError(f"imaginary residue {total.imag:.3e} in prediction")
-    prob = float(total.real)
-    if prob < -1e-9 or prob > 1.0 + 1e-9:
-        raise NumericsError(f"predicted probability {prob} outside [0, 1]")
+        total = np.where(table.defined_mask, table.vals * joint.vals, 0.0).sum(axis=(1, 2))
+    residue = float(np.max(np.abs(total.imag)))
+    if residue >= 1e-10:
+        raise NumericsError(f"imaginary residue {residue:.3e} in prediction")
+    prob = total.real
+    if np.any(prob < -1e-9) or np.any(prob > 1.0 + 1e-9):
+        raise NumericsError(f"predicted probabilities {prob} outside [0, 1]")
     return prob

@@ -9,30 +9,36 @@ outcome b.  The functions below build full (m, a, b) tables and check the
 algebraic identities these ratios satisfy: chain composition, determinism,
 the product law p(a|m,b) p(m|a,b) = p(m|a), phase antisymmetry, Bayesian
 conversion, the sequential back-action relation, and the vanishing of the
-conditional spread of any outcome value.
+conditional spread of any outcome value.  Each identity takes the tables
+its caller has built and returns its two sides over every index at once
+(:class:`IdentitySides`).
 
-Pairs (a, b) with |<b|a>| at or below the cutoff are undefined: column
-operations raise :class:`OrthogonalCondition`, table constructors mask.
+Pairs (a, b) with |<b|a>| at or below ``ORTHOGONALITY_CUTOFF`` are
+undefined (:func:`is_defined`): column operations raise
+:class:`OrthogonalCondition`, table constructors mask.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, ergodic_prob
+from .basis import Basis, _json_complex, _json_field, ergodic_table
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
     MissingValues,
     NumericsError,
     OrthogonalCondition,
+    ParseError,
 )
 
-#: Overlaps |<b|a>| at or below cutoff * max|<b|a>| mark (a, b) undefined.
+#: Overlaps |<b|a>| at or below this mark (a, b) undefined.  The rule is
+#: absolute: every overlap is between unit vectors, so none needs rescaling.
 ORTHOGONALITY_CUTOFF = 1e-10
 
 #: Magnitudes below this have no meaningful phase.
@@ -40,6 +46,11 @@ PHASE_FLOOR = 1e-12
 
 #: Hard bound on imaginary residues of analytically-real quantities.
 IMAG_RESIDUE_TOL = 1e-9
+
+
+def is_defined(overlap):
+    """True where an overlap |<b|a>| is above ``ORTHOGONALITY_CUTOFF``."""
+    return np.abs(overlap) > ORTHOGONALITY_CUTOFF
 
 
 def _circle_distance(angles: np.ndarray | float) -> np.ndarray | float:
@@ -54,49 +65,40 @@ def _require_shared_dim(*bases: Basis) -> int:
     return dims.pop()
 
 
-def ccp_value(
-    basis_m: Basis,
-    m: int,
-    basis_a: Basis,
-    a: int,
-    basis_b: Basis,
-    b: int,
-    cutoff: float = ORTHOGONALITY_CUTOFF,
-) -> complex:
-    """Single complex conditional probability p(m|a,b) = <b|m><m|a>/<b|a>.
+def _require_same(*pairs: tuple[Basis, Basis]) -> None:
+    """Raise :class:`BasisMismatch` unless both bases of every pair agree."""
+    if not all(x is y or x.compatible_with(y) for x, y in pairs):
+        raise BasisMismatch("tables do not share the bases this identity pairs")
 
-    Raises :class:`OrthogonalCondition` when |<b|a>| is at or below the
-    cutoff: the pre/post-selection pair is ill-posed and the ratio diverges.
+
+def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -> np.ndarray:
+    """All p(m|a,b) for fixed (a, b), as a length-dim complex array.
+
+    Raises :class:`OrthogonalCondition` when (a, b) is undefined: the
+    pre/post-selection pair is ill-posed and the ratio diverges.
     """
-    _require_shared_dim(basis_m, basis_a, basis_b)
-    denom = basis_b.overlap(b, basis_a, a)
-    if abs(denom) <= cutoff:
-        raise OrthogonalCondition(
-            f"|<b|a>| = {abs(denom):.3e} at or below cutoff {cutoff:.1e} "
-            f"(a={basis_a.labels[a]}, b={basis_b.labels[b]})"
-        )
-    num = basis_b.overlap(b, basis_m, m) * basis_m.overlap(m, basis_a, a)
-    return complex(num / denom)
-
-
-def ccp_column(
-    basis_m: Basis,
-    basis_a: Basis,
-    a: int,
-    basis_b: Basis,
-    b: int,
-    cutoff: float = ORTHOGONALITY_CUTOFF,
-) -> np.ndarray:
-    """All p(m|a,b) for fixed (a, b), as a length-dim complex array."""
     _require_shared_dim(basis_m, basis_a, basis_b)
     basis_a.check_index(a)
     basis_b.check_index(b)
     denom = basis_b.overlap(b, basis_a, a)
-    if abs(denom) <= cutoff:
-        raise OrthogonalCondition(f"|<b|a>| = {abs(denom):.3e} at or below cutoff")
-    b_m = np.conj(basis_m.vectors.conj().T @ basis_b.vectors[:, b])  # <b|m>
-    m_a = basis_m.vectors.conj().T @ basis_a.vectors[:, a]  # <m|a>
+    if not is_defined(denom):
+        raise OrthogonalCondition(
+            f"|<b|a>| = {abs(denom):.3e} at or below cutoff {ORTHOGONALITY_CUTOFF:.1e} "
+            f"(a={basis_a.labels[a]}, b={basis_b.labels[b]})"
+        )
+    # numpy's own loops, not BLAS: a threaded gemv here would leave BLAS
+    # workers spinning on every core after each of many small calls.
+    b_m = np.einsum("i,im->m", basis_b.vectors[:, b].conj(), basis_m.vectors)  # <b|m>
+    m_a = np.einsum("i,im->m", basis_a.vectors[:, a].conj(), basis_m.vectors).conj()  # <m|a>
     return b_m * m_a / denom
+
+
+def ccp_value(
+    basis_m: Basis, m: int, basis_a: Basis, a: int, basis_b: Basis, b: int
+) -> complex:
+    """Single complex conditional probability p(m|a,b) = <b|m><m|a>/<b|a>."""
+    basis_m.check_index(m)
+    return complex(ccp_column(basis_m, basis_a, a, basis_b, b)[m])
 
 
 @dataclass(frozen=True)
@@ -137,11 +139,7 @@ class CcpTable:
 
     def normalization_defect(self) -> float:
         """Worst |sum_m p(m|a,b) - 1| over defined (a, b) pairs."""
-        sums = self.vals.sum(axis=0)
-        defects = np.abs(sums - 1.0)
-        if not self.defined_mask.any():
-            return 0.0
-        return float(defects[self.defined_mask].max())
+        return IdentitySides(self.vals.sum(axis=0), 1.0, self.defined_mask).worst()
 
     def to_json(self, indent: int | None = None) -> str:
         payload = {
@@ -157,17 +155,21 @@ class CcpTable:
     @classmethod
     def from_json(cls, text: str) -> "CcpTable":
         payload = json.loads(text)
-        vals = np.array(payload["re"], dtype=np.float64) + 1j * np.array(
-            payload["im"], dtype=np.float64
+        m_b, a_b, b_b = (
+            Basis.from_json(json.dumps(_json_field(payload, key)))
+            for key in ("m_basis", "a_basis", "b_basis")
         )
-        mask = np.array(payload["defined_mask"], dtype=bool)
-        table = cls(
-            m_basis=Basis.from_json(json.dumps(payload["m_basis"])),
-            a_basis=Basis.from_json(json.dumps(payload["a_basis"])),
-            b_basis=Basis.from_json(json.dumps(payload["b_basis"])),
-            vals=vals,
-            defined_mask=mask,
-        )
+        dim = _require_shared_dim(m_b, a_b, b_b)
+        vals = _json_complex(payload, "re", "im")
+        try:
+            mask = np.array(_json_field(payload, "defined_mask"))
+        except ValueError:
+            raise ParseError("ragged defined_mask", 1) from None
+        if vals.shape != (dim, dim, dim) or not np.isfinite(vals).all():
+            raise ParseError(f"need finite values of shape {(dim,) * 3}, got {vals.shape}", 1)
+        if mask.shape != (dim, dim) or mask.dtype != bool:
+            raise ParseError(f"need a boolean mask of shape {(dim, dim)}", 1)
+        table = cls(m_basis=m_b, a_basis=a_b, b_basis=b_b, vals=vals, defined_mask=mask)
         table.vals.setflags(write=False)
         table.defined_mask.setflags(write=False)
         return table
@@ -186,19 +188,13 @@ class CcpTable:
         return buf.getvalue()
 
 
-def ccp_table(
-    basis_m: Basis,
-    basis_a: Basis,
-    basis_b: Basis,
-    cutoff: float = ORTHOGONALITY_CUTOFF,
-) -> CcpTable:
+def ccp_table(basis_m: Basis, basis_a: Basis, basis_b: Basis) -> CcpTable:
     """Full conditional table over (m, a, b) with undefined pairs masked."""
     _require_shared_dim(basis_m, basis_a, basis_b)
     b_a = basis_b.overlaps_with(basis_a)  # <b|a>, indexed [b, a]
     b_m = basis_b.overlaps_with(basis_m)  # <b|m>, indexed [b, m]
     m_a = basis_m.overlaps_with(basis_a)  # <m|a>, indexed [m, a]
-    scale = float(np.max(np.abs(b_a)))
-    mask = np.abs(b_a.T) > cutoff * max(scale, 1e-300)  # indexed [a, b]
+    mask = is_defined(b_a.T)  # indexed [a, b]
     num = np.einsum("bm,ma->mab", b_m, m_a)
     denom = b_a.T[np.newaxis, :, :]
     vals = np.zeros_like(num)
@@ -218,11 +214,8 @@ def chain_compose(outer: CcpTable, inner: CcpTable) -> CcpTable:
     over (F, A, B) whose mask marks entries where every contributing
     conditional was defined.
     """
-    if not outer.a_basis.compatible_with(inner.m_basis):
-        raise BasisMismatch("outer initial basis differs from inner intermediate basis")
-    if not outer.b_basis.compatible_with(inner.b_basis):
-        raise BasisMismatch("outer and inner final bases differ")
-    vals = np.einsum("fmb,mab->fab", outer.vals, inner.vals)
+    _require_same((outer.a_basis, inner.m_basis), (outer.b_basis, inner.b_basis))
+    vals = (outer.vals.transpose(2, 0, 1) @ inner.vals.transpose(2, 0, 1)).transpose(1, 2, 0)
     mask = inner.defined_mask & outer.defined_mask.all(axis=0)[np.newaxis, :]
     vals = np.where(mask[np.newaxis, :, :], vals, 0.0)
     vals.setflags(write=False)
@@ -236,71 +229,97 @@ def chain_compose(outer: CcpTable, inner: CcpTable) -> CcpTable:
     )
 
 
-def determinism_residual(basis_m: Basis, basis_a: Basis, basis_b: Basis) -> float:
-    """Worst deviation of sum_m p(a'|m,b) p(m|a,b) from delta(a, a')."""
-    inner = ccp_table(basis_m, basis_a, basis_b)
-    outer = ccp_table(basis_a, basis_m, basis_b)
-    composed = chain_compose(outer, inner)
-    dim = basis_a.dim
-    delta = np.eye(dim)[:, :, np.newaxis]
-    dev = np.abs(composed.vals - delta)
-    if not composed.defined_mask.any():
-        return 0.0
-    dev = np.where(composed.defined_mask[np.newaxis, :, :], dev, 0.0)
-    return float(dev.max())
+@dataclass(frozen=True)
+class IdentitySides:
+    """Both sides of an identity over every index, and where it is defined.
+
+    ``mask`` broadcasts against ``lhs`` and ``rhs``; entries outside it
+    involve an undefined conditional and are not compared.
+    """
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    mask: np.ndarray
+
+    def worst(self) -> float:
+        """Largest |lhs - rhs| over the mask.
+
+        NaN if the mask is empty or a compared entry is NaN, so a check with
+        nothing to compare fails rather than reading 0.
+        """
+        dev = np.abs(self.lhs - self.rhs)
+        kept = dev[np.broadcast_to(self.mask, dev.shape)]
+        return float(kept.max()) if kept.size else math.nan
 
 
-def ergodicity_product(
-    basis_m: Basis,
-    basis_a: Basis,
-    basis_b: Basis,
-    m: int,
-    a: int,
-    b: int,
-) -> complex:
-    """Product p(a|m,b) p(m|a,b); equals the real transition probability p(m|a)."""
-    forward = ccp_value(basis_m, m, basis_a, a, basis_b, b)
-    backward = ccp_value(basis_a, a, basis_m, m, basis_b, b)
-    return backward * forward
+def determinism_residual(composed: CcpTable) -> IdentitySides:
+    """sum_m p(a'|m,b) p(m|a,b) against delta(a', a), over (a', a, b).
+
+    ``composed`` is ``chain_compose(outer, inner)`` of the tables over
+    (A, M, B) and (M, A, B).
+    """
+    _require_same((composed.m_basis, composed.a_basis))
+    delta = np.eye(composed.dim)[:, :, np.newaxis]
+    return IdentitySides(composed.vals, delta, composed.defined_mask)
 
 
-def backaction_check(
-    basis_m: Basis,
-    basis_a: Basis,
-    basis_b: Basis,
-    m: int,
-    a: int,
-    b: int,
-) -> tuple[float, float]:
-    """Both sides of p(b|m) p(m|a) = p(b|a) |p(m|a,b)|^2."""
-    lhs = ergodic_prob(basis_b, b, basis_m, m) * ergodic_prob(basis_m, m, basis_a, a)
-    val = ccp_value(basis_m, m, basis_a, a, basis_b, b)
-    rhs = ergodic_prob(basis_b, b, basis_a, a) * abs(val) ** 2
-    return float(lhs), float(rhs)
+def ergodicity_product(forward: CcpTable, backward: CcpTable) -> IdentitySides:
+    """p(a|m,b) p(m|a,b) against the transition probability p(m|a), over (m, a, b).
+
+    ``forward`` is the table over (M, A, B), ``backward`` the one over
+    (A, M, B).  The product is real and independent of b.
+    """
+    _require_same(
+        (forward.m_basis, backward.a_basis),
+        (forward.a_basis, backward.m_basis),
+        (forward.b_basis, backward.b_basis),
+    )
+    prod = np.transpose(backward.vals, (1, 0, 2)) * forward.vals  # [m, a, b]
+    p_m_a = ergodic_table(forward.m_basis, forward.a_basis).probs
+    mask = forward.defined_mask[np.newaxis, :, :] & backward.defined_mask[:, np.newaxis, :]
+    return IdentitySides(prod, p_m_a[:, :, np.newaxis], mask)
+
+
+def backaction_check(table: CcpTable) -> IdentitySides:
+    """p(b|m) p(m|a) against p(b|a) |p(m|a,b)|^2, over (m, a, b).
+
+    Summed over m, the two sides give the dephasing decomposition.
+    """
+    p_b_m = ergodic_table(table.b_basis, table.m_basis).probs  # [b, m]
+    p_m_a = ergodic_table(table.m_basis, table.a_basis).probs  # [m, a]
+    p_b_a = ergodic_table(table.b_basis, table.a_basis).probs  # [b, a]
+    seq = p_b_m.T[:, np.newaxis, :] * p_m_a[:, :, np.newaxis]
+    direct = p_b_a.T[np.newaxis, :, :] * np.abs(table.vals) ** 2
+    return IdentitySides(seq, direct, table.defined_mask)
 
 
 def phase_antisymmetry_check(
-    basis_m: Basis, basis_a: Basis, basis_b: Basis
+    forward: CcpTable, backward: CcpTable, swapped: CcpTable
 ) -> float:
     """Worst circular defect of the two phase-reversal identities.
 
     Checks Arg p(a|m,b) = -Arg p(m|a,b) and Arg p(m|a,b) = -Arg p(m|b,a)
-    over all defined triples, skipping entries whose magnitude is below
+    over all defined triples, from the tables over (M, A, B), (A, M, B)
+    and (M, B, A), skipping entries whose magnitude is below
     ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  A NaN entry
     is not skipped, so it makes the result NaN.
     """
-    t_mab = ccp_table(basis_m, basis_a, basis_b)
-    t_amb = ccp_table(basis_a, basis_m, basis_b)
-    t_mba = ccp_table(basis_m, basis_b, basis_a)
-
+    _require_same(
+        (forward.m_basis, backward.a_basis),
+        (forward.a_basis, backward.m_basis),
+        (forward.b_basis, backward.b_basis),
+        (forward.m_basis, swapped.m_basis),
+        (forward.a_basis, swapped.b_basis),
+        (forward.b_basis, swapped.a_basis),
+    )
     worst = 0.0
-    fwd = t_mab.vals  # [m, a, b]
-    rev = np.transpose(t_amb.vals, (1, 0, 2))  # p(a|m,b) -> [m, a, b]
-    swap = np.transpose(t_mba.vals, (0, 2, 1))  # p(m|b,a) -> [m, a, b]
+    fwd = forward.vals  # [m, a, b]
+    rev = np.transpose(backward.vals, (1, 0, 2))  # p(a|m,b) -> [m, a, b]
+    swap = np.transpose(swapped.vals, (0, 2, 1))  # p(m|b,a) -> [m, a, b]
 
-    ok_fwd = t_mab.defined_mask[np.newaxis, :, :] & ~(np.abs(fwd) < PHASE_FLOOR)
-    ok_rev = t_amb.defined_mask.T[np.newaxis, :, :] & ~(np.abs(rev) < PHASE_FLOOR)
-    ok_swap = t_mba.defined_mask.T[np.newaxis, :, :] & ~(np.abs(swap) < PHASE_FLOOR)
+    ok_fwd = forward.defined_mask[np.newaxis, :, :] & ~(np.abs(fwd) < PHASE_FLOOR)
+    ok_rev = backward.defined_mask.T[np.newaxis, :, :] & ~(np.abs(rev) < PHASE_FLOOR)
+    ok_swap = swapped.defined_mask.T[np.newaxis, :, :] & ~(np.abs(swap) < PHASE_FLOOR)
 
     pair1 = ok_fwd & ok_rev
     if pair1.any():
@@ -313,77 +332,45 @@ def phase_antisymmetry_check(
     return worst
 
 
-def bayes_convert(
-    basis_m: Basis,
-    basis_a: Basis,
-    basis_b: Basis,
-    m: int,
-    a: int,
-    b: int,
-) -> tuple[complex, complex]:
-    """Both sides of p(m|a,b) p(a|b) = p(a|b,m) p(m|b)."""
-    lhs = ccp_value(basis_m, m, basis_a, a, basis_b, b) * ergodic_prob(
-        basis_a, a, basis_b, b
-    )
-    rhs = ccp_value(basis_a, a, basis_b, b, basis_m, m) * ergodic_prob(
-        basis_m, m, basis_b, b
-    )
-    return complex(lhs), complex(rhs)
+def bayes_convert(forward: CcpTable, converted: CcpTable) -> IdentitySides:
+    """p(m|a,b) p(a|b) against p(a|b,m) p(m|b), over (m, a, b).
 
-
-@dataclass(frozen=True)
-class OzawaReport:
-    """Conditional spread of an outcome value, evaluated with complex weights."""
-
-    epsilon_sq: float
-    per_m_terms: np.ndarray  # real contributions, one per intermediate outcome
-    values_used: np.ndarray
-
-
-def ozawa_error(
-    basis_m: Basis,
-    basis_a: Basis,
-    condition: tuple[Basis, int],
-) -> OzawaReport:
-    """Average conditional uncertainty of the values carried by ``basis_a``.
-
-    Evaluates
-        eps^2 = sum_{a,a'} (A_a - A_a')^2/2 * sum_m p(a'|m,b) p(m|a,b) p(a|b)
-    for the fixed condition b.  Because the complex conditionals compose
-    deterministically, the inner sum is delta(a, a') and eps^2 vanishes up
-    to rounding.
+    ``forward`` is the table over (M, A, B), ``converted`` the one over
+    (A, B, M).
     """
-    if basis_a.values is None:
-        raise MissingValues("initial basis carries no outcome values")
-    basis_b, b = condition
-    _require_shared_dim(basis_m, basis_a, basis_b)
-    basis_b.check_index(b)
-
-    t_mab = ccp_table(basis_m, basis_a, basis_b)
-    t_amb = ccp_table(basis_a, basis_m, basis_b)
-    if not t_mab.defined_mask[:, b].all() or not t_amb.defined_mask[:, b].all():
-        raise OrthogonalCondition(
-            "some conditional needed for this condition is undefined"
-        )
-
-    values = np.asarray(basis_a.values, dtype=np.float64)
-    half_sq = 0.5 * (values[:, np.newaxis] - values[np.newaxis, :]) ** 2  # [a, a']
-    p_a_b = np.abs(basis_b.vectors[:, b].conj() @ basis_a.vectors) ** 2  # p(a|b)
-
-    fwd = t_mab.vals[:, :, b]  # p(m|a,b), [m, a]
-    rev = t_amb.vals[:, :, b]  # p(a'|m,b), [a', m]
-    # weight[a, a', m] = p(a'|m,b) p(m|a,b) p(a|b)
-    per_m_complex = np.einsum("aA,Am,ma,a->m", half_sq, rev, fwd, p_a_b)
-    total = complex(per_m_complex.sum())
-    if abs(total.imag) >= IMAG_RESIDUE_TOL:
-        raise NumericsError(f"imaginary residue {total.imag:.3e} in epsilon^2")
-    per_m = per_m_complex.real.copy()
-    per_m.setflags(write=False)
-    values_used = values.copy()
-    values_used.setflags(write=False)
-    return OzawaReport(
-        epsilon_sq=float(total.real), per_m_terms=per_m, values_used=values_used
+    _require_same(
+        (forward.m_basis, converted.b_basis),
+        (forward.a_basis, converted.m_basis),
+        (forward.b_basis, converted.a_basis),
     )
+    p_a_b = ergodic_table(forward.a_basis, forward.b_basis).probs  # [a, b]
+    p_m_b = ergodic_table(forward.m_basis, forward.b_basis).probs  # [m, b]
+    lhs = forward.vals * p_a_b[np.newaxis, :, :]
+    rhs = np.transpose(converted.vals, (2, 0, 1)) * p_m_b[:, np.newaxis, :]
+    mask = forward.defined_mask[np.newaxis, :, :] & converted.defined_mask.T[:, np.newaxis, :]
+    return IdentitySides(lhs, rhs, mask)
+
+
+def ozawa_error(composed: CcpTable) -> np.ndarray:
+    """Average conditional uncertainty of the values carried by A, per condition b.
+
+    ``composed`` is the determinism composition sum_m p(a'|m,b) p(m|a,b)
+    over (A, A, B), as :func:`determinism_residual` takes it.  Evaluates
+        eps^2(b) = sum_{a,a'} (A_a - A_a')^2/2 * sum_m p(a'|m,b) p(m|a,b) p(a|b)
+    for every b.  Because the complex conditionals compose
+    deterministically, the inner sum is delta(a, a') and eps^2 vanishes up
+    to rounding.  A condition b with an undefined conditional gives NaN.
+    """
+    values = composed.a_basis.values
+    if values is None:
+        raise MissingValues("initial basis carries no outcome values")
+    _require_same((composed.m_basis, composed.a_basis))
+    half_sq = 0.5 * (values[:, np.newaxis] - values[np.newaxis, :]) ** 2  # [a, a']
+    p_a_b = ergodic_table(composed.a_basis, composed.b_basis).probs  # [a, b]
+    eps = np.einsum("aA,Aab->b", half_sq, composed.vals * p_a_b)
+    if np.max(np.abs(eps.imag)) >= IMAG_RESIDUE_TOL:
+        raise NumericsError(f"imaginary residue {np.max(np.abs(eps.imag)):.3e} in epsilon^2")
+    return np.where(composed.defined_mask.all(axis=0), eps.real, np.nan)
 
 
 def sampling_variance(values, probs) -> float:

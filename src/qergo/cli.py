@@ -166,8 +166,8 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ConfigError(f"shots must be >= {MIN_SHOTS}")
     elif kind == "lattice":
         d = _need(params, "d", int, "an integer")
-        if d < 8 or d % 2:
-            raise ConfigError("d must be even and >= 8")
+        if not lat.valid_grid_size(d):
+            raise ConfigError(f"d must be even and >= {lat.MIN_GRID_SIZE}")
         for key in ("L", "mass", "hbar"):
             v = _need(params, key, (int, float), "a number")
             if v <= 0:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import Basis, _finish_basis
-from .ccp import ORTHOGONALITY_CUTOFF, ccp_column
+from .ccp import ccp_column, is_defined
 from .errors import (
     BadGrid,
     NonHermitian,
@@ -36,6 +36,13 @@ from .errors import (
 BOX_WALL_FACTOR = 1e6
 #: Fraction of pi above which an adjacent phase jump is ambiguous.
 UNWRAP_AMBIGUITY = 1.0 - 1e-6
+#: Smallest grid size; every grid size must also be even.
+MIN_GRID_SIZE = 8
+
+
+def valid_grid_size(d: int) -> bool:
+    """Whether ``build_lattice`` accepts a grid of ``d`` points."""
+    return d >= MIN_GRID_SIZE and d % 2 == 0
 
 
 def _parse_potential(spec, positions: np.ndarray, length: float, mass: float, hbar: float):
@@ -140,8 +147,8 @@ def build_lattice(
         block and re-diagonalized against momentum.  Defaults to
         1e-8 * ||H||, which keeps the eigen-residual contract intact.
     """
-    if d < 8 or d % 2:
-        raise BadGrid(f"grid size must be even and >= 8, got {d}")
+    if not valid_grid_size(d):
+        raise BadGrid(f"grid size must be even and >= {MIN_GRID_SIZE}, got {d}")
     if length <= 0 or mass <= 0 or hbar <= 0:
         raise BadGrid("length, mass, and hbar must all be positive")
     dx = length / d
@@ -240,7 +247,7 @@ def gauge_shift(sys: LatticeSystem, e_index: int, p_from: int, p_to: int) -> np.
     )
     shifted = col * ramp
     denom = shifted.sum()
-    if abs(denom) <= ORTHOGONALITY_CUTOFF:
+    if not is_defined(denom):
         raise OrthogonalCondition(
             f"target reference p index {p_to} orthogonal to energy index {e_index}"
         )
@@ -284,7 +291,7 @@ def fourier_relation_check(
     phase = np.exp(1j * np.outer(delta_p, sys.positions) / sys.hbar)  # [p, x]
     numer = phase @ col
     denom = sys.d * col[x_ref] * np.exp(1j * delta_p * sys.positions[x_ref] / sys.hbar)
-    if np.min(np.abs(denom)) <= ORTHOGONALITY_CUTOFF:
+    if not is_defined(denom).all():
         raise OrthogonalCondition("reference position has no support in the column")
     rebuilt = numer / denom
     return float(np.max(np.abs(rebuilt - direct)))

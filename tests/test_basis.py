@@ -10,6 +10,7 @@ from qergo import (
     DimensionMismatch,
     IndexOutOfRange,
     NotOrthonormal,
+    ParseError,
     computational_basis,
     ergodic_prob,
     ergodic_table,
@@ -274,4 +275,18 @@ class TestFromJsonChecks:
     def test_dim_one_rejected(self):
         payload = {"dim": 1, "labels": ["0"], "values": None, "re": [[1.0]], "im": [[0.0]]}
         with pytest.raises(DimensionMismatch):
+            self._load(payload)
+
+    @pytest.mark.parametrize("key", ["re", "im"])
+    def test_ragged_matrix_rejected(self, key):
+        payload = self._payload()
+        payload[key][1] = payload[key][1][:2]
+        with pytest.raises(ParseError):
+            self._load(payload)
+
+    @pytest.mark.parametrize("key", ["dim", "labels", "re", "im"])
+    def test_missing_field_rejected(self, key):
+        payload = self._payload()
+        del payload[key]
+        with pytest.raises(ParseError):
             self._load(payload)

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from qergo import (
     CcpTable,
     MissingValues,
     OrthogonalCondition,
+    ParseError,
     backaction_check,
     bayes_convert,
     ccp_table,
@@ -17,6 +21,7 @@ from qergo import (
     determinism_residual,
     ergodic_prob,
     ergodicity_product,
+    fourier_basis,
     haar_random_basis,
     make_basis,
     ozawa_error,
@@ -24,6 +29,26 @@ from qergo import (
     sampling_variance,
 )
 from conftest import haar_triple
+
+
+def _determinism(m, a, b):
+    return determinism_residual(chain_compose(ccp_table(a, m, b), ccp_table(m, a, b)))
+
+
+def _ergodicity(m, a, b):
+    return ergodicity_product(ccp_table(m, a, b), ccp_table(a, m, b))
+
+
+def _antisymmetry(m, a, b):
+    return phase_antisymmetry_check(ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a))
+
+
+def _bayes(m, a, b):
+    return bayes_convert(ccp_table(m, a, b), ccp_table(a, b, m))
+
+
+def _ozawa(m, a, b):
+    return ozawa_error(chain_compose(ccp_table(a, m, b), ccp_table(m, a, b)))
 
 
 class TestCcpValue:
@@ -93,6 +118,56 @@ class TestCcpTable:
         assert float(fields[2]) == pytest.approx(0.5)
 
 
+class TestDefinedness:
+    """One absolute rule: |<b|a>| at or below 1e-10 leaves (a, b) undefined."""
+
+    def test_overlap_between_relative_and_absolute_cutoff(self):
+        # |<b0|a0>| = 9.5e-11 lies above 1e-10 * max|<b|a>| = 8.9e-11 but at
+        # or below 1e-10, where a relative rule and the absolute one disagree.
+        r = np.sqrt((1.0 - 0.89**2) / 2.0)
+        cols = np.column_stack(
+            [[9.5e-11, 0.89, r, r], np.random.default_rng(1).standard_normal((4, 3))]
+        )
+        a, b = computational_basis(4), make_basis(np.linalg.qr(cols)[0])
+        m = haar_random_basis(4, 5)
+        overlaps = np.abs(b.overlaps_with(a))
+        assert overlaps[0, 0] == pytest.approx(9.5e-11, rel=1e-6)
+        assert overlaps.max() == pytest.approx(0.89, rel=1e-12)
+        table = ccp_table(m, a, b)
+        assert not table.defined_mask[0, 0]
+        with pytest.raises(OrthogonalCondition):
+            table.value(0, 0, 0)
+        with pytest.raises(OrthogonalCondition):
+            ccp_value(m, 0, a, 0, b, 0)
+
+
+class TestCcpTableFromJson:
+    """The loader rejects tables whose arrays do not fit their bases."""
+
+    @staticmethod
+    def _payload(z2, x2, y2):
+        return json.loads(ccp_table(y2, z2, x2).to_json())
+
+    def test_values_of_wrong_shape_rejected(self, z2, x2, y2):
+        payload = self._payload(z2, x2, y2)
+        payload["re"], payload["im"] = payload["re"][:1], payload["im"][:1]
+        with pytest.raises(ParseError):
+            CcpTable.from_json(json.dumps(payload))
+
+    def test_mask_of_wrong_shape_rejected(self, z2, x2, y2):
+        payload = self._payload(z2, x2, y2)
+        payload["defined_mask"] = payload["defined_mask"][0]
+        with pytest.raises(ParseError):
+            CcpTable.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_values_rejected(self, z2, x2, y2, bad):
+        payload = self._payload(z2, x2, y2)
+        payload["re"][0][1][0] = bad
+        with pytest.raises(ParseError):
+            CcpTable.from_json(json.dumps(payload))
+
+
 class TestChainRule:
     def test_two_paths_agree_in_d2(self, z2, x2, y2):
         outer = ccp_table(y2, z2, x2)  # p(f|m,b) with F=Y, M=Z
@@ -126,54 +201,60 @@ class TestChainRule:
 
 class TestDeterminism:
     def test_equal_bases_exact_zero(self):
+        # M = A: every conditional is an exact 0, 1 or x/x, so the sum is
+        # exactly delta.  With B equal too, every composition involves an
+        # undefined conditional; nothing is compared and the check fails.
         z = computational_basis(3)
-        assert determinism_residual(z, z, z) == 0.0
+        assert _determinism(z, z, fourier_basis(3)).worst() == 0.0
+        assert not _determinism(z, z, z).mask.any()
+        assert math.isnan(_determinism(z, z, z).worst())
 
     def test_qubit_triple(self, z2, x2, y2):
-        assert determinism_residual(z2, x2, y2) < 1e-12
+        assert _determinism(z2, x2, y2).worst() < 1e-12
 
     def test_haar_d8(self):
-        assert determinism_residual(*haar_triple(8, 21)) < 1e-9
+        assert _determinism(*haar_triple(8, 21)).worst() < 1e-9
 
 
 class TestErgodicityProduct:
     def test_qubit_value(self, z2, x2, y2):
-        prod = ergodicity_product(y2, z2, x2, 0, 0, 0)
+        prod = _ergodicity(y2, z2, x2).lhs[0, 0, 0]
         assert prod == pytest.approx(0.5)
         assert prod.imag == pytest.approx(0.0, abs=1e-12)
 
     def test_m_in_own_basis_gives_delta(self, z2, x2):
-        assert ergodicity_product(z2, z2, x2, 0, 0, 0) == pytest.approx(1.0)
-        assert ergodicity_product(z2, z2, x2, 1, 0, 0) == pytest.approx(0.0, abs=1e-15)
+        prod = _ergodicity(z2, z2, x2).lhs
+        assert prod[0, 0, 0] == pytest.approx(1.0)
+        assert prod[1, 0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_haar_d6_real_and_b_independent(self):
         m, a, b = haar_triple(6, 2)
+        sides = _ergodicity(m, a, b)
+        assert sides.mask.all()
         for mi in range(6):
             ref = ergodic_prob(m, mi, a, 1)
             for bi in range(6):
-                prod = ergodicity_product(m, a, b, mi, 1, bi)
+                prod = sides.lhs[mi, 1, bi]
                 assert abs(prod.imag) < 1e-10
                 assert abs(prod.real - ref) < 1e-10
 
 
 class TestBackaction:
     def test_m_equals_a(self, z2, x2):
-        lhs, rhs = backaction_check(z2, z2, x2, 0, 0, 0)
+        sides = backaction_check(ccp_table(z2, z2, x2))
+        lhs, rhs = sides.lhs[0, 0, 0], sides.rhs[0, 0, 0]
         assert lhs == pytest.approx(ergodic_prob(x2, 0, z2, 0))
         assert rhs == pytest.approx(lhs)
 
     def test_qubit_quarter(self, z2, x2, y2):
-        lhs, rhs = backaction_check(y2, z2, x2, 0, 0, 0)
-        assert lhs == pytest.approx(0.25)
-        assert rhs == pytest.approx(0.25)
+        sides = backaction_check(ccp_table(y2, z2, x2))
+        assert sides.lhs[0, 0, 0] == pytest.approx(0.25)
+        assert sides.rhs[0, 0, 0] == pytest.approx(0.25)
 
     def test_haar_d4_full_sweep(self):
-        m, a, b = haar_triple(4, 17)
-        for mi in range(4):
-            for ai in range(4):
-                for bi in range(4):
-                    lhs, rhs = backaction_check(m, a, b, mi, ai, bi)
-                    assert abs(lhs - rhs) < 1e-10
+        sides = backaction_check(ccp_table(*haar_triple(4, 17)))
+        assert sides.mask.all()
+        assert np.max(np.abs(sides.lhs - sides.rhs)) < 1e-10
 
 
 class TestPhaseAntisymmetry:
@@ -186,13 +267,13 @@ class TestPhaseAntisymmetry:
         )
         z = computational_basis(2)
         had = make_basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
-        assert phase_antisymmetry_check(rot, z, had) < 1e-14
+        assert _antisymmetry(rot, z, had) < 1e-14
 
     def test_qubit_triple(self, z2, x2, y2):
-        assert phase_antisymmetry_check(z2, x2, y2) < 1e-12
+        assert _antisymmetry(z2, x2, y2) < 1e-12
 
     def test_haar_d5(self):
-        assert phase_antisymmetry_check(*haar_triple(5, 9)) < 1e-9
+        assert _antisymmetry(*haar_triple(5, 9)) < 1e-9
 
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)
@@ -202,29 +283,26 @@ class TestPhaseAntisymmetry:
 
 class TestBayesConvert:
     def test_a_basis_equals_b_basis(self, z2, y2):
-        lhs, rhs = bayes_convert(y2, z2, z2, 0, 0, 0)
-        assert lhs == pytest.approx(rhs)
+        sides = _bayes(y2, z2, z2)
+        assert sides.mask[0, 0, 0]
+        assert sides.lhs[0, 0, 0] == pytest.approx(sides.rhs[0, 0, 0])
 
     def test_qubit_instance(self, z2, x2, y2):
-        lhs, rhs = bayes_convert(y2, z2, x2, 1, 0, 0)
-        assert abs(lhs - rhs) < 1e-12
+        sides = _bayes(y2, z2, x2)
+        assert abs(sides.lhs[1, 0, 0] - sides.rhs[1, 0, 0]) < 1e-12
 
     def test_haar_d4_sweep(self):
-        m, a, b = haar_triple(4, 31)
-        for mi in range(4):
-            for ai in range(4):
-                for bi in range(4):
-                    lhs, rhs = bayes_convert(m, a, b, mi, ai, bi)
-                    assert abs(lhs - rhs) < 1e-10
+        sides = _bayes(*haar_triple(4, 31))
+        assert sides.mask.all()
+        assert np.max(np.abs(sides.lhs - sides.rhs)) < 1e-10
 
 
 class TestOzawaError:
     def test_deterministic_conditionals_give_zero(self, z2, x2, y2):
         a_vals = make_basis(z2.vectors, values=[1.0, -1.0])
-        report = ozawa_error(y2, a_vals, (x2, 0))
-        assert abs(report.epsilon_sq) < 1e-9
-        assert report.per_m_terms.shape == (2,)
-        assert sum(report.per_m_terms) == pytest.approx(report.epsilon_sq, abs=1e-12)
+        eps_sq = _ozawa(y2, a_vals, x2)
+        assert eps_sq.shape == (2,)
+        assert abs(eps_sq[0]) < 1e-9
 
     def test_classical_pair_variance_oracle(self):
         # enumerate the four (a, a') pairs by hand for +-1 uniform
@@ -248,13 +326,13 @@ class TestOzawaError:
     def test_haar_d4_values(self):
         m, a, b = haar_triple(4, 13)
         a_vals = make_basis(a.vectors, values=[0.0, 1.0, 2.0, 3.0])
+        eps_sq = _ozawa(m, a_vals, b)
         for bi in range(4):
-            report = ozawa_error(m, a_vals, (b, bi))
-            assert abs(report.epsilon_sq) < 1e-9
+            assert abs(eps_sq[bi]) < 1e-9
 
     def test_missing_values(self, z2, x2, y2):
         with pytest.raises(MissingValues):
-            ozawa_error(y2, z2, (x2, 0))
+            _ozawa(y2, z2, x2)
 
 
 @settings(max_examples=15, deadline=None)

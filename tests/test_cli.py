@@ -6,6 +6,7 @@ import pytest
 from qergo.cli import build_scenario, main
 from qergo.render import parse_grid_csv, parse_profile_csv, render_distribution
 from qergo.errors import ConfigError, ParseError
+from qergo.lattice import MIN_GRID_SIZE
 from qergo.verify import MAX_DIM
 from qergo.weak import MAX_COUPLING, MIN_SHOTS
 
@@ -348,3 +349,15 @@ def test_cli_limit_follows_library_constant(kind, base, key, at_limit, past_limi
     build_scenario(kind, {"params": {**base, key: at_limit}}, None, "out")
     with pytest.raises(ConfigError):
         build_scenario(kind, {"params": {**base, key: past_limit}}, None, "out")
+
+
+@pytest.mark.parametrize(
+    "d, accepted", [(MIN_GRID_SIZE, True), (6, False), (MIN_GRID_SIZE + 1, False)]
+)
+def test_cli_grid_rule_follows_library(d, accepted):
+    params = {"d": d, "L": 1.0, "mass": 1.0, "hbar": 1.0, "potential": {"kind": "box"}}
+    if accepted:
+        build_scenario("lattice", {"params": params}, None, "out")
+    else:
+        with pytest.raises(ConfigError):
+            build_scenario("lattice", {"params": params}, None, "out")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qergo import ccp, verify
-from qergo.ccp import phase_antisymmetry_check
+from qergo import verify
+from qergo.ccp import CcpTable, IdentitySides, ccp_table, phase_antisymmetry_check
 from qergo.verify import IdentityCheck, run_verification_suite
 
 from conftest import haar_triple
@@ -40,16 +40,22 @@ def test_non_finite_worst_never_passes(worst):
     assert not IdentityCheck(name="chain rule", tolerance=1e-9, worst=worst).passed
 
 
-def test_phase_antisymmetry_reports_nan_entry(monkeypatch):
-    real = ccp.ccp_table
+def test_phase_antisymmetry_reports_nan_entry():
+    m, a, b = haar_triple(4, 2)
+    forward, backward, swapped = ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)
+    assert phase_antisymmetry_check(forward, backward, swapped) < 1e-9
+    vals = np.array(forward.vals)
+    vals[0, 0, 0] = np.nan
+    poisoned = CcpTable(m, a, b, vals, forward.defined_mask)
+    assert math.isnan(phase_antisymmetry_check(poisoned, backward, swapped))
 
-    def poisoned(*args, **kwargs):
-        table = real(*args, **kwargs)
-        vals = np.array(table.vals)
-        vals[0, 0, 0] = np.nan
-        return type(table)(table.m_basis, table.a_basis, table.b_basis, vals, table.defined_mask)
 
-    bases = haar_triple(4, 2)
-    assert phase_antisymmetry_check(*bases) < 1e-9
-    monkeypatch.setattr(ccp, "ccp_table", poisoned)
-    assert math.isnan(phase_antisymmetry_check(*bases))
+def test_empty_mask_fails_the_check(z2, y2):
+    # Nothing compared is not a pass: the worst of an empty mask is NaN.
+    t = ccp_table(y2, z2, z2)
+    nothing = np.zeros((2, 2), dtype=bool)
+    empty = CcpTable(t.m_basis, t.a_basis, t.b_basis, t.vals, nothing)
+    worst = empty.normalization_defect()
+    assert math.isnan(worst)
+    assert not IdentityCheck(name="column normalization", tolerance=1e-9, worst=worst).passed
+    assert math.isnan(IdentitySides(t.vals, t.vals, nothing).worst())
