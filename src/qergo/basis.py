@@ -28,6 +28,8 @@ GRAM_INPUT_TOL = 1e-8
 GRAM_INTERNAL_TOL = 1e-10
 #: Smallest component magnitude usable as a phase pivot.
 PHASE_PIVOT_TOL = 1e-12
+#: Smallest dimension of a basis.
+MIN_DIM = 2
 
 
 def _as_square_complex(columns) -> np.ndarray:
@@ -37,8 +39,8 @@ def _as_square_complex(columns) -> np.ndarray:
         raise DimensionMismatch(f"ragged or non-numeric column data: {exc}") from None
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {mat.shape}")
-    if mat.shape[0] < 2:
-        raise DimensionMismatch(f"need dim >= 2, got {mat.shape[0]}")
+    if mat.shape[0] < MIN_DIM:
+        raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {mat.shape[0]}")
     return mat
 
 
@@ -247,8 +249,8 @@ def _checked_labels_values(
 
 def computational_basis(dim: int, values: Sequence[float] | None = None) -> Basis:
     """Identity-column basis {|0>, ..., |dim-1>}."""
-    if dim < 2:
-        raise DimensionMismatch(f"need dim >= 2, got {dim}")
+    if dim < MIN_DIM:
+        raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
     return _finish_basis(np.eye(dim, dtype=np.complex128), values=values)
 
 
@@ -257,8 +259,8 @@ def fourier_basis(dim: int) -> Basis:
 
     Mutually unbiased with the computational basis: |<j|f_k>|^2 = 1/d.
     """
-    if dim < 2:
-        raise DimensionMismatch(f"need dim >= 2, got {dim}")
+    if dim < MIN_DIM:
+        raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
     j = np.arange(dim)
     mat = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
     return _finish_basis(mat, labels=[f"f{k}" for k in range(dim)])
@@ -272,8 +274,8 @@ def haar_random_basis(dim: int, seed: int) -> Basis:
     exactly Haar-distributed (plain QR is not, because the QR phase gauge
     is not uniform).
     """
-    if dim < 2:
-        raise DimensionMismatch(f"need dim >= 2, got {dim}")
+    if dim < MIN_DIM:
+        raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -53,19 +53,19 @@ def reconstruct_vector(table: CcpTable, b_ref: int) -> np.ndarray:
 
 
 def reference_gauge_amplitudes(
-    basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b_ref: int
+    basis_m: Basis, basis_a: Basis, basis_b: Basis, b_ref: int
 ) -> np.ndarray:
-    """Oracle amplitudes <m|a> re-gauged so every <b_ref|.> is real positive.
+    """Oracle amplitudes <m|a>, indexed [m, a], re-gauged so every <b_ref|.> is real positive.
 
     This is the linear-algebra counterpart of :func:`reconstruct_vector`:
     each vector is rotated by the phase of its overlap with the reference
     outcome, the gauge in which the reconstruction identity is exact.
     """
-    b_vec = basis_b.vectors[:, b_ref]
-    amps = basis_m.vectors.conj().T @ basis_a.vectors[:, a]
+    b_vec = basis_b.column(b_ref)
     beta = np.angle(basis_m.vectors.conj().T @ b_vec)  # Arg <m|b_ref>
-    alpha = np.angle(np.vdot(basis_a.vectors[:, a], b_vec))  # Arg <a|b_ref>
-    return amps * np.exp(1j * (alpha - beta))
+    alpha = np.angle(basis_a.vectors.conj().T @ b_vec)  # Arg <a|b_ref>
+    phases = np.exp(1j * (alpha[np.newaxis, :] - beta[:, np.newaxis]))
+    return basis_m.overlaps_with(basis_a) * phases
 
 
 def align_global_phase(candidate: np.ndarray, target: np.ndarray) -> np.ndarray:

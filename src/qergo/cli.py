@@ -22,7 +22,9 @@ from typing import Any
 import numpy as np
 
 from . import lattice as lat
-from .basis import Basis, computational_basis, fourier_basis, haar_random_basis, make_basis
+from .basis import (
+    MIN_DIM, Basis, computational_basis, fourier_basis, haar_random_basis, make_basis,
+)
 from .bridge import pure_state_joint
 from .errors import ConfigError, NumericsError, ParseError, QergoError
 from .render import render_distribution
@@ -130,21 +132,19 @@ def _validate_params(kind: str, params: dict) -> None:
     """Fail-fast validation: no scenario computation before this passes."""
     if kind == "verify":
         dims = _need(params, "dims", list, "a list of integers")
-        if not dims or not all(isinstance(d, int) and 2 <= d <= MAX_DIM for d in dims):
-            raise ConfigError(f"dims must be integers within 2..{MAX_DIM}, got {dims}")
+        if not dims or not all(isinstance(d, int) and MIN_DIM <= d <= MAX_DIM for d in dims):
+            raise ConfigError(f"dims must be integers within {MIN_DIM}..{MAX_DIM}, got {dims}")
         seeds = _need(params, "seeds_per_dim", int, "an integer")
         if seeds < 1:
             raise ConfigError("seeds_per_dim must be >= 1")
     elif kind == "kd_table":
-        dim = _need(params, "dim", int, "an integer")
-        if dim < 2:
-            raise ConfigError("dim must be >= 2")
+        if _need(params, "dim", int, "an integer") < MIN_DIM:
+            raise ConfigError(f"dim must be >= {MIN_DIM}")
         for key in ("state", "row_basis", "col_basis"):
             _need(params, key, dict, "an object")
     elif kind == "weak_run":
-        dim = _need(params, "dim", int, "an integer")
-        if dim < 2:
-            raise ConfigError("dim must be >= 2")
+        if _need(params, "dim", int, "an integer") < MIN_DIM:
+            raise ConfigError(f"dim must be >= {MIN_DIM}")
         for key in ("initial", "final", "meter_basis"):
             _need(params, key, dict, "an object")
         _need(params, "m_index", int, "an integer")
@@ -155,12 +155,10 @@ def _validate_params(kind: str, params: dict) -> None:
         if shots < MIN_SHOTS:
             raise ConfigError(f"shots must be >= {MIN_SHOTS}")
     elif kind == "sequential_run":
-        dim = _need(params, "dim", int, "an integer")
-        if dim < 2:
-            raise ConfigError("dim must be >= 2")
-        _need(params, "initial", dict, "an object")
-        _need(params, "m_basis", dict, "an object")
-        _need(params, "b_basis", dict, "an object")
+        if _need(params, "dim", int, "an integer") < MIN_DIM:
+            raise ConfigError(f"dim must be >= {MIN_DIM}")
+        for key in ("initial", "m_basis", "b_basis"):
+            _need(params, key, dict, "an object")
         shots = _need(params, "shots", int, "an integer")
         if shots < MIN_SHOTS:
             raise ConfigError(f"shots must be >= {MIN_SHOTS}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import Basis, haar_random_basis
+from .basis import MIN_DIM, Basis, haar_random_basis
 from .bridge import (
     born_rule_coherence,
     inner_product_ccp,
@@ -161,9 +161,7 @@ def _triple_worsts(
     back = backaction_check(t_mab)
 
     f_a = np.abs(f_b.overlaps_with(a_b))  # |<f|a>|
-    recon_oracle = np.column_stack(
-        [reference_gauge_amplitudes(m_b, a_b, a, b_b, b_ref) for a in range(dim)]
-    )
+    recon_oracle = reference_gauge_amplitudes(m_b, a_b, b_b, b_ref)
     inner = inner_product_ccp(f_b, a_b, m_b, b_b, b_ref)
     direct = inner_product_ccp(f_b, a_b, a_b, b_b, b_ref)  # intermediate basis A
     joint = pure_state_joint((m_b, 0), a_b, b_b)
@@ -225,8 +223,8 @@ def run_verification_suite(
     an independent basis quadruple from the root seed.
     """
     dims = list(dims)
-    if not dims or any(d < 2 or d > MAX_DIM for d in dims):
-        raise ValueError(f"dims must be non-empty and within 2..{MAX_DIM}: {dims}")
+    if not dims or any(d < MIN_DIM or d > MAX_DIM for d in dims):
+        raise ValueError(f"dims must be non-empty and within {MIN_DIM}..{MAX_DIM}: {dims}")
     if seeds_per_dim < 1:
         raise ValueError("seeds_per_dim must be at least 1")
 

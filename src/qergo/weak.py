@@ -19,18 +19,25 @@ read out as
                              unit-width Gaussian convention, momentum
                              variance 1/4)
 
-Both readout distributions are two-component Gaussian interference
-patterns and are sampled exactly by rejection from their dominating
-Gaussian mixtures; no pointer discretization is involved.  Sampling is
-organized in fixed-size chunks whose generators are derived from the root
-seed by counter, so results are independent of scheduling.
+Both readouts are sampled exactly by rejection, with no pointer
+discretization.  With x = w(1-w)*, c = Re x and r = Phi(q-g)/Phi(q), the
+position target over Phi(q)^2 is |w|^2 r^2 + |1-w|^2 + 2cr; as
+2r <= r^2 + 1, the envelope is (|w|^2+|c|) Phi(q-g)^2 + (|1-w|^2+|c|) Phi(q)^2.
+The momentum target over its Gaussian (sd 1/2) is
+|w|^2 + |1-w|^2 + 2|x| cos(gk - arg x); the envelope is its maximum,
+(|w| + |1-w|)^2.  Each target has mass z = postselection_weight(w, g), so a
+sampler accepts exactly z over its envelope's mass, near 1 for small real w.
+Proposals come in chunks sized to that rate, with generators derived from
+the root seed by counter, so results are independent of scheduling.
 """
 
 from __future__ import annotations
 
+import cmath
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +54,10 @@ MAX_COUPLING = 0.2
 MIN_SHOTS = 10_000
 MIN_POSTSELECTED = 100
 POSTSELECTION_RATE_FLOOR = 1e-3
-SAMPLING_CHUNK = 1 << 15
+SAMPLING_CHUNK = 1 << 13
 
 Seed = int | tuple[int, ...]
+Proposal = tuple[np.ndarray, np.ndarray]  # candidates and their accept mask
 
 
 def _entropy(seed: Seed, *extra: int) -> tuple[int, ...]:
@@ -79,12 +87,8 @@ def pointer_readout_means(w: complex, g: float) -> complex:
     Monte Carlo estimates converge to it for any g, and it converges to w
     itself as g -> 0 with an O(g^2) bias.
     """
-    cross = w - abs(w) ** 2
-    att = _cross_attenuation(g)
-    z = abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * cross.real * att
-    mean_re = (abs(w) ** 2 + cross.real * att) / z
-    mean_im = w.imag * att / z
-    return complex(mean_re, mean_im)
+    att, z = _cross_attenuation(g), postselection_weight(w, g)
+    return complex((abs(w) ** 2 + (w - abs(w) ** 2).real * att) / z, w.imag * att / z)
 
 
 def readout_bias_rate(w: complex, g: float) -> float:
@@ -93,63 +97,65 @@ def readout_bias_rate(w: complex, g: float) -> float:
     return max(abs(exact.real - w.real), abs(exact.imag - w.imag)) / g
 
 
-def _gaussian_amp(q: np.ndarray, center: float) -> np.ndarray:
-    return (2.0 * np.pi) ** -0.25 * np.exp(-((q - center) ** 2) / 4.0)
+def _accept_chunks(
+    n: int, acceptance: float, seed: Seed, stream: int, propose: Callable[..., Proposal]
+) -> tuple[np.ndarray, int]:
+    """First n accepted draws of ``propose(rng, size) -> (candidates, accept mask)``.
 
-
-def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> np.ndarray:
-    """Exact draws of the post-selected pointer position.
-
-    Target density |w Phi(q-g) + (1-w) Phi(q)|^2 (unnormalized), dominated
-    by 2(|w|^2 Phi(q-g)^2 + |1-w|^2 Phi(q)^2) via Cauchy-Schwarz, so the
-    proposal is the two-Gaussian mixture and acceptance is at least 1/2.
+    Chunk i uses the generator (seed, stream, i) and proposes the draws still
+    needed over the exact acceptance, plus 3 sd, at most ``SAMPLING_CHUNK``.
+    Also returns the proposals made up to the n-th accepted one.
     """
-    wa, wb = abs(w) ** 2, abs(1 - w) ** 2
-    p_shift = wa / (wa + wb)
     out = np.empty(n, dtype=np.float64)
-    filled = 0
-    chunk_index = 0
+    filled = proposals = chunk = 0
     while filled < n:
-        rng = _generator(seed, 1, chunk_index)
-        take = min(SAMPLING_CHUNK, 4 * (n - filled) + 1024)
-        comp = rng.random(take) < p_shift
-        q = rng.standard_normal(take) + np.where(comp, g, 0.0)
-        u = rng.random(take)
-        phi_g = _gaussian_amp(q, g)
-        phi_0 = _gaussian_amp(q, 0.0)
-        target = np.abs(w * phi_g + (1 - w) * phi_0) ** 2
-        envelope = 2.0 * (wa * phi_g**2 + wb * phi_0**2)
-        accepted = q[u * envelope < target]
-        m = min(accepted.size, n - filled)
-        out[filled : filled + m] = accepted[:m]
-        filled += m
-        chunk_index += 1
-    return out
+        needed = n - filled
+        size = min(SAMPLING_CHUNK, math.ceil((needed + 3.0 * math.sqrt(needed)) / acceptance))
+        cand, keep = propose(_generator(seed, stream, chunk), size)
+        idx = np.flatnonzero(keep)[:needed]
+        out[filled : filled + idx.size] = cand[idx]
+        filled += idx.size
+        proposals += int(idx[-1]) + 1 if filled == n else size
+        chunk += 1
+    return out, proposals
 
 
-def _sample_momenta(w: complex, g: float, n: int, seed: Seed) -> np.ndarray:
-    """Exact draws of the post-selected pointer momentum.
+def _envelopes(w: complex) -> tuple[float, float, float]:
+    """Phi(q-g)^2 weight and mass of the position envelope; mass of the momentum one."""
+    x, base = w - abs(w) ** 2, abs(w) ** 2 + abs(1 - w) ** 2
+    return abs(w) ** 2 + abs(x.real), base + 2.0 * abs(x.real), base + 2.0 * abs(x)
 
-    Target density |w e^{-ikg} + (1-w)|^2 exp(-2k^2) (unnormalized); the
-    interference prefactor is bounded by (|w| + |1-w|)^2, so the proposal
-    is the undisplaced momentum Gaussian (sd 1/2).
+
+def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> tuple[np.ndarray, int]:
+    """Exact draws of the post-selected pointer position, and the proposals they took.
+
+    Acceptance: postselection_weight(w, g) / (|w|^2 + |1-w|^2 + 2|Re w(1-w)*|).
     """
-    bound = (abs(w) + abs(1 - w)) ** 2
-    out = np.empty(n, dtype=np.float64)
-    filled = 0
-    chunk_index = 0
-    while filled < n:
-        rng = _generator(seed, 2, chunk_index)
-        take = min(SAMPLING_CHUNK, 4 * (n - filled) + 1024)
-        k = 0.5 * rng.standard_normal(take)
-        u = rng.random(take)
-        shape = np.abs(w * np.exp(-1j * k * g) + (1 - w)) ** 2
-        accepted = k[u * bound < shape]
-        m = min(accepted.size, n - filled)
-        out[filled : filled + m] = accepted[:m]
-        filled += m
-        chunk_index += 1
-    return out
+    shift, mass, _ = _envelopes(w)
+    wa, wb, c2 = abs(w) ** 2, abs(1 - w) ** 2, 2.0 * (w - abs(w) ** 2).real
+
+    def propose(rng: np.random.Generator, size: int) -> Proposal:
+        q = np.where(rng.random(size) < shift / mass, g, 0.0) + rng.standard_normal(size)
+        r = np.exp(0.5 * g * q - 0.25 * g * g)  # Phi(q - g) / Phi(q)
+        envelope = shift * r * r + (mass - shift)  # both over Phi(q)^2
+        return q, rng.random(size) * envelope < (wa * r + c2) * r + wb
+
+    return _accept_chunks(n, postselection_weight(w, g) / mass, seed, 1, propose)
+
+
+def _sample_momenta(w: complex, g: float, n: int, seed: Seed) -> tuple[np.ndarray, int]:
+    """Exact draws of the post-selected pointer momentum, and the proposals they took.
+
+    Acceptance: postselection_weight(w, g) / (|w| + |1-w|)^2.
+    """
+    x, base, mass = w - abs(w) ** 2, abs(w) ** 2 + abs(1 - w) ** 2, _envelopes(w)[2]
+
+    def propose(rng: np.random.Generator, size: int) -> Proposal:
+        k = 0.5 * rng.standard_normal(size)
+        target = base + 2.0 * abs(x) * np.cos(g * k - cmath.phase(x))  # over exp(-2k^2)
+        return k, rng.random(size) * mass < target
+
+    return _accept_chunks(n, postselection_weight(w, g) / mass, seed, 2, propose)
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,7 @@ class WeakRunReport:
 
     def gate(self, bias_rate: float) -> float:
         """Acceptance half-width max(4 * std_err, bias_rate * g), worst component."""
-        return max(
-            4.0 * self.std_err[0],
-            4.0 * self.std_err[1],
-            bias_rate * self.coupling,
-        )
+        return max(4.0 * max(self.std_err), bias_rate * self.coupling)
 
     def to_json(self, indent: int | None = None) -> str:
         payload = {
@@ -227,8 +229,8 @@ def simulate_weak_value(
         raise PostSelectionStarvation(
             f"only {n_selected} post-selected shots (< {MIN_POSTSELECTED})"
         )
-    qs = _sample_positions(w, g, n_selected, seed)
-    ks = _sample_momenta(w, g, n_selected, seed)
+    qs, _ = _sample_positions(w, g, n_selected, seed)
+    ks, _ = _sample_momenta(w, g, n_selected, seed)
 
     est_re = float(qs.mean() / g)
     est_im = float(2.0 * ks.mean() / g)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qergo.basis import MIN_DIM
 from qergo.cli import build_scenario, main
 from qergo.render import parse_grid_csv, parse_profile_csv, render_distribution
 from qergo.errors import ConfigError, ParseError
@@ -318,6 +319,12 @@ class TestEnvironment:
         assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t8.json").read_bytes()
 
 
+_KD = {
+    "dim": 2,
+    "state": {"basis": {"kind": "computational"}, "index": 0},
+    "row_basis": HADAMARD,
+    "col_basis": Y_BASIS,
+}
 _WEAK = {
     "dim": 2,
     "initial": {"basis": {"kind": "computational"}, "index": 0},
@@ -343,12 +350,20 @@ _SEQ = {
         ("weak_run", _WEAK, "g", MAX_COUPLING, float(np.nextafter(MAX_COUPLING, 1.0))),
         ("weak_run", _WEAK, "shots", MIN_SHOTS, MIN_SHOTS - 1),
         ("sequential_run", _SEQ, "shots", MIN_SHOTS, MIN_SHOTS - 1),
+        ("verify", {"seeds_per_dim": 1}, "dims", [MIN_DIM], [MIN_DIM - 1]),
+        ("kd_table", _KD, "dim", MIN_DIM, MIN_DIM - 1),
+        ("weak_run", _WEAK, "dim", MIN_DIM, MIN_DIM - 1),
+        ("sequential_run", _SEQ, "dim", MIN_DIM, MIN_DIM - 1),
     ],
 )
-def test_cli_limit_follows_library_constant(kind, base, key, at_limit, past_limit):
+def test_cli_limit_follows_library_constant(tmp_path, kind, base, key, at_limit, past_limit):
     build_scenario(kind, {"params": {**base, key: at_limit}}, None, "out")
+    past = {"params": {**base, key: past_limit}}
     with pytest.raises(ConfigError):
-        build_scenario(kind, {"params": {**base, key: past_limit}}, None, "out")
+        build_scenario(kind, past, None, "out")
+    command = {"verify": "verify", "kd_table": "kd", "weak_run": "weak", "sequential_run": "seq"}
+    cfg = write_config(tmp_path, "past.json", past)
+    assert main([command[kind], "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize(

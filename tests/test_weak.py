@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qergo import (
     PostSelectionStarvation,
@@ -12,7 +16,14 @@ from qergo import (
     simulate_weak_value,
 )
 from qergo.ccp import ccp_column
-from qergo.weak import pointer_readout_means, readout_bias_rate
+from qergo.weak import (
+    _envelopes,
+    _sample_momenta,
+    _sample_positions,
+    pointer_readout_means,
+    postselection_weight,
+    readout_bias_rate,
+)
 from conftest import haar_triple
 
 # Bias-rate constants calibrated once against the closed-form pointer
@@ -56,6 +67,74 @@ class TestPointerReadout:
         # leading bias is O(g^2), so the rate |bias|/g falls roughly linearly
         w = 0.2 + 0.6j
         assert readout_bias_rate(w, 0.1) < 0.6 * readout_bias_rate(w, 0.2)
+
+
+def _stated_acceptances(w, g):
+    """Acceptance each sampler hands to the shared accept loop."""
+    stated = []
+
+    def record(n, acceptance, seed, stream, propose):
+        stated.append(acceptance)
+        return np.zeros(n), 0
+
+    with mock.patch("qergo.weak._accept_chunks", record):
+        _sample_positions(w, g, 1, 0)
+        _sample_momenta(w, g, 1, 0)
+    return stated
+
+
+class TestSamplerEnvelopes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        re=st.floats(-3.0, 3.0),
+        im=st.floats(-3.0, 3.0),
+        g=st.floats(0.0, 0.2, exclude_min=True),
+    )
+    def test_envelopes_dominate_and_acceptance_is_exact(self, re, im, g):
+        w = complex(re, im)
+        shift, pos_mass, mom_mass = _envelopes(w)
+        # position: Phi without its normalization, which target and envelope share
+        q = np.linspace(-12.0, 12.0, 4001)
+        phi_g, phi_0 = np.exp(-((q - g) ** 2) / 4.0), np.exp(-(q**2) / 4.0)
+        target = np.abs(w * phi_g + (1 - w) * phi_0) ** 2
+        envelope = shift * phi_g**2 + (pos_mass - shift) * phi_0**2
+        assert np.all(target <= envelope * (1.0 + 1e-12))
+        # momentum: the interference factor over the momentum Gaussian
+        k = np.linspace(-6.0, 6.0, 4001)
+        assert np.all(np.abs(w * np.exp(-1j * g * k) + (1 - w)) ** 2 <= mom_mass * (1.0 + 1e-12))
+        # the stated rates are the target mass over the envelope mass, in (0, 1],
+        # and at least the old envelopes' rates (up to the last bits of rounding)
+        z = postselection_weight(w, g)
+        old = (z / (2.0 * (abs(w) ** 2 + abs(1 - w) ** 2)), z / (abs(w) + abs(1 - w)) ** 2)
+        stated = _stated_acceptances(w, g)
+        assert stated == [z / pos_mass, z / mom_mass]
+        for rate, old_rate in zip(stated, old):
+            assert 0.0 < rate <= 1.0
+            assert rate >= old_rate * (1.0 - 1e-12)
+
+    def test_scan_like_position_rate_near_one(self):
+        # small real w: the old envelope accepted about 1/2, the new one about 1
+        stated = _stated_acceptances(0.03, 0.05)
+        assert stated[0] > 0.999
+        assert stated[1] > 0.999
+
+    @pytest.mark.parametrize("w", [0.03, 0.5 + 0.5j, -0.3, 1.2 - 0.4j])
+    def test_moments_and_acceptance_at_strong_coupling(self, w):
+        g, n = 0.2, 1_000_000
+        exact = pointer_readout_means(w, g)
+        z = postselection_weight(w, g)
+        _, pos_mass, mom_mass = _envelopes(w)
+        qs, q_proposals = _sample_positions(w, g, n, (91, 1))
+        ks, k_proposals = _sample_momenta(w, g, n, (91, 2))
+        assert qs.size == ks.size == n
+        se_re = qs.std(ddof=1) / (g * np.sqrt(n))
+        se_im = 2.0 * ks.std(ddof=1) / (g * np.sqrt(n))
+        assert abs(qs.mean() / g - exact.real) < 5.0 * se_re
+        assert abs(2.0 * ks.mean() / g - exact.imag) < 5.0 * se_im
+        for proposals, rate in ((q_proposals, z / pos_mass), (k_proposals, z / mom_mass)):
+            # proposals until the n-th accept: sd of n/proposals is rate sqrt((1-rate)/n)
+            assert proposals >= n
+            assert abs(n / proposals - rate) <= 5.0 * rate * np.sqrt((1.0 - rate) / n)
 
 
 class TestSimulateWeakValue:
