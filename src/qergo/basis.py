@@ -10,6 +10,7 @@ deterministic representative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -216,8 +217,9 @@ def _finish_basis(
     """Gauge-fix, Gram-check, label and freeze a square unitary matrix, dim >= 2.
 
     ``make_basis`` ends here after its polar step.  Matrices that are
-    unitary by construction (identity, DFT, Haar QR, ``eigh`` output) come
-    here directly: they skip the polar step but keep the Gram gate.
+    unitary by construction (Haar QR, ``eigh`` output) come here directly:
+    they skip the polar step but keep the Gram gate.  A real matrix is
+    gauge-fixed and Gram-checked in real arithmetic, then cast to complex.
     """
     dim = mat.shape[0]
     mat = _fix_column_phases(mat)
@@ -226,6 +228,62 @@ def _finish_basis(
     internal = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
     if not internal <= GRAM_INTERNAL_TOL:
         raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
+    label_tuple, value_arr = _checked_labels_values(dim, labels, values)
+    mat = mat.astype(np.complex128, copy=False)
+    return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
+
+
+def _dft_matrix(dim: int, first: int) -> np.ndarray:
+    """Columns exp(2i pi j (first + k) / dim) / sqrt(dim), for k = 0..dim-1.
+
+    Every entry is read from one table of the dim roots of unity at
+    j (first + k) mod dim, so no entry carries the rounding of a large phase.
+    """
+    # The narrowest unsigned type that holds (dim - 1)^2 keeps the d x d index small.
+    rows = np.arange(dim, dtype=np.min_scalar_type((dim - 1) ** 2))
+    freqs = ((first + np.arange(dim)) % dim).astype(rows.dtype)
+    index = np.multiply.outer(rows, freqs)
+    np.remainder(index, dim, out=index)
+    roots = np.exp(2j * np.pi * np.arange(dim) / dim) / math.sqrt(dim)
+    return roots[index]
+
+
+def _structural_gate(mat: np.ndarray, first: int | None) -> None:
+    """Gram gate for the identity (``first`` None) or ``_dft_matrix(dim, first)``.
+
+    It costs O(d^2 log d) where a Gram product costs d^3.  The identity must
+    be exact.  For the DFT, G = FFT(mat) / sqrt(d), taken down each column,
+    must equal the permutation with a one at row (first + k) mod d of column
+    k, within ``GRAM_INTERNAL_TOL``.  The normalized FFT is unitary, so
+    mat^H mat - I = G^H G - I, and a structural defect delta bounds each of
+    its entries by 2 sqrt(d) delta + d delta^2.  A NaN entry fails either check.
+    """
+    dim = mat.shape[0]
+    if first is None:
+        if not (np.count_nonzero(mat) == dim and np.all(np.diagonal(mat) == 1)):
+            raise NotOrthonormal("identity basis is not the exact identity")
+        return
+    spectrum = np.fft.fft(mat, axis=0) / math.sqrt(dim)
+    cols = np.arange(dim)
+    spectrum[(first + cols) % dim, cols] -= 1.0
+    defect = float(np.max(np.abs(spectrum)))
+    if not defect <= GRAM_INTERNAL_TOL:
+        raise NotOrthonormal(f"DFT structural defect {defect:.3e}")
+
+
+def _structured_basis(
+    dim: int,
+    first: int | None,
+    labels: Sequence[str] | None = None,
+    values: Sequence[float] | None = None,
+) -> Basis:
+    """The identity (``first`` None) or the DFT basis ``_dft_matrix(dim, first)``.
+
+    Both satisfy the phase convention as built: the identity's pivots are
+    1, and row 0 of the DFT is 1/sqrt(dim).  The Gram gate is structural.
+    """
+    mat = np.eye(dim, dtype=np.complex128) if first is None else _dft_matrix(dim, first)
+    _structural_gate(mat, first)
     label_tuple, value_arr = _checked_labels_values(dim, labels, values)
     return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
 
@@ -251,7 +309,7 @@ def computational_basis(dim: int, values: Sequence[float] | None = None) -> Basi
     """Identity-column basis {|0>, ..., |dim-1>}."""
     if dim < MIN_DIM:
         raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
-    return _finish_basis(np.eye(dim, dtype=np.complex128), values=values)
+    return _structured_basis(dim, None, values=values)
 
 
 def fourier_basis(dim: int) -> Basis:
@@ -261,9 +319,7 @@ def fourier_basis(dim: int) -> Basis:
     """
     if dim < MIN_DIM:
         raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
-    j = np.arange(dim)
-    mat = np.exp(2j * np.pi * np.outer(j, j) / dim) / np.sqrt(dim)
-    return _finish_basis(mat, labels=[f"f{k}" for k in range(dim)])
+    return _structured_basis(dim, 0, labels=[f"f{k}" for k in range(dim)])
 
 
 def haar_random_basis(dim: int, seed: int) -> Basis:

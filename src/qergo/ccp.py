@@ -53,11 +53,6 @@ def is_defined(overlap):
     return np.abs(overlap) > ORTHOGONALITY_CUTOFF
 
 
-def _circle_distance(angles: np.ndarray | float) -> np.ndarray | float:
-    """Distance of angles to 0 on the circle (result in [0, pi])."""
-    return np.abs(np.remainder(np.asarray(angles) + np.pi, 2 * np.pi) - np.pi)
-
-
 def _require_shared_dim(*bases: Basis) -> int:
     dims = {b.dim for b in bases}
     if len(dims) != 1:
@@ -312,7 +307,6 @@ def phase_antisymmetry_check(
         (forward.a_basis, swapped.b_basis),
         (forward.b_basis, swapped.a_basis),
     )
-    worst = 0.0
     fwd = forward.vals  # [m, a, b]
     rev = np.transpose(backward.vals, (1, 0, 2))  # p(a|m,b) -> [m, a, b]
     swap = np.transpose(swapped.vals, (0, 2, 1))  # p(m|b,a) -> [m, a, b]
@@ -321,14 +315,13 @@ def phase_antisymmetry_check(
     ok_rev = backward.defined_mask.T[np.newaxis, :, :] & ~(np.abs(rev) < PHASE_FLOOR)
     ok_swap = swapped.defined_mask.T[np.newaxis, :, :] & ~(np.abs(swap) < PHASE_FLOOR)
 
-    pair1 = ok_fwd & ok_rev
-    if pair1.any():
-        d1 = _circle_distance(np.angle(rev[pair1]) + np.angle(fwd[pair1]))
-        worst = float(np.maximum(worst, np.max(d1)))  # NaN-propagating
-    pair2 = ok_fwd & ok_swap
-    if pair2.any():
-        d2 = _circle_distance(np.angle(fwd[pair2]) + np.angle(swap[pair2]))
-        worst = float(np.maximum(worst, np.max(d2)))
+    # Arg(u) + Arg(v) and Arg(u v) agree on the circle, and np.angle lies in
+    # [-pi, pi], so |Arg(u v)| is the circular defect.  The maximum
+    # propagates NaN; an empty mask leaves the initial 0.
+    worst = 0.0
+    for other, ok_other in ((rev, ok_rev), (swap, ok_swap)):
+        defect = np.abs(np.angle(other * fwd))
+        worst = float(np.max(defect, where=ok_fwd & ok_other, initial=worst))
     return worst
 
 

@@ -26,7 +26,7 @@ from .basis import (
     MIN_DIM, Basis, computational_basis, fourier_basis, haar_random_basis, make_basis,
 )
 from .bridge import pure_state_joint
-from .errors import ConfigError, NumericsError, ParseError, QergoError
+from .errors import BadGrid, ConfigError, NumericsError, ParseError, QergoError
 from .render import render_distribution
 from .transform import quantized_spectrum_check
 from .verify import MAX_DIM, run_verification_suite
@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         if kind == "lattice":
             return _run_lattice(scenario)
         return _run_quantize(scenario)
-    except (ConfigError, ParseError, ValueError) as exc:
+    except (BadGrid, ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("run 'qergo <command> --help' for usage", file=sys.stderr)
         return EXIT_CONFIG_ERROR

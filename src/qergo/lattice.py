@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, _finish_basis
+from .basis import Basis, _finish_basis, _structured_basis
 from .ccp import ccp_column, is_defined
 from .errors import (
     BadGrid,
@@ -46,7 +46,19 @@ def valid_grid_size(d: int) -> bool:
 
 
 def _parse_potential(spec, positions: np.ndarray, length: float, mass: float, hbar: float):
-    """Accepts 'free', 'box', ('harmonic', omega), {'kind': ...}, or an array."""
+    """Accepts 'free', 'box', ('harmonic', omega), {'kind': ...}, or an array.
+
+    Raises :class:`BadGrid` on an unknown kind, a wrong shape, or any
+    non-finite value of V.
+    """
+    v, canonical = _potential_values(spec, positions, length, mass, hbar)
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise BadGrid(f"potential is {v[bad[0]]} at grid point {bad[0]}")
+    return v, canonical
+
+
+def _potential_values(spec, positions: np.ndarray, length: float, mass: float, hbar: float):
     d = positions.size
     if isinstance(spec, str):
         spec = {"kind": spec}
@@ -83,7 +95,11 @@ def _parse_potential(spec, positions: np.ndarray, length: float, mass: float, hb
 
 @dataclass(frozen=True)
 class LatticeSystem:
-    """Periodic position grid with its position, momentum, and energy bases."""
+    """Periodic position grid with its position, momentum, and energy bases.
+
+    ``hamiltonian`` is the real symmetric float64 matrix that was
+    diagonalized: the kinetic circulant t[(j - l) mod d] plus diag(V).
+    """
 
     d: int
     length: float
@@ -95,7 +111,7 @@ class LatticeSystem:
     x_basis: Basis
     p_basis: Basis
     e_basis: Basis  # values hold the energy eigenvalues, ascending
-    hamiltonian: np.ndarray
+    hamiltonian: np.ndarray  # real symmetric, float64
     potential_spec: dict
 
     @property
@@ -134,68 +150,97 @@ def build_lattice(
 ) -> LatticeSystem:
     """Construct the grid, diagonalize, and assemble the three bases.
 
+    The spectral kinetic term is a real symmetric circulant, formed from one
+    length-d FFT of p^2/(2 mass), so the Hamiltonian is real and one real
+    ``eigh`` diagonalizes it.  The energy basis becomes complex only where a
+    degenerate block is rotated onto momentum eigenstates; the block's
+    momentum amplitudes come from an FFT of its columns.  The position and
+    momentum bases are the exact identity and the centered DFT, Gram-checked
+    through their structure in O(d^2 log d).
+
     Parameters
     ----------
     d : int
         Grid size; even and at least 8.
     length, mass, hbar : float
-        Box length and physical constants, all positive.
+        Box length and physical constants, all positive and finite.
     potential : str | tuple | dict | array_like
         'free', 'box', ('harmonic', omega), {'kind': ..., ...}, or V values.
     degeneracy_tol : float, optional
         Energy gap below which neighboring eigenvalues are treated as one
         block and re-diagonalized against momentum.  Defaults to
         1e-8 * ||H||, which keeps the eigen-residual contract intact.
+
+    Raises
+    ------
+    BadGrid
+        On a bad grid size or constant, or a potential with an unknown
+        kind, a wrong shape, or a non-finite value.
+    NonHermitian, NumericsError
+        If the kinetic column is not real and even to within rounding, or
+        an eigen-residual exceeds 1e-8 * ||H||.
     """
     if not valid_grid_size(d):
         raise BadGrid(f"grid size must be even and >= {MIN_GRID_SIZE}, got {d}")
-    if length <= 0 or mass <= 0 or hbar <= 0:
-        raise BadGrid("length, mass, and hbar must all be positive")
+    if not all(math.isfinite(q) and q > 0 for q in (length, mass, hbar)):
+        raise BadGrid("length, mass, and hbar must all be positive and finite")
     dx = length / d
     positions = dx * np.arange(d)
     momenta = 2.0 * np.pi * hbar * (np.arange(d) - d / 2) / length
     v, spec = _parse_potential(potential, positions, length, mass, hbar)
 
-    fourier = np.exp(1j * np.outer(positions, momenta) / hbar) / math.sqrt(d)
-    h = (fourier * (momenta**2 / (2.0 * mass))) @ fourier.conj().T
-    h[np.diag_indices(d)] += v
-    herm_defect = float(np.max(np.abs(h - h.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if herm_defect > 1e-10 * scale:
+    # Kinetic term: the circulant t[(j - l) mod d], with t = DFT(T) / d for
+    # T = p_k^2/(2 mass) in FFT order.  T is even, so the DFT's sign does not
+    # matter and t is real and even up to rounding; both are gated here.
+    t = np.fft.fft(np.fft.ifftshift(momenta**2 / (2.0 * mass))) / d
+    mirror = -np.arange(d)  # n -> (-n) mod d
+    scale = max(1.0, float(np.max(np.abs(t))), float(np.max(np.abs(t[0].real + v))))
+    herm_defect = float(np.max(np.abs(t - t[mirror].conj())))
+    if not herm_defect <= 1e-10 * scale:
         raise NonHermitian(f"Hermiticity defect {herm_defect:.3e}")
-    h = 0.5 * (h + h.conj().T)
+    imag_part = float(np.max(np.abs(t.imag)))
+    if not imag_part <= 1e-10 * scale:
+        raise NumericsError(f"imaginary kinetic part {imag_part:.3e}")
+    t = 0.5 * (t.real + t.real[mirror])  # exactly even
+    # An even circulant is the symmetric Toeplitz matrix h[j, l] = t[|j - l|]:
+    # row j is the window of [t[d-1], ..., t[1], t[0], ..., t[d-1]] at d-1-j.
+    h = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), d)[::-1].copy()
+    h[np.diag_indices(d)] += v
 
     energies, vectors = np.linalg.eigh(h)
     h_norm = float(np.max(np.abs(energies)))
     tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * max(h_norm, 1.0)
+    hv = h @ vectors
 
     # Re-diagonalize (near-)degenerate blocks against momentum so the
-    # energy basis is deterministic and running waves come out pure.
+    # energy basis is deterministic and running waves come out pure.  Only
+    # these blocks make the eigenvectors complex; H applied to a rotated
+    # block is (H block) rot, so the residual below needs no second product.
     start = 0
     while start < d:
         stop = start + 1
         while stop < d and energies[stop] - energies[stop - 1] <= tol:
             stop += 1
         if stop - start > 1:
+            if not np.iscomplexobj(vectors):
+                vectors, hv = vectors.astype(np.complex128), hv.astype(np.complex128)
             block = vectors[:, start:stop]
-            fb = fourier.conj().T @ block  # momentum amplitudes of the block
+            # momentum amplitudes <p_k|block>, k in the centered order of ``momenta``
+            fb = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0) / math.sqrt(d)
             sub = (fb.conj().T * momenta) @ fb
             sub = 0.5 * (sub + sub.conj().T)
             _, rot = np.linalg.eigh(sub)
             vectors[:, start:stop] = block @ rot
+            hv[:, start:stop] = hv[:, start:stop] @ rot
         start = stop
 
-    residuals = np.linalg.norm(h @ vectors - vectors * energies, axis=0)
-    if float(residuals.max()) > 1e-8 * max(h_norm, 1.0):
-        raise NumericsError(
-            f"eigen-residual {residuals.max():.3e} exceeds 1e-8 * ||H||"
-        )
+    residual = float(np.max(np.linalg.norm(hv - vectors * energies, axis=0)))
+    if not residual <= 1e-8 * max(h_norm, 1.0):
+        raise NumericsError(f"eigen-residual {residual:.3e} exceeds 1e-8 * ||H||")
 
-    # All three are unitary by construction, so they skip make_basis's polar step.
-    x_basis = _finish_basis(
-        np.eye(d, dtype=np.complex128), [f"x{j}" for j in range(d)], positions
-    )
-    p_basis = _finish_basis(fourier, [f"p{k}" for k in range(d)], momenta)
+    x_basis = _structured_basis(d, None, [f"x{j}" for j in range(d)], positions)
+    # column k is the mode exp(i p_k x / hbar), of DFT frequency k - d/2
+    p_basis = _structured_basis(d, -(d // 2), [f"p{k}" for k in range(d)], momenta)
     e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies)
 
     positions.setflags(write=False)
@@ -287,10 +332,12 @@ def fourier_relation_check(
     """
     col = ccp_xEp(sys, e_index, p_ref)
     direct = ccp_column(sys.p_basis, sys.e_basis, e_index, sys.x_basis, x_ref)
-    delta_p = sys.momenta[p_ref] - sys.momenta  # p' - p over the p grid
-    phase = np.exp(1j * np.outer(delta_p, sys.positions) / sys.hbar)  # [p, x]
-    numer = phase @ col
-    denom = sys.d * col[x_ref] * np.exp(1j * delta_p * sys.positions[x_ref] / sys.hbar)
+    # On the grid (p' - p) x_j / hbar = 2 pi j (p_ref - k) / d, so the sum over
+    # x' is the DFT of the column at frequency k - p_ref.
+    numer = np.roll(np.fft.fft(col), p_ref)
+    k = np.arange(sys.d)
+    ramp = np.exp(2j * np.pi * ((x_ref * (p_ref - k)) % sys.d) / sys.d)
+    denom = sys.d * col[x_ref] * ramp
     if not is_defined(denom).all():
         raise OrthogonalCondition("reference position has no support in the column")
     rebuilt = numer / denom
@@ -306,9 +353,10 @@ def schrodinger_residual(sys: LatticeSystem, e_index: int, p_ref: int) -> float:
     at the extreme momenta, where the reference shift would alias.
     """
     col = ccp_xEp(sys, e_index, p_ref)
-    fourier = sys.p_basis.vectors
     shifted_sq = (sys.momenta + sys.momenta[p_ref]) ** 2 / (2.0 * sys.mass)
-    kinetic_col = fourier @ (shifted_sq * (fourier.conj().T @ col))
+    # The momentum basis is the DFT in centered order, so the spectral
+    # multiplier is applied in FFT order between an FFT and its inverse.
+    kinetic_col = np.fft.ifft(np.fft.ifftshift(shifted_sq) * np.fft.fft(col))
     resid = kinetic_col + (sys.potential - float(sys.energies[e_index])) * col
     return float(np.linalg.norm(resid) / np.linalg.norm(col))
 

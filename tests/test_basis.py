@@ -18,7 +18,14 @@ from qergo import (
     haar_random_basis,
     make_basis,
 )
-from qergo.basis import PHASE_PIVOT_TOL, _finish_basis, _fix_column_phases
+from qergo.basis import (
+    GRAM_INTERNAL_TOL,
+    PHASE_PIVOT_TOL,
+    _dft_matrix,
+    _finish_basis,
+    _fix_column_phases,
+    _structural_gate,
+)
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -89,6 +96,34 @@ class TestFourierBasis:
         f = fourier_basis(3)
         gram = f.vectors.conj().T @ f.vectors
         assert np.max(np.abs(gram - np.eye(3))) < 1e-12
+
+
+class TestStructuralGate:
+    @pytest.mark.parametrize("first", [None, 0, -8])
+    def test_exact_structures_pass(self, first):
+        mat = np.eye(16, dtype=np.complex128) if first is None else _dft_matrix(16, first)
+        _structural_gate(mat, first)
+
+    @pytest.mark.parametrize("first", [None, 0, -8])
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 11)])
+    @pytest.mark.parametrize("bad", [1e-9, np.nan])
+    def test_one_bad_entry_rejected(self, first, entry, bad):
+        mat = np.eye(16, dtype=np.complex128) if first is None else _dft_matrix(16, first)
+        mat[entry] += bad
+        with pytest.raises(NotOrthonormal):
+            _structural_gate(mat, first)
+
+    @pytest.mark.parametrize("first", [0, -4, 3])
+    def test_dft_matches_exp_formula(self, first):
+        j = np.arange(8)
+        phases = np.outer(j, first + j) % 8  # reduced, so exp sees the table's arguments
+        np.testing.assert_array_equal(_dft_matrix(8, first), np.exp(2j * np.pi * phases / 8) / np.sqrt(8))
+
+    @pytest.mark.parametrize("dim", [2, 3, 16, 33])
+    def test_agrees_with_gram_product(self, dim):
+        for mat in (computational_basis(dim).vectors, fourier_basis(dim).vectors):
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= GRAM_INTERNAL_TOL
+            np.testing.assert_array_equal(_fix_column_phases(mat), mat)  # gauge holds as built
 
 
 class TestHaarRandomBasis:

@@ -28,6 +28,7 @@ from qergo import (
     phase_antisymmetry_check,
     sampling_variance,
 )
+from qergo.ccp import PHASE_FLOOR
 from conftest import haar_triple
 
 
@@ -274,6 +275,30 @@ class TestPhaseAntisymmetry:
 
     def test_haar_d5(self):
         assert _antisymmetry(*haar_triple(5, 9)) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_two_angle_formula(self, seed):
+        m, a, b = haar_triple(8, seed)
+        forward, backward, swapped = ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)
+        fwd = forward.vals
+        rev = np.transpose(backward.vals, (1, 0, 2))
+        swap = np.transpose(swapped.vals, (0, 2, 1))
+        ok_fwd = forward.defined_mask[np.newaxis] & ~(np.abs(fwd) < PHASE_FLOOR)
+        ok_rev = backward.defined_mask.T[np.newaxis] & ~(np.abs(rev) < PHASE_FLOOR)
+        ok_swap = swapped.defined_mask.T[np.newaxis] & ~(np.abs(swap) < PHASE_FLOOR)
+        worst = 0.0
+        for other, ok in ((rev, ok_fwd & ok_rev), (swap, ok_fwd & ok_swap)):
+            total = np.angle(other[ok]) + np.angle(fwd[ok])
+            worst = max(worst, np.max(np.abs(np.remainder(total + np.pi, 2 * np.pi) - np.pi)))
+        assert worst > 0.0
+        assert abs(phase_antisymmetry_check(forward, backward, swapped) - worst) <= 1e-12
+
+    def test_empty_mask_reads_zero(self, z2, x2, y2):
+        def emptied(t):
+            return CcpTable(t.m_basis, t.a_basis, t.b_basis, t.vals, np.zeros((2, 2), dtype=bool))
+
+        tables = (ccp_table(y2, z2, x2), ccp_table(z2, y2, x2), ccp_table(y2, x2, z2))
+        assert phase_antisymmetry_check(*map(emptied, tables)) == 0.0
 
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)

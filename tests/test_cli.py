@@ -203,6 +203,43 @@ class TestLatticeAndQuantize:
         for ext in (".json", ".csv"):
             assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
 
+    def test_free_grid_reruns_byte_identical(self, tmp_path):
+        # every free level but the band edges is in a degenerate pair
+        cfg = write_config(
+            tmp_path,
+            "l.json",
+            {
+                "params": {
+                    "d": 64, "L": 20.0, "mass": 1.0, "hbar": 1.0,
+                    "potential": {"kind": "free"},
+                    "column": {"energy_index": 2, "p_ref_index": 33},
+                }
+            },
+        )
+        for run in ("a", "b"):
+            assert main(["lattice", "--config", cfg, "--out", str(tmp_path / run)]) == 0
+        for ext in (".json", ".csv"):
+            assert (tmp_path / f"a{ext}").read_bytes() == (tmp_path / f"b{ext}").read_bytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_potential_is_config_error(self, tmp_path, capsys, bad):
+        values = [0.0] * 16
+        values[7] = bad
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "params": {
+                    "d": 16, "L": 1.0, "mass": 1.0, "hbar": 1.0,
+                    "potential": {"kind": "custom", "values": values},
+                    "column": {"energy_index": 0, "p_ref_index": 8},
+                }
+            },
+        )
+        assert main(["lattice", "--config", cfg, "--out", str(tmp_path / "l")]) == 2
+        assert "potential is" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_column_index_validated_before_run(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -9,7 +9,7 @@ from qergo import (
     make_basis,
     quantized_spectrum_check,
 )
-from qergo.ccp import ccp_table
+from qergo.ccp import ccp_column, ccp_table
 from qergo.lattice import (
     ccp_xEp,
     classical_momentum_check,
@@ -318,3 +318,165 @@ class TestDistributionCsv:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.0)
         assert float(first[3]) == pytest.approx(abs(col[0]))
+
+
+# --- the real circulant build against the complex one it replaced ------------
+
+EPS = np.finfo(float).eps
+
+
+def _dense_fourier(sys_):
+    """Momentum columns exp(i x p / hbar) / sqrt(d), one exp per entry."""
+    return np.exp(1j * np.outer(sys_.positions, sys_.momenta) / sys_.hbar) / np.sqrt(sys_.d)
+
+
+def _complex_reference(sys_):
+    """The complex build: H = F diag(p^2 / 2m) F^H + V, complex eigh, and each
+    degenerate block rotated against momentum through the dense F."""
+    d, momenta, fourier = sys_.d, sys_.momenta, _dense_fourier(sys_)
+    h = (fourier * (momenta**2 / (2.0 * sys_.mass))) @ fourier.conj().T
+    h[np.diag_indices(d)] += sys_.potential
+    h = 0.5 * (h + h.conj().T)
+    energies, vectors = np.linalg.eigh(h)
+    for block in _blocks(energies):
+        fb = fourier.conj().T @ vectors[:, block]
+        sub = (fb.conj().T * momenta) @ fb
+        _, rot = np.linalg.eigh(0.5 * (sub + sub.conj().T))
+        vectors[:, block] = vectors[:, block] @ rot
+    return h, energies, vectors
+
+
+def _blocks(energies):
+    """Slices of neighbouring levels closer than the default degeneracy tolerance."""
+    tol = 1e-8 * max(float(np.max(np.abs(energies))), 1.0)
+    cuts = [0, *(np.flatnonzero(np.diff(energies) > tol) + 1), energies.size]
+    return [slice(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]
+
+
+GRIDS = {
+    "box": lambda d: build_lattice(d, 1.0, 1.0, 1.0, "box"),
+    "harmonic": lambda d: build_lattice(d, 20.0, 1.0, 1.0, ("harmonic", 1.0)),
+    "free": lambda d: build_lattice(d, 2 * np.pi, 1.0, 1.0, "free"),
+    "circulating": smooth_well,
+}
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(kind, d) for d in (64, 128) for kind in GRIDS],
+    ids=lambda param: f"{param[0]}{param[1]}",
+)
+def built(request):
+    kind, d = request.param
+    sys_ = GRIDS[kind](d)
+    return sys_, _complex_reference(sys_)
+
+
+class TestRealCirculantBuild:
+    def test_levels_match_complex_reference(self, built):
+        # Both eigh are backward stable: each level is within d eps ||H|| of exact.
+        sys_, (_, ref_energies, _) = built
+        bound = sys_.d * EPS * float(np.max(np.abs(ref_energies)))
+        assert np.max(np.abs(sys_.energies - ref_energies)) <= bound
+
+    def test_columns_match_complex_reference_up_to_gauge(self, built):
+        # With both builds within d eps ||H|| of H backward, Davis-Kahan puts
+        # each column within d eps ||H|| / gap of the exact eigenvector, where
+        # gap is the distance to the nearest level outside its degenerate block.
+        sys_, (_, ref_energies, ref_vectors) = built
+        energies, ours = sys_.energies, sys_.e_basis.vectors
+        block_of = np.arange(sys_.d)
+        for block in _blocks(energies):
+            block_of[block] = block.start
+        gaps = np.array(
+            [np.min(np.abs(energies[block_of != block_of[k]] - energies[k])) for k in range(sys_.d)]
+        )
+        phases = np.sum(ref_vectors.conj() * ours, axis=0)
+        phases /= np.abs(phases)
+        errors = np.linalg.norm(ours - ref_vectors * phases, axis=0)
+        bounds = 2 * sys_.d * EPS * float(np.max(np.abs(ref_energies))) / gaps
+        assert np.all(errors <= bounds)
+
+    def test_hamiltonian_real_exactly_symmetric(self, built):
+        sys_, (ref_h, _, _) = built
+        h = sys_.hamiltonian
+        assert h.dtype == np.float64
+        assert np.array_equal(h, h.T)
+        assert not h.flags.writeable
+        assert np.max(np.abs(h - ref_h)) <= sys_.d * EPS * float(np.max(np.abs(ref_h)))
+
+    @pytest.mark.parametrize("kind", ["free", "circulating"])
+    @pytest.mark.parametrize("d", [64, 128])
+    def test_degenerate_blocks_are_running_waves(self, kind, d):
+        sys_ = GRIDS[kind](d)
+        blocks = _blocks(sys_.energies)
+        assert blocks  # both grids take the degenerate-block path
+        amps = _dense_fourier(sys_).conj().T @ sys_.e_basis.vectors  # <p_k|E_n>
+        for block in blocks:
+            moment = (amps[:, block].conj().T * sys_.momenta) @ amps[:, block]
+            off = moment - np.diag(np.diagonal(moment))
+            assert np.max(np.abs(off)) <= 1e-9 * float(np.max(np.abs(sys_.momenta)))
+        if kind == "free":
+            assert np.max(np.abs(np.max(np.abs(amps), axis=0) - 1.0)) <= 1e-12
+
+
+class TestFftForms:
+    @staticmethod
+    def _dense_schrodinger(sys_, e_index, p_ref):
+        col = ccp_xEp(sys_, e_index, p_ref)
+        fourier = _dense_fourier(sys_)
+        shifted_sq = (sys_.momenta + sys_.momenta[p_ref]) ** 2 / (2.0 * sys_.mass)
+        kinetic = fourier @ (shifted_sq * (fourier.conj().T @ col))
+        resid = kinetic + (sys_.potential - float(sys_.energies[e_index])) * col
+        return float(np.linalg.norm(resid) / np.linalg.norm(col))
+
+    @staticmethod
+    def _dense_fourier_relation(sys_, e_index, x_ref, p_ref):
+        col = ccp_xEp(sys_, e_index, p_ref)
+        direct = ccp_column(sys_.p_basis, sys_.e_basis, e_index, sys_.x_basis, x_ref)
+        delta_p = sys_.momenta[p_ref] - sys_.momenta
+        numer = np.exp(1j * np.outer(delta_p, sys_.positions) / sys_.hbar) @ col
+        denom = sys_.d * col[x_ref] * np.exp(1j * delta_p * sys_.positions[x_ref] / sys_.hbar)
+        return float(np.max(np.abs(numer / denom - direct)))
+
+    @pytest.mark.parametrize("which", ["box32", "harmonic64"])
+    def test_schrodinger_residual_matches_dense(self, which, request):
+        sys_ = request.getfixturevalue(which)
+        p0 = sys_.zero_momentum_index()
+        # (4, p0 - 2) on the box aliases across the momentum edge: a large residual
+        for e_index, p_ref in [(0, p0), (2, p0 + 1), (4, p0 - 2)]:
+            dense = self._dense_schrodinger(sys_, e_index, p_ref)
+            fast = schrodinger_residual(sys_, e_index, p_ref)
+            assert abs(fast - dense) <= sys_.d * EPS * sys_.hamiltonian_norm
+
+    @pytest.mark.parametrize("which", ["box32", "harmonic64"])
+    def test_fourier_relation_matches_dense(self, which, request):
+        sys_ = request.getfixturevalue(which)
+        p0, mid = sys_.zero_momentum_index(), sys_.d // 2
+        for e_index, x_ref, p_ref in [(0, mid, p0), (2, mid + 3, p0 + 1), (4, mid - 2, p0 - 2)]:
+            dense = self._dense_fourier_relation(sys_, e_index, x_ref, p_ref)
+            fast = fourier_relation_check(sys_, e_index, x_ref, p_ref)
+            assert abs(fast - dense) <= sys_.d * EPS
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("form", ["array", "custom"])
+    def test_potential_rejected(self, bad, form):
+        values = np.zeros(16)
+        values[5] = bad
+        spec = values if form == "array" else {"kind": "custom", "values": values.tolist()}
+        with pytest.raises(BadGrid):
+            build_lattice(16, 1.0, 1.0, 1.0, spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_harmonic_frequency_rejected(self, bad):
+        with pytest.raises(BadGrid):
+            build_lattice(16, 1.0, 1.0, 1.0, ("harmonic", bad))
+
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    def test_grid_constants_rejected(self, field):
+        constants = [1.0, 1.0, 1.0]
+        constants[field] = np.nan
+        with pytest.raises(BadGrid):
+            build_lattice(16, *constants, "free")
