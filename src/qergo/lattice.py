@@ -79,6 +79,8 @@ def _potential_values(spec, positions: np.ndarray, length: float, mass: float, h
                 (omega,) = spec["params"]
             else:
                 omega = spec["omega"]
+            if not np.isfinite(omega):
+                raise BadGrid(f"harmonic frequency is {omega}")
             v = 0.5 * mass * omega**2 * (positions - length / 2.0) ** 2
             return v, {"kind": "harmonic", "omega": float(omega)}
         if kind == "custom":

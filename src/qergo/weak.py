@@ -19,16 +19,15 @@ read out as
                              unit-width Gaussian convention, momentum
                              variance 1/4)
 
-Both readouts are sampled exactly by rejection, with no pointer
-discretization.  With x = w(1-w)*, c = Re x and r = Phi(q-g)/Phi(q), the
-position target over Phi(q)^2 is |w|^2 r^2 + |1-w|^2 + 2cr; as
-2r <= r^2 + 1, the envelope is (|w|^2+|c|) Phi(q-g)^2 + (|1-w|^2+|c|) Phi(q)^2.
-The momentum target over its Gaussian (sd 1/2) is
-|w|^2 + |1-w|^2 + 2|x| cos(gk - arg x); the envelope is its maximum,
-(|w| + |1-w|)^2.  Each target has mass z = postselection_weight(w, g), so a
-sampler accepts exactly z over its envelope's mass, near 1 for small real w.
-Proposals come in chunks sized to that rate, with generators derived from
-the root seed by counter, so results are independent of scheduling.
+Both readouts are sampled exactly, with no pointer discretization, as a
+non-negative Gaussian part drawn directly plus an interference remainder
+drawn by rejection.  With x = w(1-w)*, c = Re x and a = exp(-g^2/8), the
+position target is |w|^2 N(g,1) + |1-w|^2 N(0,1) + 2ca N(g/2,1), a plain
+mixture when c >= 0 (any w in (0, 1), as in a scan); for c < 0 the
+proposal takes weight 2|c|a instead.  The momentum target over N(0, 1/4)
+is (|w|-|1-w|)^2 + 2|x| (1 + cos(gk - arg x)); only the second part is
+drawn by rejection.  Each sampler draws from one generator per (seed,
+stream) and keeps only the count, mean and squared-deviation sum.
 """
 
 from __future__ import annotations
@@ -44,11 +43,7 @@ import numpy as np
 
 from .basis import Basis
 from .ccp import ccp_column, ccp_value
-from .errors import (
-    DimensionMismatch,
-    PostSelectionStarvation,
-    WeakRegimeViolation,
-)
+from .errors import DimensionMismatch, PostSelectionStarvation, WeakRegimeViolation
 
 MAX_COUPLING = 0.2
 MIN_SHOTS = 10_000
@@ -57,7 +52,8 @@ POSTSELECTION_RATE_FLOOR = 1e-3
 SAMPLING_CHUNK = 1 << 13
 
 Seed = int | tuple[int, ...]
-Proposal = tuple[np.ndarray, np.ndarray]  # candidates and their accept mask
+Moments = tuple[int, float, float]  # count, mean, sum of squared deviations
+NO_DRAWS: Moments = (0, 0.0, 0.0)
 
 
 def _entropy(seed: Seed, *extra: int) -> tuple[int, ...]:
@@ -97,65 +93,100 @@ def readout_bias_rate(w: complex, g: float) -> float:
     return max(abs(exact.real - w.real), abs(exact.imag - w.imag)) / g
 
 
-def _accept_chunks(
-    n: int, acceptance: float, seed: Seed, stream: int, propose: Callable[..., Proposal]
-) -> tuple[np.ndarray, int]:
-    """First n accepted draws of ``propose(rng, size) -> (candidates, accept mask)``.
+def _fold(moments: Moments, draws: np.ndarray) -> Moments:
+    """Add a batch of draws to the moments (Chan, Golub and LeVeque's pairwise update)."""
+    if not draws.size:
+        return moments
+    count, mean, ss = moments
+    size, batch_mean = draws.size, float(draws.mean())
+    dev, total, delta = draws - batch_mean, count + size, batch_mean - mean
+    return total, mean + delta * size / total, ss + dev @ dev + delta**2 * count * size / total
 
-    Chunk i uses the generator (seed, stream, i) and proposes the draws still
-    needed over the exact acceptance, plus 3 sd, at most ``SAMPLING_CHUNK``.
-    Also returns the proposals made up to the n-th accepted one.
+
+def _draw_chunks(n: int, rng, draw: Callable, moments: Moments = NO_DRAWS) -> Moments:
+    """Fold exactly n draws of ``draw(rng, size)``, made in chunks, into the moments."""
+    for start in range(0, n, SAMPLING_CHUNK):
+        moments = _fold(moments, draw(rng, min(SAMPLING_CHUNK, n - start)))
+    return moments
+
+
+def _accept_chunks(n: int, acceptance: float, rng, propose: Callable) -> tuple[Moments, int]:
+    """Moments of the first n accepted draws of ``propose(rng, size) -> (candidates, mask)``.
+
+    Each chunk proposes the draws still needed over the exact acceptance, plus
+    3 sd, at most ``SAMPLING_CHUNK``, and keeps its first accepted ones, so
+    proposals must be exchangeable.  Also returns the proposals up to the n-th.
     """
-    out = np.empty(n, dtype=np.float64)
-    filled = proposals = chunk = 0
-    while filled < n:
-        needed = n - filled
+    moments, proposals = NO_DRAWS, 0
+    while moments[0] < n:
+        needed = n - moments[0]
         size = min(SAMPLING_CHUNK, math.ceil((needed + 3.0 * math.sqrt(needed)) / acceptance))
-        cand, keep = propose(_generator(seed, stream, chunk), size)
+        cand, keep = propose(rng, size)
         idx = np.flatnonzero(keep)[:needed]
-        out[filled : filled + idx.size] = cand[idx]
-        filled += idx.size
-        proposals += int(idx[-1]) + 1 if filled == n else size
-        chunk += 1
-    return out, proposals
+        moments = _fold(moments, cand[idx])
+        proposals += int(idx[-1]) + 1 if idx.size == needed else size
+    return moments, proposals
 
 
-def _envelopes(w: complex) -> tuple[float, float, float]:
-    """Phi(q-g)^2 weight and mass of the position envelope; mass of the momentum one."""
-    x, base = w - abs(w) ** 2, abs(w) ** 2 + abs(1 - w) ** 2
-    return abs(w) ** 2 + abs(x.real), base + 2.0 * abs(x.real), base + 2.0 * abs(x)
+def _position_mixture(w: complex, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and centres of the N(centre, 1) summing to |w Phi(q-g) + (1-w) Phi(q)|^2."""
+    cross = 2.0 * (w - abs(w) ** 2).real * _cross_attenuation(g)  # Phi(q-g)Phi(q) = aPhi(q-g/2)^2
+    return np.array([abs(w) ** 2, abs(1 - w) ** 2, cross]), np.array([g, 0.0, 0.5 * g])
 
 
-def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> tuple[np.ndarray, int]:
-    """Exact draws of the post-selected pointer position, and the proposals they took.
+def _momentum_split(w: complex) -> tuple[float, float, float]:
+    """(|w|-|1-w|)^2, 2|x| and arg x: the momentum target over N(0, 1/4) is the first
+    plus the second times 1 + cos(gk - arg x), x = w(1-w)*."""
+    x = w - abs(w) ** 2
+    return (abs(w) - abs(1 - w)) ** 2, 2.0 * abs(x), cmath.phase(x)
 
-    Acceptance: postselection_weight(w, g) / (|w|^2 + |1-w|^2 + 2|Re w(1-w)*|).
+
+def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments, int]:
+    """Moments of n exact post-selected pointer positions, and the proposals they took.
+
+    For c >= 0 these are n plain mixture draws.  Otherwise each proposal
+    picks its component, the cross one with weight 2|c|a, and is accepted
+    with rate postselection_weight(w, g) / (|w|^2 + |1-w|^2 + 2|c|a).
     """
-    shift, mass, _ = _envelopes(w)
-    wa, wb, c2 = abs(w) ** 2, abs(1 - w) ** 2, 2.0 * (w - abs(w) ** 2).real
+    rng, (weights, centres) = _generator(seed, 1), _position_mixture(w, g)
+    if weights[2] >= 0.0:
+        share = weights / weights.sum()
 
-    def propose(rng: np.random.Generator, size: int) -> Proposal:
-        q = np.where(rng.random(size) < shift / mass, g, 0.0) + rng.standard_normal(size)
-        r = np.exp(0.5 * g * q - 0.25 * g * g)  # Phi(q - g) / Phi(q)
-        envelope = shift * r * r + (mass - shift)  # both over Phi(q)^2
-        return q, rng.random(size) * envelope < (wa * r + c2) * r + wb
+        def mix(rng: np.random.Generator, size: int) -> np.ndarray:
+            return rng.standard_normal(size) + np.repeat(centres, rng.multinomial(size, share))
 
-    return _accept_chunks(n, postselection_weight(w, g) / mass, seed, 1, propose)
+        return _draw_chunks(n, rng, mix), n
+    (wa, wb, cross), mass = weights, np.abs(weights).sum()
+    bounds, cross_r = np.cumsum(np.abs(weights[:2])) / mass, cross / _cross_attenuation(g)
+
+    def propose(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        u = rng.random(size)
+        q = rng.standard_normal(size) + centres[np.searchsorted(bounds, u, side="right")]
+        r = np.exp(0.5 * g * q - 0.25 * g * g)  # Phi(q-g)/Phi(q); the cross term over Phi^2 is 2cr
+        plain = (wa * r) * r + wb
+        return q, rng.random(size) * (plain - cross_r * r) < plain + cross_r * r
+
+    return _accept_chunks(n, weights.sum() / mass, rng, propose)
 
 
-def _sample_momenta(w: complex, g: float, n: int, seed: Seed) -> tuple[np.ndarray, int]:
-    """Exact draws of the post-selected pointer momentum, and the proposals they took.
+def _sample_momenta(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments, int]:
+    """Moments of n exact post-selected pointer momenta, and the proposals they took.
 
-    Acceptance: postselection_weight(w, g) / (|w| + |1-w|)^2.
+    A binomial sends each draw to plain N(0, 1/4) or to the remainder, whose
+    acceptance is (1 + a cos arg x) / 2; overall, n / proposals averages
+    postselection_weight(w, g) / (|w| + |1-w|)^2.
     """
-    x, base, mass = w - abs(w) ** 2, abs(w) ** 2 + abs(1 - w) ** 2, _envelopes(w)[2]
+    rng, (plain, amp, phase) = _generator(seed, 2), _momentum_split(w)
+    rate = 0.5 * (1.0 + math.cos(phase) * _cross_attenuation(g))
+    n_rest = int(rng.binomial(n, 2.0 * amp * rate / (plain + 2.0 * amp * rate)))
 
-    def propose(rng: np.random.Generator, size: int) -> Proposal:
+    def propose(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
         k = 0.5 * rng.standard_normal(size)
-        target = base + 2.0 * abs(x) * np.cos(g * k - cmath.phase(x))  # over exp(-2k^2)
-        return k, rng.random(size) * mass < target
+        return k, rng.random(size) * 2.0 < 1.0 + np.cos(g * k - phase)
 
-    return _accept_chunks(n, postselection_weight(w, g) / mass, seed, 2, propose)
+    rest, proposals = _accept_chunks(n_rest, rate, rng, propose)
+    moments = _draw_chunks(n - n_rest, rng, lambda r, size: 0.5 * r.standard_normal(size), rest)
+    return moments, n - n_rest + proposals
 
 
 @dataclass(frozen=True)
@@ -168,6 +199,7 @@ class WeakRunReport:
     shots_postselected: int
     coupling: float
     analytic_ref: complex
+    proposals: tuple[int, int]  # (position, momentum) sampler proposals; not serialized
 
     def gate(self, bias_rate: float) -> float:
         """Acceptance half-width max(4 * std_err, bias_rate * g), worst component."""
@@ -186,13 +218,8 @@ class WeakRunReport:
 
 
 def simulate_weak_value(
-    initial: tuple[Basis, int],
-    final: tuple[Basis, int],
-    basis_m: Basis,
-    m: int,
-    g: float,
-    shots: int,
-    seed: Seed,
+    initial: tuple[Basis, int], final: tuple[Basis, int], basis_m: Basis, m: int,
+    g: float, shots: int, seed: Seed,
 ) -> WeakRunReport:
     """Estimate p(m|a,b) from a weakly coupled pointer with post-selection.
 
@@ -215,8 +242,7 @@ def simulate_weak_value(
         raise ValueError(f"shots={shots} below the minimum {MIN_SHOTS}")
     basis_a, a = initial
     basis_b, b = final
-    b_a = basis_b.overlap(b, basis_a, a)
-    rate = abs(b_a) ** 2
+    rate = abs(basis_b.overlap(b, basis_a, a)) ** 2
     if rate < POSTSELECTION_RATE_FLOOR:
         raise PostSelectionStarvation(
             f"post-selection rate {rate:.3e} below {POSTSELECTION_RATE_FLOOR}"
@@ -229,20 +255,15 @@ def simulate_weak_value(
         raise PostSelectionStarvation(
             f"only {n_selected} post-selected shots (< {MIN_POSTSELECTED})"
         )
-    qs, _ = _sample_positions(w, g, n_selected, seed)
-    ks, _ = _sample_momenta(w, g, n_selected, seed)
-
-    est_re = float(qs.mean() / g)
-    est_im = float(2.0 * ks.mean() / g)
-    se_re = float(qs.std(ddof=1) / (g * math.sqrt(n_selected)))
-    se_im = float(2.0 * ks.std(ddof=1) / (g * math.sqrt(n_selected)))
+    (_, mean_q, ss_q), q_proposals = _sample_positions(w, g, n_selected, seed)
+    (_, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n_selected, seed)
+    # standard error of a mean: sqrt(ss / (n - 1)) / sqrt(n)
+    se_scale = g * math.sqrt(n_selected * (n_selected - 1))
     return WeakRunReport(
-        estimate=complex(est_re, est_im),
-        std_err=(se_re, se_im),
-        shots_total=shots,
-        shots_postselected=n_selected,
-        coupling=g,
-        analytic_ref=w,
+        estimate=complex(mean_q / g, 2.0 * mean_k / g),
+        std_err=(math.sqrt(ss_q) / se_scale, 2.0 * math.sqrt(ss_k) / se_scale),
+        shots_total=shots, shots_postselected=n_selected, coupling=g, analytic_ref=w,
+        proposals=(q_proposals, k_proposals),
     )
 
 
@@ -281,11 +302,7 @@ class SequentialRun:
 
 
 def simulate_sequential(
-    initial: tuple[Basis, int],
-    basis_m: Basis,
-    basis_b: Basis,
-    shots: int,
-    seed: Seed,
+    initial: tuple[Basis, int], basis_m: Basis, basis_b: Basis, shots: int, seed: Seed
 ) -> SequentialRun:
     """Projective m then projective b: per shot, m ~ p(m|a), then b ~ p(b|m).
 
@@ -341,13 +358,8 @@ MAX_SCAN_DIM = 64
 
 
 def scan_wavefunction(
-    state: tuple[Basis, int],
-    position_basis: Basis,
-    momentum_basis: Basis,
-    b_ref: int,
-    g: float,
-    shots_per_point: int,
-    seed: Seed,
+    state: tuple[Basis, int], position_basis: Basis, momentum_basis: Basis, b_ref: int,
+    g: float, shots_per_point: int, seed: Seed,
 ) -> WavefunctionScan:
     """Weakly measure every position with a fixed momentum post-selection.
 
@@ -367,15 +379,8 @@ def scan_wavefunction(
             f"reference outcome probability {rate_exact:.3e} below floor"
         )
     reports = [
-        simulate_weak_value(
-            (basis_e, e_idx),
-            (momentum_basis, b_ref),
-            position_basis,
-            x,
-            g,
-            shots_per_point,
-            _entropy(seed, x),
-        )
+        simulate_weak_value((basis_e, e_idx), (momentum_basis, b_ref), position_basis, x, g,
+                            shots_per_point, _entropy(seed, x))
         for x in range(dim)
     ]
     # Empirical post-selection rate pooled over all points; the weak
@@ -384,16 +389,9 @@ def scan_wavefunction(
     scale = math.sqrt(pooled_rate * dim)
     values = np.array([scale * r.estimate for r in reports])
     analytic = scale * ccp_column(position_basis, basis_e, e_idx, momentum_basis, b_ref)
-    se_re = np.array([scale * r.std_err[0] for r in reports])
-    se_im = np.array([scale * r.std_err[1] for r in reports])
+    se_re, se_im = scale * np.array([r.std_err for r in reports]).T
     for arr in (values, analytic, se_re, se_im):
         arr.setflags(write=False)
-    return WavefunctionScan(
-        values=values,
-        std_err_re=se_re,
-        std_err_im=se_im,
-        analytic=analytic,
-        shots_per_point=shots_per_point,
-        postselection_rate=pooled_rate,
-        coupling=g,
-    )
+    return WavefunctionScan(values=values, std_err_re=se_re, std_err_im=se_im, analytic=analytic,
+                            shots_per_point=shots_per_point, postselection_rate=pooled_rate,
+                            coupling=g)

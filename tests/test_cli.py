@@ -122,6 +122,26 @@ class TestWeakAndSeqCommands:
         assert payload["analytic_ref"] == {"re": pytest.approx(0.5), "im": pytest.approx(0.5)}
         assert payload["shots_postselected"] >= 100
 
+    def test_weak_rerun_byte_identical(self, tmp_path):
+        params = {
+            "dim": 2,
+            "initial": {"basis": {"kind": "computational"}, "index": 0},
+            "final": {"basis": {"kind": "haar", "seed": 4}, "index": 1},
+            "meter_basis": Y_BASIS,
+            "m_index": 0,
+            "g": 0.2,
+            "shots": 20000,
+        }
+        cfg = write_config(tmp_path, "w.json", {"params": params, "seed": 8})
+        outputs = []
+        for tag in ("r1", "r2"):
+            assert main(["weak", "--config", cfg, "--out", str(tmp_path / tag)]) == 0
+            outputs.append((tmp_path / f"{tag}.json").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert sorted(json.loads(outputs[0])) == [
+            "analytic_ref", "coupling", "estimate", "shots_postselected", "shots_total", "std_err",
+        ]
+
     def test_weak_bad_coupling_rejected_before_run(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,9 @@ from qergo import (
 )
 from qergo.ccp import ccp_column
 from qergo.weak import (
-    _envelopes,
+    _fold,
+    _momentum_split,
+    _position_mixture,
     _sample_momenta,
     _sample_positions,
     pointer_readout_means,
@@ -69,18 +69,30 @@ class TestPointerReadout:
         assert readout_bias_rate(w, 0.1) < 0.6 * readout_bias_rate(w, 0.2)
 
 
-def _stated_acceptances(w, g):
-    """Acceptance each sampler hands to the shared accept loop."""
-    stated = []
+def _stated_rates(w, g):
+    """Each sampler's n over its expected proposals, as its docstring states."""
+    z, x = postselection_weight(w, g), w - abs(w) ** 2
+    momentum_mass = abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * abs(x)  # = (|w| + |1-w|)^2
+    return z / np.abs(_position_mixture(w, g)[0]).sum(), z / momentum_mass
 
-    def record(n, acceptance, seed, stream, propose):
-        stated.append(acceptance)
-        return np.zeros(n), 0
 
-    with mock.patch("qergo.weak._accept_chunks", record):
-        _sample_positions(w, g, 1, 0)
-        _sample_momenta(w, g, 1, 0)
-    return stated
+def _remainder_rate(w, g):
+    return 0.5 * (1.0 + np.cos(_momentum_split(w)[2]) * np.exp(-g * g / 8.0))
+
+
+def _target_moments(w, g):
+    """Variance and fourth central moment of q and of k, by quadrature of the complex targets."""
+    q, k = np.linspace(-14.0, 14.0, 28001), np.linspace(-7.0, 7.0, 28001)
+    densities = (
+        (q, np.abs(w * np.exp(-((q - g) ** 2) / 4.0) + (1 - w) * np.exp(-(q**2) / 4.0)) ** 2),
+        (k, np.exp(-2.0 * k**2) * np.abs(w * np.exp(-1j * g * k) + (1 - w)) ** 2),
+    )
+    out = []
+    for grid, p in densities:
+        p = p / p.sum()
+        dev = grid - p @ grid
+        out += [p @ dev**2, p @ dev**4]
+    return out
 
 
 class TestSamplerEnvelopes:
@@ -92,49 +104,137 @@ class TestSamplerEnvelopes:
     )
     def test_envelopes_dominate_and_acceptance_is_exact(self, re, im, g):
         w = complex(re, im)
-        shift, pos_mass, mom_mass = _envelopes(w)
-        # position: Phi without its normalization, which target and envelope share
+        peak = (abs(w) + abs(1 - w)) ** 2  # bound of either target over its Gaussian
+        # position: the mixture equals |w Phi(q-g) + (1-w) Phi(q)|^2 as a density
         q = np.linspace(-12.0, 12.0, 4001)
         phi_g, phi_0 = np.exp(-((q - g) ** 2) / 4.0), np.exp(-(q**2) / 4.0)
         target = np.abs(w * phi_g + (1 - w) * phi_0) ** 2
-        envelope = shift * phi_g**2 + (pos_mass - shift) * phi_0**2
-        assert np.all(target <= envelope * (1.0 + 1e-12))
-        # momentum: the interference factor over the momentum Gaussian
+        weights, centres = _position_mixture(w, g)
+        mixture = sum(wt * np.exp(-((q - c) ** 2) / 2.0) for wt, c in zip(weights, centres))
+        assert np.all(np.abs(mixture - target) <= 1e-12 * peak)
+        # momentum: plain part plus remainder equals the interference factor
         k = np.linspace(-6.0, 6.0, 4001)
-        assert np.all(np.abs(w * np.exp(-1j * g * k) + (1 - w)) ** 2 <= mom_mass * (1.0 + 1e-12))
-        # the stated rates are the target mass over the envelope mass, in (0, 1],
-        # and at least the old envelopes' rates (up to the last bits of rounding)
-        z = postselection_weight(w, g)
-        old = (z / (2.0 * (abs(w) ** 2 + abs(1 - w) ** 2)), z / (abs(w) + abs(1 - w)) ** 2)
-        stated = _stated_acceptances(w, g)
-        assert stated == [z / pos_mass, z / mom_mass]
-        for rate, old_rate in zip(stated, old):
+        plain, amp, phase = _momentum_split(w)
+        split = plain + amp * (1.0 + np.cos(g * k - phase))
+        target = np.abs(w * np.exp(-1j * g * k) + (1 - w)) ** 2
+        assert np.all(np.abs(split - target) <= 1e-12 * peak)
+        # every part has the target's mass z, and the remainder rate is a probability
+        z, rest = postselection_weight(w, g), _remainder_rate(w, g)
+        assert weights.sum() == pytest.approx(z, rel=1e-12)
+        assert plain + 2.0 * amp * rest == pytest.approx(z, rel=1e-12)
+        assert 0.0 <= rest <= 1.0
+        # a remainder draw costs 1/rest proposals, so the momenta take (|w| + |1-w|)^2 / z each
+        assert plain + 2.0 * amp == pytest.approx(z / _stated_rates(w, g)[1], rel=1e-12)
+        # the stated rates lie in (0, 1] and are at least the rejection-only samplers' rates
+        c = (w - abs(w) ** 2).real
+        old = (z / (abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * abs(c)), z / (abs(w) + abs(1 - w)) ** 2)
+        for rate, old_rate in zip(_stated_rates(w, g), old):
             assert 0.0 < rate <= 1.0
             assert rate >= old_rate * (1.0 - 1e-12)
 
     def test_scan_like_position_rate_near_one(self):
-        # small real w: the old envelope accepted about 1/2, the new one about 1
-        stated = _stated_acceptances(0.03, 0.05)
-        assert stated[0] > 0.999
-        assert stated[1] > 0.999
+        # small real w: the position draws need no accept test, the momenta almost none
+        (count, _, _), proposals = _sample_positions(0.03, 0.05, 50_000, 3)
+        assert count == proposals == 50_000
+        rate_q, rate_k = _stated_rates(0.03, 0.05)
+        assert rate_q == pytest.approx(1.0, abs=1e-15)
+        assert rate_k > 0.999
 
     @pytest.mark.parametrize("w", [0.03, 0.5 + 0.5j, -0.3, 1.2 - 0.4j])
     def test_moments_and_acceptance_at_strong_coupling(self, w):
         g, n = 0.2, 1_000_000
         exact = pointer_readout_means(w, g)
-        z = postselection_weight(w, g)
-        _, pos_mass, mom_mass = _envelopes(w)
-        qs, q_proposals = _sample_positions(w, g, n, (91, 1))
-        ks, k_proposals = _sample_momenta(w, g, n, (91, 2))
-        assert qs.size == ks.size == n
-        se_re = qs.std(ddof=1) / (g * np.sqrt(n))
-        se_im = 2.0 * ks.std(ddof=1) / (g * np.sqrt(n))
-        assert abs(qs.mean() / g - exact.real) < 5.0 * se_re
-        assert abs(2.0 * ks.mean() / g - exact.imag) < 5.0 * se_im
-        for proposals, rate in ((q_proposals, z / pos_mass), (k_proposals, z / mom_mass)):
+        (nq, mean_q, ss_q), q_proposals = _sample_positions(w, g, n, (91, 1))
+        (nk, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n, (91, 2))
+        assert nq == nk == n
+        var_q, var_k = ss_q / (n - 1), ss_k / (n - 1)
+        assert abs(mean_q / g - exact.real) < 5.0 * np.sqrt(var_q / n) / g
+        assert abs(2.0 * mean_k / g - exact.imag) < 5.0 * 2.0 * np.sqrt(var_k / n) / g
+        # variances against the targets': the sd of a sample variance is sqrt((mu4 - var^2)/n)
+        tv_q, m4_q, tv_k, m4_k = _target_moments(w, g)
+        assert abs(var_q - tv_q) < 5.0 * np.sqrt((m4_q - tv_q**2) / n)
+        assert abs(var_k - tv_k) < 5.0 * np.sqrt((m4_k - tv_k**2) / n)
+        assert q_proposals >= n and k_proposals >= n
+        rate_q, rate_k = _stated_rates(w, g)
+        if _position_mixture(w, g)[0][2] >= 0.0:
+            assert q_proposals == n
+        else:
             # proposals until the n-th accept: sd of n/proposals is rate sqrt((1-rate)/n)
-            assert proposals >= n
-            assert abs(n / proposals - rate) <= 5.0 * rate * np.sqrt((1.0 - rate) / n)
+            assert abs(n / q_proposals - rate_q) <= 5.0 * rate_q * np.sqrt((1.0 - rate_q) / n)
+        # a momentum draw costs one proposal, or a geometric number in the remainder
+        rest = _remainder_rate(w, g)
+        plain, amp, _ = _momentum_split(w)
+        share = 2.0 * amp * rest / (plain + 2.0 * amp * rest)
+        var_cost = (1.0 - share) + share * (2.0 - rest) / rest**2 - 1.0 / rate_k**2
+        assert abs(n / k_proposals - rate_k) <= 5.0 * rate_k**2 * np.sqrt(var_cost / n)
+
+    @pytest.mark.parametrize("w", [0.8, 1.2 - 0.4j])
+    def test_short_runs_unbiased(self, w):
+        # a 16-draw run is one chunk cut at the draws still needed
+        g, n, runs = 0.2, 16, 2000
+        exact = pointer_readout_means(w, g)
+        targets = ((_sample_positions, g * exact.real), (_sample_momenta, 0.5 * g * exact.imag))
+        for sampler, target in targets:
+            means = np.array([sampler(w, g, n, (93, i))[0][1] for i in range(runs)])
+            assert abs(means.mean() - target) < 5.0 * means.std(ddof=1) / np.sqrt(runs)
+
+    def test_folded_moments_match_concatenation(self):
+        rng = np.random.default_rng(5)
+        batches = [(0.0, 1), (1e3, 7), (-5.0, 8192), (2.0, 0), (0.5, 100)]
+        parts = [rng.normal(loc, 1.0, size) for loc, size in batches]
+        merged = (0, 0.0, 0.0)
+        for part in parts:
+            merged = _fold(merged, part)
+        whole = np.concatenate(parts)
+        dev = whole - whole.mean()
+        assert merged[0] == whole.size
+        assert merged[1] == pytest.approx(whole.mean(), rel=1e-12)
+        assert merged[2] == pytest.approx(dev @ dev, rel=1e-12)
+
+
+def _vdot_conditional(m_vec, a_vec, b_vec):
+    """<b|m><m|a>/<b|a> straight from the vectors, not through qergo.ccp."""
+    return complex(np.vdot(b_vec, m_vec) * np.vdot(m_vec, a_vec) / np.vdot(b_vec, a_vec))
+
+
+class TestIndependentOracle:
+    """The pointer estimate against the readout of a conditional formed from the vectors."""
+
+    @staticmethod
+    def _assert_matches(initial, final, basis_m, m, g, shots, seed):
+        w = _vdot_conditional(basis_m.vectors[:, m], initial[0].vectors[:, initial[1]],
+                              final[0].vectors[:, final[1]])
+        report = simulate_weak_value(initial, final, basis_m, m, g, shots, seed)
+        assert abs(report.analytic_ref - w) < 1e-12
+        exact = pointer_readout_means(w, g)
+        assert abs(report.estimate.real - exact.real) < 4.0 * report.std_err[0]
+        assert abs(report.estimate.imag - exact.imag) < 4.0 * report.std_err[1]
+        return w
+
+    def test_benchmark_triple(self, z2, x2, y2):
+        w = self._assert_matches((z2, 0), (x2, 0), y2, 0, 0.2, 1_000_000, 2013)
+        assert w == pytest.approx(0.5 + 0.5j, abs=1e-14)
+
+    def test_haar_triple_with_negative_cross_weight(self):
+        m, a, b = haar_triple(3, 1002)
+        w = self._assert_matches((a, 0), (b, 0), m, 0, 0.2, 1_000_000, 2013)
+        assert (w - abs(w) ** 2).real < 0.0  # the position sampler's rejection branch
+
+    def test_box_scan_against_vdot_column(self):
+        sys_box = build_lattice(32, 1.0, 1.0, 1.0, "box")
+        p0, g = sys_box.zero_momentum_index(), 0.05
+        scan = scan_wavefunction(
+            (sys_box.e_basis, 0), sys_box.x_basis, sys_box.p_basis, p0,
+            g=g, shots_per_point=100_000, seed=2013,
+        )
+        e, p = sys_box.e_basis.vectors[:, 0], sys_box.p_basis.vectors[:, p0]
+        xs = sys_box.x_basis.vectors
+        ws = [_vdot_conditional(xs[:, x], e, p) for x in range(32)]
+        scale = np.sqrt(scan.postselection_rate * 32)
+        np.testing.assert_allclose(scan.analytic, scale * np.array(ws), rtol=0, atol=1e-12 * scale)
+        expected = scale * np.array([pointer_readout_means(w, g) for w in ws])
+        assert np.all(np.abs(scan.values.real - expected.real) < 4.0 * scan.std_err_re)
+        assert np.all(np.abs(scan.values.imag - expected.imag) < 4.0 * scan.std_err_im)
 
 
 class TestSimulateWeakValue:
@@ -205,6 +305,14 @@ class TestSimulateWeakValue:
         a, b, m_basis, m = _qubit_scenario(z2, x2, y2)
         with pytest.raises(ValueError):
             simulate_weak_value(a, b, m_basis, m, 0.05, 500, 1)
+
+    def test_proposals_reported_not_serialized(self, z2, x2, y2):
+        a, b, m_basis, m = _qubit_scenario(z2, x2, y2)
+        report = simulate_weak_value(a, b, m_basis, m, 0.05, 50_000, 4)
+        # w = (1+i)/2 has c = 0: plain position mixture, momenta all in the remainder
+        assert report.proposals[0] == report.shots_postselected
+        assert report.proposals[1] > report.shots_postselected
+        assert "proposals" not in report.to_json()
 
     def test_report_serialization(self, z2, x2, y2):
         a, b, m_basis, m = _qubit_scenario(z2, x2, y2)
@@ -325,6 +433,19 @@ class TestScanWavefunction:
                 (sys_big.e_basis, 0), sys_big.x_basis, sys_big.p_basis,
                 sys_big.zero_momentum_index(), g=0.05, shots_per_point=20_000, seed=1,
             )
+
+    def test_same_seed_identical_arrays(self):
+        sys_box = build_lattice(16, 1.0, 1.0, 1.0, "box")
+        scans = [
+            scan_wavefunction(
+                (sys_box.e_basis, 0), sys_box.x_basis, sys_box.p_basis,
+                sys_box.zero_momentum_index(), g=0.2, shots_per_point=10_000, seed=(6, 1),
+            )
+            for _ in range(2)
+        ]
+        for field in ("values", "std_err_re", "std_err_im", "analytic"):
+            assert np.array_equal(getattr(scans[0], field), getattr(scans[1], field))
+        assert scans[0].postselection_rate == scans[1].postselection_rate
 
     def test_csv_export_well_formed(self):
         sys_free = build_lattice(8, 1.0, 1.0, 1.0, "free")
