@@ -85,6 +85,16 @@ def _json_complex(payload, re_key: str, im_key: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _csv(**columns) -> str:
+    """CSV text whose header is the keywords and whose columns are their values.
+
+    Columns hold str, int or float (an array's ``tolist()``), all of one length;
+    each field is ``str`` of its entry, for a float its shortest round-trip repr.
+    """
+    rows = (",".join(map(str, row)) for row in zip(*columns.values()))
+    return "\n".join((",".join(columns), *rows)) + "\n"
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -297,6 +307,12 @@ def _checked_labels_values(
         label_tuple = tuple(str(s) for s in labels)
         if len(label_tuple) != dim:
             raise DimensionMismatch(f"{len(label_tuple)} labels for dim {dim}")
+        # Labels become CSV fields and SVG text: no delimiter, no line break.
+        joined = "".join(label_tuple)
+        if set(',"<>&').intersection(joined) or "".join(joined.splitlines()) != joined:
+            raise ValueError(f"a label holds one of , \" < > & or a line break: {label_tuple}")
+        if len(set(label_tuple)) != dim:
+            raise ValueError(f"labels are not unique: {label_tuple}")
     if values is None:
         return label_tuple, None
     value_arr = np.array(values, dtype=np.float64)

@@ -10,13 +10,12 @@ must re-gauge first (see :func:`reference_gauge_amplitudes`).
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _json_complex, _json_field
+from .basis import Basis, _csv, _json_complex, _json_field
 from .ccp import CcpTable, IMAG_RESIDUE_TOL, ccp_table, is_defined
 from .errors import (
     BasisMismatch,
@@ -196,16 +195,11 @@ class JointQuasiProb:
         )
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("a_label,b_label,re,im\n")
-        for a in range(self.dim):
-            for b in range(self.dim):
-                v = self.vals[a, b]
-                buf.write(
-                    f"{self.a_basis.labels[a]},{self.b_basis.labels[b]},"
-                    f"{float(v.real)!r},{float(v.imag)!r}\n"
-                )
-        return buf.getvalue()
+        return _csv(
+            a_label=[a for a in self.a_basis.labels for _ in range(self.dim)],
+            b_label=self.b_basis.labels * self.dim,
+            re=self.vals.real.ravel().tolist(), im=self.vals.imag.ravel().tolist(),
+        )
 
 
 def _validate_joint(vals: np.ndarray) -> None:

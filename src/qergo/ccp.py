@@ -20,14 +20,13 @@ undefined (:func:`is_defined`): column operations raise
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _json_complex, _json_field, ergodic_table
+from .basis import Basis, _csv, _json_complex, _json_field, ergodic_table
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -172,15 +171,11 @@ class CcpTable:
     def column_csv(self, a: int, b: int) -> str:
         """One (a, b) column as CSV rows (m_label, re, im, magnitude, phase)."""
         col = self.column(a, b)
-        buf = io.StringIO()
-        buf.write("m_label,re,im,magnitude,phase\n")
-        for m in range(self.dim):
-            v = col[m]
-            buf.write(
-                f"{self.m_basis.labels[m]},{float(v.real)!r},{float(v.imag)!r},"
-                f"{float(abs(v))!r},{float(np.angle(v))!r}\n"
-            )
-        return buf.getvalue()
+        # Per-entry abs: np.abs over the array differs from it in the last bit.
+        return _csv(
+            m_label=self.m_basis.labels, re=col.real.tolist(), im=col.imag.tolist(),
+            magnitude=[float(abs(v)) for v in col], phase=np.angle(col).tolist(),
+        )
 
 
 def ccp_table(basis_m: Basis, basis_a: Basis, basis_b: Basis) -> CcpTable:
@@ -296,8 +291,8 @@ def phase_antisymmetry_check(
     Checks Arg p(a|m,b) = -Arg p(m|a,b) and Arg p(m|a,b) = -Arg p(m|b,a)
     over all defined triples, from the tables over (M, A, B), (A, M, B)
     and (M, B, A), skipping entries whose magnitude is below
-    ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  A NaN entry
-    is not skipped, so it makes the result NaN.
+    ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  As with
+    :meth:`IdentitySides.worst`, a NaN entry or an empty mask gives NaN.
     """
     _require_same(
         (forward.m_basis, backward.a_basis),
@@ -316,13 +311,11 @@ def phase_antisymmetry_check(
     ok_swap = swapped.defined_mask.T[np.newaxis, :, :] & ~(np.abs(swap) < PHASE_FLOOR)
 
     # Arg(u) + Arg(v) and Arg(u v) agree on the circle, and np.angle lies in
-    # [-pi, pi], so |Arg(u v)| is the circular defect.  The maximum
-    # propagates NaN; an empty mask leaves the initial 0.
-    worst = 0.0
-    for other, ok_other in ((rev, ok_rev), (swap, ok_swap)):
-        defect = np.abs(np.angle(other * fwd))
-        worst = float(np.max(defect, where=ok_fwd & ok_other, initial=worst))
-    return worst
+    # [-pi, pi], so |Arg(u v)| is the circular defect.
+    return float(np.max([
+        IdentitySides(np.angle(other * fwd), 0.0, ok_fwd & ok_other).worst()
+        for other, ok_other in ((rev, ok_rev), (swap, ok_swap))
+    ]))
 
 
 def bayes_convert(forward: CcpTable, converted: CcpTable) -> IdentitySides:

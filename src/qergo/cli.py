@@ -1,23 +1,20 @@
 """Batch command-line front end: scenario configs in, verdicts and exports out.
 
-Exit codes: 0 all checks passed, 1 identity violation, 2 configuration or
-usage error, 3 internal numeric failure.  Every command is deterministic
-for a fixed (config, seed) pair.  The QERGO_THREADS environment variable
-must be a positive integer if set, but it caps nothing: numpy's BLAS
-library picks its own thread count, so dense linear algebra such as the
-lattice ``eigh`` may run on every core.
+Each command is one ``COMMANDS`` entry: the flags it reads, its config check
+and its runner.  Exit codes: 0 all checks passed, 1 identity violation (a
+``verify`` or ``quantize`` FAIL), 2 configuration or usage error, 3 internal
+numeric failure.  Every command is deterministic for a fixed (config, seed) pair.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -37,30 +34,14 @@ EXIT_IDENTITY_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_FAILURE = 3
 
-VALID_KINDS = ("verify", "kd_table", "weak_run", "sequential_run", "lattice", "quantize")
-
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated batch scenario: what to run, with which inputs, to where."""
+    """Validated batch scenario: its inputs, root seed and output prefix."""
 
-    kind: str
     params: dict[str, Any]
-    seed: int | None
+    seed: int
     output: str
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("QERGO_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"QERGO_THREADS={raw!r} is not an integer") from None
-    if cap < 1:
-        raise ConfigError(f"QERGO_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 def _need(params: dict, key: str, types, what: str):
@@ -72,9 +53,22 @@ def _need(params: dict, key: str, types, what: str):
     return value
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        raise ConfigError("this command requires --config PATH")
+def _need_objects(params: dict, *keys: str) -> None:
+    for key in keys:
+        _need(params, key, dict, "an object")
+
+
+def _need_dim(params: dict) -> None:
+    if _need(params, "dim", int, "an integer") < MIN_DIM:
+        raise ConfigError(f"dim must be >= {MIN_DIM}")
+
+
+def _need_shots(params: dict) -> None:
+    if _need(params, "shots", int, "an integer") < MIN_SHOTS:
+        raise ConfigError(f"shots must be >= {MIN_SHOTS}")
+
+
+def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -88,15 +82,20 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
-def build_scenario(kind: str, payload: dict, seed_flag: int | None, out: str) -> Scenario:
+def build_scenario(kind: str, payload: dict | None, seed_flag: int | None, out: str) -> Scenario:
+    """Validate a command's config payload; no computation runs before this passes."""
+    if kind not in COMMANDS or COMMANDS[kind].validate is None:
+        raise ConfigError(f"unknown scenario kind {kind!r}")
+    if payload is None:
+        raise ConfigError("this command requires --config PATH")
     params = payload.get("params", payload)
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
     seed = seed_flag if seed_flag is not None else payload.get("seed")
     if seed is not None and not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
-    _validate_params(kind, params)
-    return Scenario(kind=kind, params=params, seed=seed, output=out)
+    COMMANDS[kind].validate(params)
+    return Scenario(params=params, seed=seed or 0, output=out)
 
 
 def basis_from_spec(spec: Any, dim: int) -> Basis:
@@ -108,8 +107,7 @@ def basis_from_spec(spec: Any, dim: int) -> Basis:
     if kind == "fourier":
         return fourier_basis(dim)
     if kind == "haar":
-        seed = _need(spec, "seed", int, "an integer")
-        return haar_random_basis(dim, seed)
+        return haar_random_basis(dim, _need(spec, "seed", int, "an integer"))
     if kind == "explicit":
         re = _need(spec, "re", list, "a nested list")
         im = _need(spec, "im", list, "a nested list")
@@ -128,111 +126,119 @@ def _outcome_from_spec(spec: Any, dim: int) -> tuple[Basis, int]:
     return basis, index
 
 
-def _validate_params(kind: str, params: dict) -> None:
-    """Fail-fast validation: no scenario computation before this passes."""
-    if kind == "verify":
-        dims = _need(params, "dims", list, "a list of integers")
-        if not dims or not all(isinstance(d, int) and MIN_DIM <= d <= MAX_DIM for d in dims):
-            raise ConfigError(f"dims must be integers within {MIN_DIM}..{MAX_DIM}, got {dims}")
-        seeds = _need(params, "seeds_per_dim", int, "an integer")
-        if seeds < 1:
-            raise ConfigError("seeds_per_dim must be >= 1")
-    elif kind == "kd_table":
-        if _need(params, "dim", int, "an integer") < MIN_DIM:
-            raise ConfigError(f"dim must be >= {MIN_DIM}")
-        for key in ("state", "row_basis", "col_basis"):
-            _need(params, key, dict, "an object")
-    elif kind == "weak_run":
-        if _need(params, "dim", int, "an integer") < MIN_DIM:
-            raise ConfigError(f"dim must be >= {MIN_DIM}")
-        for key in ("initial", "final", "meter_basis"):
-            _need(params, key, dict, "an object")
-        _need(params, "m_index", int, "an integer")
-        g = _need(params, "g", (int, float), "a number")
-        if not 0 < g <= MAX_COUPLING:
-            raise ConfigError(f"g must lie in (0, {MAX_COUPLING}]")
-        shots = _need(params, "shots", int, "an integer")
-        if shots < MIN_SHOTS:
-            raise ConfigError(f"shots must be >= {MIN_SHOTS}")
-    elif kind == "sequential_run":
-        if _need(params, "dim", int, "an integer") < MIN_DIM:
-            raise ConfigError(f"dim must be >= {MIN_DIM}")
-        for key in ("initial", "m_basis", "b_basis"):
-            _need(params, key, dict, "an object")
-        shots = _need(params, "shots", int, "an integer")
-        if shots < MIN_SHOTS:
-            raise ConfigError(f"shots must be >= {MIN_SHOTS}")
-    elif kind == "lattice":
-        d = _need(params, "d", int, "an integer")
-        if not lat.valid_grid_size(d):
-            raise ConfigError(f"d must be even and >= {lat.MIN_GRID_SIZE}")
-        for key in ("L", "mass", "hbar"):
-            v = _need(params, key, (int, float), "a number")
-            if v <= 0:
-                raise ConfigError(f"{key} must be positive")
-        _need(params, "potential", dict, "an object")
-        column = params.get("column")
-        if column is not None:
-            if not isinstance(column, dict):
-                raise ConfigError("column must be an object")
-            for key in ("energy_index", "p_ref_index"):
-                idx = _need(column, key, int, "an integer")
-                if not 0 <= idx < d:
-                    raise ConfigError(f"{key} {idx} outside 0..{d - 1}")
-    elif kind == "quantize":
-        if "values" in params:
-            values = params["values"]
-            if not isinstance(values, list) or len(values) < 2:
-                raise ConfigError("values must be a list of at least two numbers")
-        elif "lattice" in params:
-            _need(params, "lattice", dict, "an object")
-            _need(params, "levels", int, "an integer")
-        else:
-            raise ConfigError("quantize needs either 'values' or 'lattice'")
-        period = _need(params, "period", (int, float), "a number")
-        if period <= 0:
-            raise ConfigError("period must be positive")
+def _check_verify(params: dict) -> None:
+    dims = _need(params, "dims", list, "a list of integers")
+    if not dims or not all(isinstance(d, int) and MIN_DIM <= d <= MAX_DIM for d in dims):
+        raise ConfigError(f"dims must be integers within {MIN_DIM}..{MAX_DIM}, got {dims}")
+    if _need(params, "seeds_per_dim", int, "an integer") < 1:
+        raise ConfigError("seeds_per_dim must be >= 1")
+
+
+def _check_kd(params: dict) -> None:
+    _need_dim(params)
+    _need_objects(params, "state", "row_basis", "col_basis")
+
+
+def _check_weak(params: dict) -> None:
+    _need_dim(params)
+    _need_objects(params, "initial", "final", "meter_basis")
+    _need(params, "m_index", int, "an integer")
+    g = _need(params, "g", (int, float), "a number")
+    if not 0 < g <= MAX_COUPLING:
+        raise ConfigError(f"g must lie in (0, {MAX_COUPLING}]")
+    _need_shots(params)
+
+
+def _check_seq(params: dict) -> None:
+    _need_dim(params)
+    _need_objects(params, "initial", "m_basis", "b_basis")
+    _need_shots(params)
+
+
+def _check_grid(spec: dict) -> int:
+    """Validate a lattice spec {d, L, mass, hbar, potential}; return d."""
+    d = _need(spec, "d", int, "an integer")
+    if not lat.valid_grid_size(d):
+        raise ConfigError(f"d must be even and >= {lat.MIN_GRID_SIZE}")
+    for key in ("L", "mass", "hbar"):
+        if _need(spec, key, (int, float), "a number") <= 0:
+            raise ConfigError(f"{key} must be positive")
+    _need_objects(spec, "potential")
+    return d
+
+
+def _check_lattice(params: dict) -> None:
+    d = _check_grid(params)
+    column = params.get("column")
+    if column is not None:
+        if not isinstance(column, dict):
+            raise ConfigError("column must be an object")
+        for key in ("energy_index", "p_ref_index"):
+            idx = _need(column, key, int, "an integer")
+            if not 0 <= idx < d:
+                raise ConfigError(f"{key} {idx} outside 0..{d - 1}")
+
+
+def _check_quantize(params: dict) -> None:
+    if "values" in params:
+        values = params["values"]
+        if not isinstance(values, list) or len(values) < 2:
+            raise ConfigError("values must be a list of at least two numbers")
+    elif "lattice" in params:
+        _check_grid(_need(params, "lattice", dict, "an object"))
+        _need(params, "levels", int, "an integer")
     else:
-        raise ConfigError(f"unknown scenario kind {kind!r}")
+        raise ConfigError("quantize needs either 'values' or 'lattice'")
+    if _need(params, "period", (int, float), "a number") <= 0:
+        raise ConfigError("period must be positive")
 
 
-def _write(path: Path, text: str) -> None:
+def _write(prefix: str, ext: str, text: str) -> None:
+    path = Path(prefix + ext)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(f"wrote {path}")
 
 
-def _run_verify(scenario: Scenario) -> int:
+def _export(prefix: str, fmt: str, result) -> None:
+    """Write ``result`` as PREFIX.csv or, indented, as PREFIX.json."""
+    if fmt == "csv":
+        _write(prefix, ".csv", result.to_csv())
+    else:
+        _write(prefix, ".json", result.to_json(indent=2) + "\n")
+
+
+def _lattice_from_spec(spec: dict):
+    return lat.build_lattice(
+        spec["d"], float(spec["L"]), float(spec["mass"]), float(spec["hbar"]), spec["potential"]
+    )
+
+
+def _run_verify(scenario: Scenario, args) -> int:
     params = scenario.params
-    seed = scenario.seed if scenario.seed is not None else 0
     started = time.perf_counter()
-    report = run_verification_suite(params["dims"], params["seeds_per_dim"], seed)
+    report = run_verification_suite(params["dims"], params["seeds_per_dim"], scenario.seed)
     elapsed = time.perf_counter() - started
     for line in report.lines():
         print(line)
     print(f"wall time: {elapsed:.2f} s")  # console only; the file stays deterministic
-    _write(Path(scenario.output + ".json"), report.to_json(indent=2) + "\n")
+    _export(scenario.output, "json", report)
     return EXIT_OK if report.all_pass else EXIT_IDENTITY_FAILURE
 
 
-def _run_kd(scenario: Scenario, fmt: str) -> int:
+def _run_kd(scenario: Scenario, args) -> int:
     params = scenario.params
     dim = params["dim"]
     state = _outcome_from_spec(params["state"], dim)
     row = basis_from_spec(params["row_basis"], dim)
     col = basis_from_spec(params["col_basis"], dim)
-    joint = pure_state_joint(state, row, col)
-    if fmt == "csv":
-        _write(Path(scenario.output + ".csv"), joint.to_csv())
-    else:
-        _write(Path(scenario.output + ".json"), joint.to_json(indent=2) + "\n")
+    _export(scenario.output, args.format, pure_state_joint(state, row, col))
     return EXIT_OK
 
 
-def _run_weak(scenario: Scenario) -> int:
+def _run_weak(scenario: Scenario, args) -> int:
     params = scenario.params
     dim = params["dim"]
-    seed = scenario.seed if scenario.seed is not None else 0
     report = simulate_weak_value(
         _outcome_from_spec(params["initial"], dim),
         _outcome_from_spec(params["final"], dim),
@@ -240,96 +246,98 @@ def _run_weak(scenario: Scenario) -> int:
         params["m_index"],
         float(params["g"]),
         params["shots"],
-        seed,
+        scenario.seed,
     )
     print(
         f"estimate: {report.estimate.real:+.6f}{report.estimate.imag:+.6f}i  "
         f"(analytic {report.analytic_ref.real:+.6f}{report.analytic_ref.imag:+.6f}i)"
     )
-    _write(Path(scenario.output + ".json"), report.to_json(indent=2) + "\n")
+    _export(scenario.output, "json", report)
     return EXIT_OK
 
 
-def _run_seq(scenario: Scenario, fmt: str) -> int:
+def _run_seq(scenario: Scenario, args) -> int:
     params = scenario.params
     dim = params["dim"]
-    seed = scenario.seed if scenario.seed is not None else 0
     run = simulate_sequential(
         _outcome_from_spec(params["initial"], dim),
         basis_from_spec(params["m_basis"], dim),
         basis_from_spec(params["b_basis"], dim),
         params["shots"],
-        seed,
+        scenario.seed,
     )
-    if fmt == "csv":
-        _write(Path(scenario.output + ".csv"), run.to_csv())
-    else:
-        _write(Path(scenario.output + ".json"), run.to_json(indent=2) + "\n")
+    _export(scenario.output, args.format, run)
     return EXIT_OK
 
 
-def _run_lattice(scenario: Scenario) -> int:
+def _run_lattice(scenario: Scenario, args) -> int:
     params = scenario.params
-    sys_ = lat.build_lattice(
-        params["d"], float(params["L"]), float(params["mass"]), float(params["hbar"]),
-        params["potential"],
-    )
-    payload = {
-        "config": json.loads(sys_.config_json()),
-        "energies": [float(e) for e in sys_.energies],
-    }
-    _write(
-        Path(scenario.output + ".json"),
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-    )
+    sys_ = _lattice_from_spec(params)
+    payload = {"config": json.loads(sys_.config_json()), "energies": sys_.energies.tolist()}
+    _write(scenario.output, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     column = params.get("column")
     if column is not None:
         col = lat.ccp_xEp(sys_, column["energy_index"], column["p_ref_index"])
-        _write(Path(scenario.output + ".csv"), lat.distribution_csv(sys_, col))
+        _write(scenario.output, ".csv", lat.distribution_csv(sys_, col))
     return EXIT_OK
 
 
-def _run_quantize(scenario: Scenario) -> int:
+def _run_quantize(scenario: Scenario, args) -> int:
     params = scenario.params
     hbar = float(params.get("hbar", 1.0))
     rtol = float(params.get("rtol", 1e-8))
     if "values" in params:
         values = [float(v) for v in params["values"]]
     else:
-        spec = params["lattice"]
-        sys_ = lat.build_lattice(
-            spec["d"], float(spec["L"]), float(spec["mass"]), float(spec["hbar"]),
-            spec["potential"],
-        )
+        sys_ = _lattice_from_spec(params["lattice"])
         hbar = sys_.hbar
         values = [float(e) for e in sys_.energies[: params["levels"]]]
     result = quantized_spectrum_check(values, float(params["period"]), hbar, rtol=rtol)
     payload = {"pass": result.passed, "max_defect": result.max_defect, "values": values}
     print(f"{'PASS' if result.passed else 'FAIL'}  max_defect={result.max_defect:.3e}")
-    _write(
-        Path(scenario.output + ".json"),
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-    )
-    return EXIT_OK
+    _write(scenario.output, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return EXIT_OK if result.passed else EXIT_IDENTITY_FAILURE
 
 
-def _run_render(args) -> int:
+def _run_render(scenario: None, args) -> int:
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {args.input}: {exc}") from None
-    svg = render_distribution(text, args.style)
-    _write(Path(args.out + ".svg"), svg)
+    _write(args.out, ".svg", render_distribution(text, args.style))
     return EXIT_OK
 
 
-_COMMAND_KINDS = {
-    "verify": "verify",
-    "kd": "kd_table",
-    "weak": "weak_run",
-    "seq": "sequential_run",
-    "lattice": "lattice",
-    "quantize": "quantize",
+@dataclass(frozen=True)
+class Command:
+    """A subcommand.  ``validate`` is None if it takes no config; ``default`` runs without one."""
+
+    flags: tuple[str, ...]
+    validate: Callable[[dict], None] | None
+    run: Callable[[Scenario | None, argparse.Namespace], int]
+    default: dict | None = None
+
+
+_FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "input": (("input",), {"help": "CSV or JSON export to render"}),
+    "config": (("--config",), {"help": "scenario JSON"}),
+    "style": (("--style",), {"choices": ("heatmap", "profile"), "required": True}),
+    "seed": (("--seed",), {"type": int, "default": None}),
+    "out": (("--out",), {"default": "out", "help": "output path prefix"}),
+    "format": (("--format",), {"choices": ("json", "csv"), "default": "json"}),
+}
+
+COMMANDS: dict[str, Command] = {
+    "verify": Command(
+        ("config", "seed", "out"), _check_verify, _run_verify,
+        default={"params": {"dims": list(range(2, 9)), "seeds_per_dim": 10}},
+    ),
+    "kd": Command(("config", "out", "format"), _check_kd, _run_kd),
+    "weak": Command(("config", "seed", "out"), _check_weak, _run_weak),
+    "seq": Command(("config", "seed", "out", "format"), _check_seq, _run_seq),
+    "lattice": Command(("config", "out"), _check_lattice, _run_lattice),
+    "quantize": Command(("config", "out"), _check_quantize, _run_quantize),
+    "render": Command(("input", "style", "out"), None, _run_render),
 }
 
 
@@ -339,43 +347,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verify conditional-probability identities and export distributions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("verify", "kd", "weak", "seq", "lattice", "quantize"):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="scenario JSON")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default="out", help="output path prefix")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-    p = sub.add_parser("render")
-    p.add_argument("input", help="CSV or JSON export to render")
-    p.add_argument("--style", choices=("heatmap", "profile"), required=True)
-    p.add_argument("--out", default="out", help="output path prefix")
+        for flag in command.flags:
+            names, options = _FLAGS[flag]
+            p.add_argument(*names, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        thread_cap()
-        if args.command == "render":
-            return _run_render(args)
-        kind = _COMMAND_KINDS[args.command]
-        if args.command == "verify" and args.config is None:
-            payload: dict[str, Any] = {"params": {"dims": list(range(2, 9)), "seeds_per_dim": 10}}
-        else:
-            payload = _load_config(args.config)
-        scenario = build_scenario(kind, payload, args.seed, args.out)
-        if kind == "verify":
-            return _run_verify(scenario)
-        if kind == "kd_table":
-            return _run_kd(scenario, args.format)
-        if kind == "weak_run":
-            return _run_weak(scenario)
-        if kind == "sequential_run":
-            return _run_seq(scenario, args.format)
-        if kind == "lattice":
-            return _run_lattice(scenario)
-        return _run_quantize(scenario)
+        scenario = None
+        if command.validate is not None:
+            payload = command.default if args.config is None else _load_config(args.config)
+            scenario = build_scenario(args.command, payload, getattr(args, "seed", None), args.out)
+        return command.run(scenario, args)
     except (BadGrid, ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("run 'qergo <command> --help' for usage", file=sys.stderr)

@@ -14,7 +14,6 @@ momentum-ordered running waves.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, _finish_basis, _structured_basis
+from .basis import Basis, _csv, _finish_basis, _structured_basis
 from .ccp import ccp_column, is_defined
 from .errors import (
     BadGrid,
@@ -38,6 +37,9 @@ BOX_WALL_FACTOR = 1e6
 UNWRAP_AMBIGUITY = 1.0 - 1e-6
 #: Smallest grid size; every grid size must also be even.
 MIN_GRID_SIZE = 8
+#: Level gap, relative to max(||H||, 1), at or below which neighbouring levels
+#: form one degenerate block; it equals the relative eigen-residual bound.
+DEGENERACY_RTOL = 1e-8
 
 
 def valid_grid_size(d: int) -> bool:
@@ -148,7 +150,6 @@ def build_lattice(
     mass: float,
     hbar: float,
     potential="free",
-    degeneracy_tol: float | None = None,
 ) -> LatticeSystem:
     """Construct the grid, diagonalize, and assemble the three bases.
 
@@ -168,10 +169,6 @@ def build_lattice(
         Box length and physical constants, all positive and finite.
     potential : str | tuple | dict | array_like
         'free', 'box', ('harmonic', omega), {'kind': ..., ...}, or V values.
-    degeneracy_tol : float, optional
-        Energy gap below which neighboring eigenvalues are treated as one
-        block and re-diagonalized against momentum.  Defaults to
-        1e-8 * ||H||, which keeps the eigen-residual contract intact.
 
     Raises
     ------
@@ -211,7 +208,7 @@ def build_lattice(
 
     energies, vectors = np.linalg.eigh(h)
     h_norm = float(np.max(np.abs(energies)))
-    tol = degeneracy_tol if degeneracy_tol is not None else 1e-8 * max(h_norm, 1.0)
+    tol = DEGENERACY_RTOL * max(h_norm, 1.0)
     hv = h @ vectors
 
     # Re-diagonalize (near-)degenerate blocks against momentum so the
@@ -465,17 +462,12 @@ def distribution_csv(sys: LatticeSystem, column: np.ndarray) -> str:
     """Position-distribution export (x, re, im, magnitude, phase_unwrapped)."""
     if column.shape != (sys.d,):
         raise BadGrid(f"column of shape {column.shape} for d={sys.d}")
-    mags = np.abs(column)
     angles = np.angle(column)
     try:
         unwrapped = unwrap_phase(angles)
     except PhaseUnwrapFailure:
         unwrapped = angles  # raw phases; continuation is ambiguous here
-    buf = io.StringIO()
-    buf.write("x,re,im,magnitude,phase_unwrapped\n")
-    for j in range(sys.d):
-        buf.write(
-            f"{float(sys.positions[j])!r},{float(column[j].real)!r},"
-            f"{float(column[j].imag)!r},{float(mags[j])!r},{float(unwrapped[j])!r}\n"
-        )
-    return buf.getvalue()
+    return _csv(
+        x=sys.positions.tolist(), re=column.real.tolist(), im=column.imag.tolist(),
+        magnitude=np.abs(column).tolist(), phase_unwrapped=unwrapped.tolist(),
+    )

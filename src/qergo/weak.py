@@ -33,7 +33,6 @@ stream) and keeps only the count, mean and squared-deviation sum.
 from __future__ import annotations
 
 import cmath
-import io
 import json
 import math
 from collections.abc import Callable
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis
+from .basis import Basis, _csv
 from .ccp import ccp_column, ccp_value
 from .errors import DimensionMismatch, PostSelectionStarvation, WeakRegimeViolation
 
@@ -290,15 +289,12 @@ class SequentialRun:
         return json.dumps(payload, sort_keys=True, indent=indent)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("m_label,b_label,count,frequency\n")
-        for m in range(self.m_basis.dim):
-            for b in range(self.b_basis.dim):
-                buf.write(
-                    f"{self.m_basis.labels[m]},{self.b_basis.labels[b]},"
-                    f"{int(self.counts[m, b])},{float(self.counts[m, b] / self.shots)!r}\n"
-                )
-        return buf.getvalue()
+        dim = self.m_basis.dim
+        return _csv(
+            m_label=[m for m in self.m_basis.labels for _ in range(dim)],
+            b_label=self.b_basis.labels * dim,
+            count=self.counts.ravel().tolist(), frequency=self.freqs.ravel().tolist(),
+        )
 
 
 def simulate_sequential(
@@ -343,15 +339,12 @@ class WavefunctionScan:
     coupling: float
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x_index,re,im,se_re,se_im,analytic_re,analytic_im\n")
-        for x in range(self.values.size):
-            buf.write(
-                f"{x},{float(self.values[x].real)!r},{float(self.values[x].imag)!r},"
-                f"{float(self.std_err_re[x])!r},{float(self.std_err_im[x])!r},"
-                f"{float(self.analytic[x].real)!r},{float(self.analytic[x].imag)!r}\n"
-            )
-        return buf.getvalue()
+        return _csv(
+            x_index=range(self.values.size), re=self.values.real.tolist(),
+            im=self.values.imag.tolist(), se_re=self.std_err_re.tolist(),
+            se_im=self.std_err_im.tolist(), analytic_re=self.analytic.real.tolist(),
+            analytic_im=self.analytic.imag.tolist(),
+        )
 
 
 MAX_SCAN_DIM = 64

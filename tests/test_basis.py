@@ -79,6 +79,15 @@ class TestMakeBasis:
         with pytest.raises(DimensionMismatch):
             make_basis(np.eye(3), labels=["a", "b"])
 
+    @pytest.mark.parametrize(
+        "labels",
+        [["a,1", "b"], ["<b", "c"], ["b>", "c"], ["a&", "b"], ['"a"', "b"],
+         ["a\nb", "c"], ["a\r", "b"], ["a\u2028", "b"], ["a", "a"]],
+    )
+    def test_labels_unique_and_free_of_delimiters(self, labels):
+        with pytest.raises(ValueError):
+            make_basis(np.eye(2), labels=labels)
+
 
 class TestFourierBasis:
     def test_d2_is_hadamard(self):

@@ -297,8 +297,9 @@ class TestPhaseAntisymmetry:
         def emptied(t):
             return CcpTable(t.m_basis, t.a_basis, t.b_basis, t.vals, np.zeros((2, 2), dtype=bool))
 
+        # nothing to compare: NaN, as IdentitySides.worst gives, so the check fails
         tables = (ccp_table(y2, z2, x2), ccp_table(z2, y2, x2), ccp_table(y2, x2, z2))
-        assert phase_antisymmetry_check(*map(emptied, tables)) == 0.0
+        assert math.isnan(phase_antisymmetry_check(*map(emptied, tables)))
 
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)

@@ -1,9 +1,12 @@
+import hashlib
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-from qergo.basis import MIN_DIM
+from qergo.basis import MIN_DIM, haar_random_basis
+from qergo.ccp import ccp_table
 from qergo.cli import build_scenario, main
 from qergo.render import parse_grid_csv, parse_profile_csv, render_distribution
 from qergo.errors import ConfigError, ParseError
@@ -96,6 +99,28 @@ class TestKdCommand:
         del bad["params"]["state"]
         cfg = write_config(tmp_path, "kd.json", bad)
         assert main(["kd", "--config", cfg, "--out", str(tmp_path / "kd")]) == 2
+
+    @pytest.mark.parametrize("labels", [["a,1", "<b&>"], ["a", "a"]])
+    def test_labels_that_break_artifacts_rejected(self, tmp_path, labels):
+        config = self._config()
+        config["params"]["row_basis"] = {**HADAMARD, "labels": labels}
+        cfg = write_config(tmp_path, "kd.json", config)
+        assert main(["kd", "--config", cfg, "--out", str(tmp_path / "kd"), "--format", "csv"]) == 2
+        assert not (tmp_path / "kd.csv").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_labeled_export_renders_well_formed_svg(self, tmp_path, fmt):
+        config = self._config()
+        config["params"]["row_basis"] = {**HADAMARD, "labels": ["+", "-"]}
+        config["params"]["col_basis"] = {**Y_BASIS, "labels": ["+i", "-i"]}
+        cfg = write_config(tmp_path, "kd.json", config)
+        out = str(tmp_path / "kd")
+        assert main(["kd", "--config", cfg, "--out", out, "--format", fmt]) == 0
+        assert main(["render", f"{out}.{fmt}", "--style", "heatmap", "--out", out]) == 0
+        svg = minidom.parseString((tmp_path / "kd.svg").read_bytes())
+        assert len(svg.getElementsByTagName("rect")) == 5  # background plus 2 x 2 cells
+        texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert texts == ["+", "-", "+i", "-i"]
 
 
 class TestWeakAndSeqCommands:
@@ -324,6 +349,21 @@ class TestLatticeAndQuantize:
         assert payload["pass"] is True
         assert payload["max_defect"] < 0.01
 
+    def test_quantize_fail_exits_one(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json", {"values": [0.0, 1.0, 2.5], "period": 1.0})
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "q")]) == 1
+        assert "FAIL" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "q.json").read_text())
+        assert payload["pass"] is False
+        assert payload["max_defect"] == pytest.approx(0.39788735772973816, rel=1e-12)
+
+    def test_quantize_lattice_spec_validated_before_run(self, tmp_path):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"lattice": {"d": 16}, "levels": 3, "period": 1.0}
+        )
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert not (tmp_path / "q.json").exists()
+
 
 class TestRenderErrors:
     def test_truncated_csv_names_line(self, tmp_path):
@@ -357,25 +397,6 @@ class TestRenderErrors:
         assert prof_sha == "c8acffeaaef2c6d5d22b9036ae587fc5a8003f7e84112823ae31e816853db7f3"
 
 
-class TestEnvironment:
-    def test_invalid_thread_cap_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QERGO_THREADS", "zero")
-        cfg = write_config(
-            tmp_path, "v.json", {"params": {"dims": [2], "seeds_per_dim": 1}}
-        )
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
-
-    def test_results_independent_of_thread_cap(self, tmp_path, monkeypatch):
-        cfg = write_config(
-            tmp_path, "v.json", {"params": {"dims": [2], "seeds_per_dim": 2}, "seed": 11}
-        )
-        monkeypatch.setenv("QERGO_THREADS", "1")
-        main(["verify", "--config", cfg, "--out", str(tmp_path / "t1")])
-        monkeypatch.setenv("QERGO_THREADS", "8")
-        main(["verify", "--config", cfg, "--out", str(tmp_path / "t8")])
-        assert (tmp_path / "t1.json").read_bytes() == (tmp_path / "t8.json").read_bytes()
-
-
 _KD = {
     "dim": 2,
     "state": {"basis": {"kind": "computational"}, "index": 0},
@@ -404,13 +425,13 @@ _SEQ = {
     "kind, base, key, at_limit, past_limit",
     [
         ("verify", {"seeds_per_dim": 1}, "dims", [MAX_DIM], [MAX_DIM + 1]),
-        ("weak_run", _WEAK, "g", MAX_COUPLING, float(np.nextafter(MAX_COUPLING, 1.0))),
-        ("weak_run", _WEAK, "shots", MIN_SHOTS, MIN_SHOTS - 1),
-        ("sequential_run", _SEQ, "shots", MIN_SHOTS, MIN_SHOTS - 1),
+        ("weak", _WEAK, "g", MAX_COUPLING, float(np.nextafter(MAX_COUPLING, 1.0))),
+        ("weak", _WEAK, "shots", MIN_SHOTS, MIN_SHOTS - 1),
+        ("seq", _SEQ, "shots", MIN_SHOTS, MIN_SHOTS - 1),
         ("verify", {"seeds_per_dim": 1}, "dims", [MIN_DIM], [MIN_DIM - 1]),
-        ("kd_table", _KD, "dim", MIN_DIM, MIN_DIM - 1),
-        ("weak_run", _WEAK, "dim", MIN_DIM, MIN_DIM - 1),
-        ("sequential_run", _SEQ, "dim", MIN_DIM, MIN_DIM - 1),
+        ("kd", _KD, "dim", MIN_DIM, MIN_DIM - 1),
+        ("weak", _WEAK, "dim", MIN_DIM, MIN_DIM - 1),
+        ("seq", _SEQ, "dim", MIN_DIM, MIN_DIM - 1),
     ],
 )
 def test_cli_limit_follows_library_constant(tmp_path, kind, base, key, at_limit, past_limit):
@@ -418,9 +439,8 @@ def test_cli_limit_follows_library_constant(tmp_path, kind, base, key, at_limit,
     past = {"params": {**base, key: past_limit}}
     with pytest.raises(ConfigError):
         build_scenario(kind, past, None, "out")
-    command = {"verify": "verify", "kd_table": "kd", "weak_run": "weak", "sequential_run": "seq"}
     cfg = write_config(tmp_path, "past.json", past)
-    assert main([command[kind], "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize(
@@ -433,3 +453,63 @@ def test_cli_grid_rule_follows_library(d, accepted):
     else:
         with pytest.raises(ConfigError):
             build_scenario("lattice", {"params": params}, None, "out")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("verify", "--format", "json"), ("weak", "--format", "json"),
+     ("lattice", "--format", "json"), ("quantize", "--format", "json"),
+     ("kd", "--seed", "1"), ("lattice", "--seed", "1"), ("quantize", "--seed", "1")],
+)
+def test_command_rejects_flags_it_does_not_read(command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", "unused.json", flag, value])
+    assert exc.value.code == 2
+
+
+_README_KD = {
+    "dim": 2,
+    "state": {"basis": {"kind": "computational"}, "index": 0},
+    "row_basis": {"kind": "fourier"},
+    "col_basis": {"kind": "haar", "seed": 3},
+}
+_PINNED_SEQ = {
+    "dim": 3,
+    "initial": {"basis": {"kind": "fourier"}, "index": 1},
+    "m_basis": {"kind": "computational"},
+    "b_basis": {"kind": "haar", "seed": 5},
+    "shots": 100000,
+}
+_README_LATTICE = {
+    "d": 64, "L": 1.0, "mass": 1.0, "hbar": 1.0, "potential": {"kind": "box"},
+    "column": {"energy_index": 0, "p_ref_index": 32},
+}
+
+
+class TestPinnedArtifactBytes:
+    """sha256 of exports as first pinned: any change to their bytes is a format change."""
+
+    @pytest.mark.parametrize(
+        "argv, payload, digest",
+        [
+            (["kd", "--format", "csv"], {"params": _README_KD},
+             "e8f4b4dfbdf760bbcd28123bfa6877a5eabd88403f62b466a55a7c06cb3f09a9"),
+            (["seq", "--format", "csv"], {"params": _PINNED_SEQ, "seed": 9},
+             "0de01c7d7cea13fc6c98833a09af4277b3f226b8c4255928e7e1395f05e9a51a"),
+            (["lattice"], {"params": _README_LATTICE},
+             "f8e5497b9a7ea995a6a73747a1a86b15d4618b0b2496ef8a6d67ba69bec9c4bb"),
+        ],
+        ids=["kd", "seq", "lattice"],
+    )
+    def test_cli_csv(self, tmp_path, argv, payload, digest):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+        assert hashlib.sha256((tmp_path / "x.csv").read_bytes()).hexdigest() == digest
+
+    def test_column_csv(self):
+        m, a, b = (haar_random_basis(16, s) for s in (1, 2, 3))
+        table = ccp_table(m, a, b)
+        text = "".join(table.column_csv(i, 0) for i in range(16))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d39bc2f87d43141a6565252070564770dfa9fe5cf8b60aac106d85e660ec4a64"
+        )
