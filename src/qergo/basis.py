@@ -5,6 +5,10 @@ of one sharp measurement.  Every column carries a fixed global-phase gauge
 (first component of magnitude above ``PHASE_PIVOT_TOL`` is real and
 non-negative) so that all downstream phase-sensitive quantities have a
 deterministic representative.
+
+A :class:`Basis` may hold a stack of bases, ``vectors`` of shape (..., dim,
+dim) under one labelling; functions built on it treat leading axes as
+independent bases, so a batch runs as one array program.
 """
 
 from __future__ import annotations
@@ -16,12 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    NotOrthonormal,
-    ParseError,
-)
+from .errors import DimensionMismatch, IndexOutOfRange, NotOrthonormal, ParseError
 
 #: Gram-matrix deviation accepted on user-supplied columns.
 GRAM_INPUT_TOL = 1e-8
@@ -45,6 +44,11 @@ def _as_square_complex(columns) -> np.ndarray:
     return mat
 
 
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(mat, -1, -2).conj()
+
+
 def _gram_defect(mat: np.ndarray) -> float:
     dim = mat.shape[0]
     eye = np.eye(dim)
@@ -56,14 +60,14 @@ def _gram_defect(mat: np.ndarray) -> float:
 def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
     """Rotate every column so its first component above the pivot floor is real and >= 0."""
     mags = np.abs(mat)
-    significant = mags > PHASE_PIVOT_TOL
-    rows = np.argmax(significant, axis=0)  # first significant row of each column
-    cols = np.arange(mat.shape[1])
-    empty = ~significant[rows, cols]
+    # First significant row of each column; row 0 of a column with none.
+    rows = np.argmax(mags > PHASE_PIVOT_TOL, axis=-2)[..., np.newaxis, :]
+    pivot_mags = np.take_along_axis(mags, rows, axis=-2)
+    empty = ~(pivot_mags > PHASE_PIVOT_TOL)
     if empty.any():
-        raise NotOrthonormal(f"column {int(np.flatnonzero(empty)[0])} is numerically zero")
-    pivots = mat[rows, cols]
-    return mat * (np.conj(pivots) / mags[rows, cols])
+        column = int(np.flatnonzero(empty)[0]) % mat.shape[-1]
+        raise NotOrthonormal(f"column {column} is numerically zero")
+    return mat * (np.conj(np.take_along_axis(mat, rows, axis=-2)) / pivot_mags)
 
 
 def _json_field(payload, key: str):
@@ -105,13 +109,13 @@ class Basis:
     """Immutable orthonormal basis with outcome labels and optional values."""
 
     dim: int
-    vectors: np.ndarray  # (dim, dim); column k is outcome k
+    vectors: np.ndarray  # (..., dim, dim); column k is outcome k
     labels: tuple[str, ...]
     values: np.ndarray | None = None  # real outcome values, shape (dim,)
 
     def column(self, k: int) -> np.ndarray:
         self.check_index(k)
-        return self.vectors[:, k]
+        return self.vectors[..., k]
 
     def check_index(self, k: int) -> None:
         if not 0 <= k < self.dim:
@@ -124,10 +128,14 @@ class Basis:
         return complex(np.vdot(self.vectors[:, j], other.vectors[:, k]))
 
     def overlaps_with(self, other: "Basis") -> np.ndarray:
-        """Matrix of amplitudes <self_j | other_k>, shape (dim, dim)."""
+        """Matrix of amplitudes <self_j | other_k>, shape (..., dim, dim)."""
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} vs {other.dim}")
-        return self.vectors.conj().T @ other.vectors
+        return _adjoint(self.vectors) @ other.vectors
+
+    def amplitudes(self, vec: np.ndarray) -> np.ndarray:
+        """Components <self_k | vec> of a vector, or of a stack of them, shape (..., dim)."""
+        return (_adjoint(self.vectors) @ vec[..., np.newaxis])[..., 0]
 
     def compatible_with(self, other: "Basis", tol: float = 1e-12) -> bool:
         return (
@@ -224,18 +232,18 @@ def _finish_basis(
     labels: Sequence[str] | None = None,
     values: Sequence[float] | None = None,
 ) -> Basis:
-    """Gauge-fix, Gram-check, label and freeze a square unitary matrix, dim >= 2.
+    """Gauge-fix, Gram-check, label and freeze a unitary matrix or stack of them, dim >= 2.
 
     ``make_basis`` ends here after its polar step.  Matrices that are
     unitary by construction (Haar QR, ``eigh`` output) come here directly:
-    they skip the polar step but keep the Gram gate.  A real matrix is
-    gauge-fixed and Gram-checked in real arithmetic, then cast to complex.
+    they skip the polar step but keep the Gram gate, one for a stack.  A
+    real matrix is gauge-fixed and Gram-checked in real arithmetic, then cast.
     """
-    dim = mat.shape[0]
+    dim = mat.shape[-1]
     mat = _fix_column_phases(mat)
     # One side suffices: for square U, U^H U and U U^H are similar, so their
     # deviations from I share one spectrum (and spectral norm).
-    internal = float(np.max(np.abs(mat.conj().T @ mat - np.eye(dim))))
+    internal = float(np.max(np.abs(_adjoint(mat) @ mat - np.eye(dim))))
     if not internal <= GRAM_INTERNAL_TOL:
         raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
     label_tuple, value_arr = _checked_labels_values(dim, labels, values)
@@ -338,30 +346,37 @@ def fourier_basis(dim: int) -> Basis:
     return _structured_basis(dim, 0, labels=[f"f{k}" for k in range(dim)])
 
 
-def haar_random_basis(dim: int, seed: int) -> Basis:
-    """Haar-uniform random basis, deterministic for a fixed seed.
+def haar_random_bases(dim: int, seeds: Sequence[int]) -> Basis:
+    """Stack of Haar-uniform random bases, entry k deterministic for ``seeds[k]``.
 
-    Draws a complex standard-normal matrix and orthonormalizes by QR with
-    the R-diagonal phase correction that makes the resulting unitary
-    exactly Haar-distributed (plain QR is not, because the QR phase gauge
-    is not uniform).
+    Each seed draws a complex standard-normal matrix, real parts first; one
+    QR with the R-diagonal phase correction makes each exactly
+    Haar-distributed (plain QR is not: its phase gauge is not uniform).
     """
     if dim < MIN_DIM:
         raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))
+    parts = np.empty((len(seeds), 2, dim, dim))
+    for draw, seed in zip(parts, seeds):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+        rng.standard_normal(out=draw)
+    q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q = q * (diag / np.abs(diag))[:, np.newaxis, :]
     return _finish_basis(q, labels=[f"u{k}" for k in range(dim)])
 
 
+def haar_random_basis(dim: int, seed: int) -> Basis:
+    """Haar-uniform random basis, deterministic for a fixed seed; see :func:`haar_random_bases`."""
+    stack = haar_random_bases(dim, [seed])
+    return Basis(dim=dim, vectors=stack.vectors[0], labels=stack.labels)
+
+
 def ergodic_prob(basis_x: Basis, x: int, basis_y: Basis, y: int) -> float:
-    """Transition probability |<x|y>|^2 between two outcome vectors."""
+    """Transition probability |<x|y>|^2 between two outcome vectors, per stacked basis."""
     if basis_x.dim != basis_y.dim:
         raise DimensionMismatch(f"dim {basis_x.dim} vs {basis_y.dim}")
-    amp = basis_x.overlap(x, basis_y, y)
-    return float(abs(amp) ** 2)
+    basis_x.check_index(x)
+    return np.abs(basis_x.amplitudes(basis_y.column(y))[..., x]) ** 2
 
 
 def ergodic_table(basis_x: Basis, basis_y: Basis) -> ErgodicTable:

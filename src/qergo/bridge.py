@@ -5,7 +5,8 @@ alone; the matching linear-algebra quantities serve only as test oracles.
 A fixed reference outcome b supplies the phase standard: the reconstructed
 amplitudes equal the conventional ones in the gauge where every overlap
 with b is real and non-negative, so comparisons against raw amplitudes
-must re-gauge first (see :func:`reference_gauge_amplitudes`).
+must re-gauge first (see :func:`reference_gauge_amplitudes`).  Stacked
+bases and tables (see :mod:`.basis`) give results with the same leading axes.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ REFERENCE_OVERLAP_FLOOR = 1e-14
 
 def _reference_probs(basis: Basis, basis_b: Basis, b_ref: int) -> np.ndarray:
     """Transition probabilities p(x|b_ref) for every outcome x of ``basis``."""
-    return np.abs(basis.vectors.conj().T @ basis_b.column(b_ref)) ** 2
+    return np.abs(basis.amplitudes(basis_b.column(b_ref))) ** 2
 
 
 def reconstruct_vector(table: CcpTable, b_ref: int) -> np.ndarray:
@@ -41,14 +42,12 @@ def reconstruct_vector(table: CcpTable, b_ref: int) -> np.ndarray:
     by the reference outcome, up to one global phase.
     """
     p_m_b = _reference_probs(table.m_basis, table.b_basis, b_ref)
-    if not table.defined_mask[:, b_ref].all():
+    if not table.defined_mask[..., b_ref].all():
         raise OrthogonalCondition("an initial outcome is orthogonal to the reference")
     if np.any(p_m_b <= REFERENCE_OVERLAP_FLOOR):
-        raise ZeroReferenceOverlap(
-            "reference outcome is orthogonal to an intermediate outcome"
-        )
+        raise ZeroReferenceOverlap("reference outcome is orthogonal to an intermediate outcome")
     p_a_b = _reference_probs(table.a_basis, table.b_basis, b_ref)
-    return np.sqrt(p_a_b[np.newaxis, :] / p_m_b[:, np.newaxis]) * table.vals[:, :, b_ref]
+    return np.sqrt(p_a_b[..., np.newaxis, :] / p_m_b[..., np.newaxis]) * table.vals[..., b_ref]
 
 
 def reference_gauge_amplitudes(
@@ -61,9 +60,9 @@ def reference_gauge_amplitudes(
     outcome, the gauge in which the reconstruction identity is exact.
     """
     b_vec = basis_b.column(b_ref)
-    beta = np.angle(basis_m.vectors.conj().T @ b_vec)  # Arg <m|b_ref>
-    alpha = np.angle(basis_a.vectors.conj().T @ b_vec)  # Arg <a|b_ref>
-    phases = np.exp(1j * (alpha[np.newaxis, :] - beta[:, np.newaxis]))
+    beta = np.angle(basis_m.amplitudes(b_vec))  # Arg <m|b_ref>
+    alpha = np.angle(basis_a.amplitudes(b_vec))  # Arg <a|b_ref>
+    phases = np.exp(1j * (alpha[..., np.newaxis, :] - beta[..., np.newaxis]))
     return basis_m.overlaps_with(basis_a) * phases
 
 
@@ -90,14 +89,15 @@ def _paired_conditionals(
     if len({basis_t.dim, basis_m.dim, basis_s.dim, basis_b.dim}) != 1:
         raise DimensionMismatch("all four bases must share one dimension")
     b_vec = basis_b.column(b_ref)
-    b_s = np.conj(basis_s.vectors.conj().T @ b_vec)  # <b|s>
+    b_s = np.conj(basis_s.amplitudes(b_vec))  # <b|s>
     if not is_defined(b_s).all():
         raise OrthogonalCondition("an initial outcome is orthogonal to the reference")
-    b_t = np.conj(basis_t.vectors.conj().T @ b_vec)  # <b|t>
-    b_m = np.conj(basis_m.vectors.conj().T @ b_vec)  # <b|m>
+    b_t = np.conj(basis_t.amplitudes(b_vec))  # <b|t>
+    b_m = np.conj(basis_m.amplitudes(b_vec))  # <b|m>
     scale = np.where(is_defined(b_m), b_m, 1.0)
-    left = b_t[:, np.newaxis] * basis_t.overlaps_with(basis_m) / scale  # p(t|m,b)
-    right = scale[:, np.newaxis] * basis_m.overlaps_with(basis_s) / b_s  # p(m|s,b)
+    t_m, m_s = basis_t.overlaps_with(basis_m), basis_m.overlaps_with(basis_s)
+    left = b_t[..., np.newaxis] * t_m / scale[..., np.newaxis, :]  # p(t|m,b)
+    right = scale[..., np.newaxis] * m_s / b_s[..., np.newaxis, :]  # p(m|s,b)
     return left, right
 
 
@@ -115,7 +115,7 @@ def inner_product_ccp(
         raise OrthogonalCondition("a target outcome is orthogonal to the reference")
     p_a_b = _reference_probs(basis_a, basis_b, b_ref)
     left, right = _paired_conditionals(basis_f, basis_m, basis_a, basis_b, b_ref)
-    return np.sqrt(p_a_b[np.newaxis, :] / p_f_b[:, np.newaxis]) * (left @ right)
+    return np.sqrt(p_a_b[..., np.newaxis, :] / p_f_b[..., np.newaxis]) * (left @ right)
 
 
 def born_rule_coherence(
@@ -132,7 +132,7 @@ def born_rule_coherence(
     # double sum factorizes into sum_m p(f|m,b) p(m|a,b) times its mirror.
     left, right = _paired_conditionals(basis_f, basis_m, basis_a, basis_b, b_ref)
     back_left, back_right = _paired_conditionals(basis_a, basis_m, basis_f, basis_b, b_ref)
-    total = (left @ right) * (back_left @ back_right).T
+    total = (left @ right) * np.swapaxes(back_left @ back_right, -1, -2)
     residue = float(np.max(np.abs(total.imag)))
     if residue >= IMAG_RESIDUE_TOL / 10:
         raise NumericsError(f"imaginary residue {residue:.3e} in coherence sum")
@@ -151,21 +151,21 @@ class JointQuasiProb:
 
     a_basis: Basis
     b_basis: Basis
-    vals: np.ndarray  # (dim, dim), complex
-    sandwich: np.ndarray | None = None  # (dim, dim), complex
+    vals: np.ndarray  # (..., dim, dim), complex
+    sandwich: np.ndarray | None = None  # (..., dim, dim), complex
 
     @property
     def dim(self) -> int:
         return self.a_basis.dim
 
     def total(self) -> complex:
-        return complex(self.vals.sum())
+        return self.vals.sum(axis=(-2, -1))[()]
 
     def marginal_a(self) -> np.ndarray:
-        return self.vals.sum(axis=1)
+        return self.vals.sum(axis=-1)
 
     def marginal_b(self) -> np.ndarray:
-        return self.vals.sum(axis=0)
+        return self.vals.sum(axis=-2)
 
     def to_json(self, indent: int | None = None) -> str:
         payload = {
@@ -203,17 +203,15 @@ class JointQuasiProb:
 
 
 def _validate_joint(vals: np.ndarray) -> None:
-    total = vals.sum()
-    if abs(total - 1.0) >= 1e-9:
+    total = vals.sum(axis=(-2, -1))
+    if np.any(abs(total - 1.0) >= 1e-9):
         raise NumericsError(f"joint total {total} deviates from 1")
-    for marg in (vals.sum(axis=0), vals.sum(axis=1)):
+    for marg in (vals.sum(axis=-2), vals.sum(axis=-1)):
         if np.max(np.abs(marg.imag)) >= 1e-9 or np.min(marg.real) <= -1e-9:
             raise NumericsError("joint marginals are not real non-negative")
 
 
-def pure_state_joint(
-    state: tuple[Basis, int], basis_a: Basis, basis_b: Basis
-) -> JointQuasiProb:
+def pure_state_joint(state: tuple[Basis, int], basis_a: Basis, basis_b: Basis) -> JointQuasiProb:
     """Joint quasiprobability of a sharply prepared outcome over (A, B).
 
     Entry (a, b) is conj(p(m|a,b)) p(b|a) = <a|m><m|b><b|a>, evaluated in
@@ -224,12 +222,12 @@ def pure_state_joint(
     if basis_m.dim != basis_a.dim or basis_m.dim != basis_b.dim:
         raise DimensionMismatch("state and joint bases must share one dimension")
     basis_m.check_index(m)
-    psi = basis_m.vectors[:, m]
-    a_psi = basis_a.vectors.conj().T @ psi  # <a|m>
-    psi_b = np.conj(basis_b.vectors.conj().T @ psi)  # <m|b>
-    sandwich = np.outer(a_psi, psi_b)  # <a|m><m|b>
-    b_a = basis_b.overlaps_with(basis_a)  # <b|a>, [b, a]
-    vals = sandwich * b_a.T
+    psi = basis_m.vectors[..., m]
+    a_psi = basis_a.amplitudes(psi)  # <a|m>
+    psi_b = np.conj(basis_b.amplitudes(psi))  # <m|b>
+    sandwich = a_psi[..., np.newaxis] * psi_b[..., np.newaxis, :]  # <a|m><m|b>
+    b_a = basis_b.overlaps_with(basis_a)  # <b|a>, [..., b, a]
+    vals = sandwich * np.swapaxes(b_a, -1, -2)
     _validate_joint(vals)
     vals.setflags(write=False)
     sandwich.setflags(write=False)
@@ -279,11 +277,12 @@ def predict_outcome_prob(joint: JointQuasiProb, basis_m: Basis) -> np.ndarray:
         raise BasisMismatch(f"dim {basis_m.dim} vs joint dim {joint.dim}")
     if joint.sandwich is not None:
         m_a = basis_m.overlaps_with(joint.a_basis)  # <m|a>
-        b_m = np.conj(basis_m.overlaps_with(joint.b_basis))  # <b|m>, indexed [m, b]
-        total = np.sum((m_a @ joint.sandwich) * b_m, axis=1)
+        b_m = np.conj(basis_m.overlaps_with(joint.b_basis))  # <b|m>, indexed [..., m, b]
+        total = np.sum((m_a @ joint.sandwich) * b_m, axis=-1)
     else:
         table = ccp_table(basis_m, joint.a_basis, joint.b_basis)
-        total = np.where(table.defined_mask, table.vals * joint.vals, 0.0).sum(axis=(1, 2))
+        mask, rho = table.defined_mask[..., np.newaxis, :, :], joint.vals[..., np.newaxis, :, :]
+        total = np.where(mask, table.vals * rho, 0.0).sum(axis=(-2, -1))
     residue = float(np.max(np.abs(total.imag)))
     if residue >= 1e-10:
         raise NumericsError(f"imaginary residue {residue:.3e} in prediction")

@@ -11,7 +11,8 @@ the product law p(a|m,b) p(m|a,b) = p(m|a), phase antisymmetry, Bayesian
 conversion, the sequential back-action relation, and the vanishing of the
 conditional spread of any outcome value.  Each identity takes the tables
 its caller has built and returns its two sides over every index at once
-(:class:`IdentitySides`).
+(:class:`IdentitySides`).  Tables over stacked bases (see :mod:`.basis`)
+carry their leading axes: each identity runs per triple, as one array program.
 
 Pairs (a, b) with |<b|a>| at or below ``ORTHOGONALITY_CUTOFF`` are
 undefined (:func:`is_defined`): column operations raise
@@ -21,12 +22,11 @@ undefined (:func:`is_defined`): column operations raise
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _csv, _json_complex, _json_field, ergodic_table
+from .basis import Basis, _adjoint, _csv, _json_complex, _json_field, _freeze, ergodic_table
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -65,6 +65,11 @@ def _require_same(*pairs: tuple[Basis, Basis]) -> None:
         raise BasisMismatch("tables do not share the bases this identity pairs")
 
 
+def _require_over(table: "CcpTable", m: Basis, a: Basis, b: Basis) -> None:
+    """Raise :class:`BasisMismatch` unless ``table`` is over the bases (m, a, b)."""
+    _require_same((table.m_basis, m), (table.a_basis, a), (table.b_basis, b))
+
+
 def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -> np.ndarray:
     """All p(m|a,b) for fixed (a, b), as a length-dim complex array.
 
@@ -87,9 +92,7 @@ def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -
     return b_m * m_a / denom
 
 
-def ccp_value(
-    basis_m: Basis, m: int, basis_a: Basis, a: int, basis_b: Basis, b: int
-) -> complex:
+def ccp_value(basis_m: Basis, m: int, basis_a: Basis, a: int, basis_b: Basis, b: int) -> complex:
     """Single complex conditional probability p(m|a,b) = <b|m><m|a>/<b|a>."""
     basis_m.check_index(m)
     return complex(ccp_column(basis_m, basis_a, a, basis_b, b)[m])
@@ -99,15 +102,16 @@ def ccp_value(
 class CcpTable:
     """Complex conditional probabilities p(m|a,b) for one basis triple.
 
-    ``vals[m, a, b]`` holds the conditional; entries of undefined (a, b)
-    pairs are zeroed and flagged False in ``defined_mask[a, b]``.
+    ``vals[..., m, a, b]`` holds the conditional; entries of undefined
+    (a, b) pairs are zeroed and flagged False in ``defined_mask[..., a, b]``.
+    Leading axes, if any, are those of the stacked bases.
     """
 
     m_basis: Basis
     a_basis: Basis
     b_basis: Basis
-    vals: np.ndarray  # (dim, dim, dim), complex
-    defined_mask: np.ndarray  # (dim, dim), bool over (a, b)
+    vals: np.ndarray  # (..., dim, dim, dim), complex
+    defined_mask: np.ndarray  # (..., dim, dim), bool over (a, b)
 
     @property
     def dim(self) -> int:
@@ -116,7 +120,7 @@ class CcpTable:
     def require_defined(self, a: int, b: int) -> None:
         self.a_basis.check_index(a)
         self.b_basis.check_index(b)
-        if not self.defined_mask[a, b]:
+        if not np.all(self.defined_mask[..., a, b]):
             raise OrthogonalCondition(
                 f"(a={self.a_basis.labels[a]}, b={self.b_basis.labels[b]}) "
                 "is an orthogonal pre/post pair"
@@ -129,11 +133,11 @@ class CcpTable:
 
     def column(self, a: int, b: int) -> np.ndarray:
         self.require_defined(a, b)
-        return self.vals[:, a, b]
+        return self.vals[..., :, a, b]
 
-    def normalization_defect(self) -> float:
-        """Worst |sum_m p(m|a,b) - 1| over defined (a, b) pairs."""
-        return IdentitySides(self.vals.sum(axis=0), 1.0, self.defined_mask).worst()
+    def normalization_defect(self):
+        """Worst |sum_m p(m|a,b) - 1| over defined (a, b) pairs, per stacked table."""
+        return IdentitySides(self.vals.sum(axis=-3), 1.0, self.defined_mask, axes=2).worst()
 
     def to_json(self, indent: int | None = None) -> str:
         payload = {
@@ -180,20 +184,41 @@ class CcpTable:
 
 def ccp_table(basis_m: Basis, basis_a: Basis, basis_b: Basis) -> CcpTable:
     """Full conditional table over (m, a, b) with undefined pairs masked."""
-    _require_shared_dim(basis_m, basis_a, basis_b)
-    b_a = basis_b.overlaps_with(basis_a)  # <b|a>, indexed [b, a]
-    b_m = basis_b.overlaps_with(basis_m)  # <b|m>, indexed [b, m]
-    m_a = basis_m.overlaps_with(basis_a)  # <m|a>, indexed [m, a]
-    mask = is_defined(b_a.T)  # indexed [a, b]
-    num = np.einsum("bm,ma->mab", b_m, m_a)
-    denom = b_a.T[np.newaxis, :, :]
-    vals = np.zeros_like(num)
-    np.divide(num, denom, out=vals, where=mask[np.newaxis, :, :])
-    vals.setflags(write=False)
-    mask.setflags(write=False)
-    return CcpTable(
-        m_basis=basis_m, a_basis=basis_a, b_basis=basis_b, vals=vals, defined_mask=mask
-    )
+    return ccp_tables({"m": basis_m, "a": basis_a, "b": basis_b}, ["mab"])["mab"]
+
+
+def ccp_tables(bases: dict[str, Basis], names: list[str]) -> dict[str, CcpTable]:
+    """Tables named by three one-letter keys of ``bases`` in (m, a, b) order.
+
+    ``ccp_tables({"m": m, "a": a, "b": b}, ["mab", "amb"])`` holds ``ccp_table(m, a, b)``
+    and ``ccp_table(a, m, b)``.  Each overlap matrix is formed once per pair of bases.
+    """
+    _require_shared_dim(*bases.values())
+    amps: dict[str, np.ndarray] = {}
+
+    def amp(x: str, y: str) -> np.ndarray:  # <x|y>, indexed [..., x, y]
+        if x + y not in amps:
+            yx = amps.get(y + x)
+            amps[x + y] = bases[x].overlaps_with(bases[y]) if yx is None else _adjoint(yx)
+        return amps[x + y]
+
+    shape = np.broadcast_shapes(*(x.vectors.shape for x in bases.values()))
+    # Stored as [..., b, m, a], so chain_compose's sum over m is a contiguous matrix
+    # product; ``vals`` is the [..., m, a, b] view.  One allocation for all tables
+    # lets the next call reuse it rather than fault fresh pages in.
+    store = np.empty((len(names), *shape[:-1], shape[-1], shape[-1]), dtype=np.complex128)
+    tables = {}
+    for name, vals in zip(names, store):
+        m, a, b = name
+        b_a = amp(b, a)
+        mask = is_defined(b_a)  # [..., b, a]
+        np.einsum("...bm,...ma->...bma", amp(b, m), amp(m, a), out=vals)
+        vals /= np.where(mask, b_a, 1.0)[..., :, np.newaxis, :]
+        if not mask.all():
+            np.copyto(vals, 0.0, where=~mask[..., :, np.newaxis, :])
+        vals, mask = np.moveaxis(vals, -3, -1), np.swapaxes(mask, -1, -2)
+        tables[name] = CcpTable(bases[m], bases[a], bases[b], _freeze(vals), _freeze(mask))
+    return tables
 
 
 def chain_compose(outer: CcpTable, inner: CcpTable) -> CcpTable:
@@ -205,18 +230,13 @@ def chain_compose(outer: CcpTable, inner: CcpTable) -> CcpTable:
     conditional was defined.
     """
     _require_same((outer.a_basis, inner.m_basis), (outer.b_basis, inner.b_basis))
-    vals = (outer.vals.transpose(2, 0, 1) @ inner.vals.transpose(2, 0, 1)).transpose(1, 2, 0)
-    mask = inner.defined_mask & outer.defined_mask.all(axis=0)[np.newaxis, :]
-    vals = np.where(mask[np.newaxis, :, :], vals, 0.0)
-    vals.setflags(write=False)
-    mask.setflags(write=False)
-    return CcpTable(
-        m_basis=outer.m_basis,
-        a_basis=inner.a_basis,
-        b_basis=inner.b_basis,
-        vals=vals,
-        defined_mask=mask,
-    )
+    # One matrix product per b, over [..., b, f, m] and [..., b, m, a].
+    vals = np.moveaxis(outer.vals, -1, -3) @ np.moveaxis(inner.vals, -1, -3)
+    mask = inner.defined_mask & outer.defined_mask.all(axis=-2)[..., np.newaxis, :]
+    if not mask.all():
+        np.copyto(vals, 0.0, where=~np.swapaxes(mask, -1, -2)[..., :, np.newaxis, :])
+    vals = _freeze(np.moveaxis(vals, -3, -1))
+    return CcpTable(outer.m_basis, inner.a_basis, inner.b_basis, vals, _freeze(mask))
 
 
 @dataclass(frozen=True)
@@ -224,22 +244,26 @@ class IdentitySides:
     """Both sides of an identity over every index, and where it is defined.
 
     ``mask`` broadcasts against ``lhs`` and ``rhs``; entries outside it
-    involve an undefined conditional and are not compared.
+    involve an undefined conditional and are not compared.  ``axes`` counts
+    the trailing axes compared (None: all); each leading index has its own worst.
     """
 
     lhs: np.ndarray
     rhs: np.ndarray
     mask: np.ndarray
+    axes: int | None = None
 
-    def worst(self) -> float:
-        """Largest |lhs - rhs| over the mask.
+    def worst(self):
+        """Largest |lhs - rhs| over the mask: a float, or one per stacked instance.
 
         NaN if the mask is empty or a compared entry is NaN, so a check with
         nothing to compare fails rather than reading 0.
         """
         dev = np.abs(self.lhs - self.rhs)
-        kept = dev[np.broadcast_to(self.mask, dev.shape)]
-        return float(kept.max()) if kept.size else math.nan
+        axes = None if self.axes is None else tuple(range(-self.axes, 0))
+        mask = np.broadcast_to(self.mask, dev.shape)  # a view: nothing is copied
+        top = np.max(dev, axis=axes, where=mask, initial=-np.inf)
+        return np.where(np.any(mask, axis=axes), top, np.nan)[()]
 
 
 def determinism_residual(composed: CcpTable) -> IdentitySides:
@@ -250,7 +274,8 @@ def determinism_residual(composed: CcpTable) -> IdentitySides:
     """
     _require_same((composed.m_basis, composed.a_basis))
     delta = np.eye(composed.dim)[:, :, np.newaxis]
-    return IdentitySides(composed.vals, delta, composed.defined_mask)
+    mask = composed.defined_mask[..., np.newaxis, :, :]
+    return IdentitySides(composed.vals, delta, mask, axes=3)
 
 
 def ergodicity_product(forward: CcpTable, backward: CcpTable) -> IdentitySides:
@@ -259,15 +284,11 @@ def ergodicity_product(forward: CcpTable, backward: CcpTable) -> IdentitySides:
     ``forward`` is the table over (M, A, B), ``backward`` the one over
     (A, M, B).  The product is real and independent of b.
     """
-    _require_same(
-        (forward.m_basis, backward.a_basis),
-        (forward.a_basis, backward.m_basis),
-        (forward.b_basis, backward.b_basis),
-    )
-    prod = np.transpose(backward.vals, (1, 0, 2)) * forward.vals  # [m, a, b]
+    _require_over(backward, forward.a_basis, forward.m_basis, forward.b_basis)
+    prod = np.swapaxes(backward.vals, -3, -2) * forward.vals  # [..., m, a, b]
     p_m_a = ergodic_table(forward.m_basis, forward.a_basis).probs
-    mask = forward.defined_mask[np.newaxis, :, :] & backward.defined_mask[:, np.newaxis, :]
-    return IdentitySides(prod, p_m_a[:, :, np.newaxis], mask)
+    mask = forward.defined_mask[..., np.newaxis, :, :] & backward.defined_mask[..., np.newaxis, :]
+    return IdentitySides(prod, p_m_a[..., np.newaxis], mask, axes=3)
 
 
 def backaction_check(table: CcpTable) -> IdentitySides:
@@ -275,18 +296,18 @@ def backaction_check(table: CcpTable) -> IdentitySides:
 
     Summed over m, the two sides give the dephasing decomposition.
     """
-    p_b_m = ergodic_table(table.b_basis, table.m_basis).probs  # [b, m]
-    p_m_a = ergodic_table(table.m_basis, table.a_basis).probs  # [m, a]
-    p_b_a = ergodic_table(table.b_basis, table.a_basis).probs  # [b, a]
-    seq = p_b_m.T[:, np.newaxis, :] * p_m_a[:, :, np.newaxis]
-    direct = p_b_a.T[np.newaxis, :, :] * np.abs(table.vals) ** 2
-    return IdentitySides(seq, direct, table.defined_mask)
+    p_b_m = ergodic_table(table.b_basis, table.m_basis).probs  # [..., b, m]
+    p_m_a = ergodic_table(table.m_basis, table.a_basis).probs  # [..., m, a]
+    p_b_a = ergodic_table(table.b_basis, table.a_basis).probs  # [..., b, a]
+    seq = np.swapaxes(p_b_m, -1, -2)[..., :, np.newaxis, :] * p_m_a[..., np.newaxis]
+    direct = np.abs(table.vals)
+    np.square(direct, out=direct)
+    direct *= np.swapaxes(p_b_a, -1, -2)[..., np.newaxis, :, :]
+    return IdentitySides(seq, direct, table.defined_mask[..., np.newaxis, :, :], axes=3)
 
 
-def phase_antisymmetry_check(
-    forward: CcpTable, backward: CcpTable, swapped: CcpTable
-) -> float:
-    """Worst circular defect of the two phase-reversal identities.
+def phase_antisymmetry_check(forward: CcpTable, backward: CcpTable, swapped: CcpTable):
+    """Worst circular defect of the two phase-reversal identities, per stacked triple.
 
     Checks Arg p(a|m,b) = -Arg p(m|a,b) and Arg p(m|a,b) = -Arg p(m|b,a)
     over all defined triples, from the tables over (M, A, B), (A, M, B)
@@ -294,28 +315,23 @@ def phase_antisymmetry_check(
     ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  As with
     :meth:`IdentitySides.worst`, a NaN entry or an empty mask gives NaN.
     """
-    _require_same(
-        (forward.m_basis, backward.a_basis),
-        (forward.a_basis, backward.m_basis),
-        (forward.b_basis, backward.b_basis),
-        (forward.m_basis, swapped.m_basis),
-        (forward.a_basis, swapped.b_basis),
-        (forward.b_basis, swapped.a_basis),
-    )
-    fwd = forward.vals  # [m, a, b]
-    rev = np.transpose(backward.vals, (1, 0, 2))  # p(a|m,b) -> [m, a, b]
-    swap = np.transpose(swapped.vals, (0, 2, 1))  # p(m|b,a) -> [m, a, b]
+    _require_over(backward, forward.a_basis, forward.m_basis, forward.b_basis)
+    _require_over(swapped, forward.m_basis, forward.b_basis, forward.a_basis)
+    fwd = forward.vals  # [..., m, a, b]
+    rev = np.swapaxes(backward.vals, -3, -2)  # p(a|m,b) -> [..., m, a, b]
+    swap = np.swapaxes(swapped.vals, -2, -1)  # p(m|b,a) -> [..., m, a, b]
 
-    ok_fwd = forward.defined_mask[np.newaxis, :, :] & ~(np.abs(fwd) < PHASE_FLOOR)
-    ok_rev = backward.defined_mask.T[np.newaxis, :, :] & ~(np.abs(rev) < PHASE_FLOOR)
-    ok_swap = swapped.defined_mask.T[np.newaxis, :, :] & ~(np.abs(swap) < PHASE_FLOOR)
+    ok_fwd = forward.defined_mask[..., np.newaxis, :, :] & ~(np.abs(fwd) < PHASE_FLOOR)
+    ok_rev = backward.defined_mask[..., :, np.newaxis, :] & ~(np.abs(rev) < PHASE_FLOOR)
+    swap_mask = np.swapaxes(swapped.defined_mask, -1, -2)[..., np.newaxis, :, :]
+    ok_swap = swap_mask & ~(np.abs(swap) < PHASE_FLOOR)
 
     # Arg(u) + Arg(v) and Arg(u v) agree on the circle, and np.angle lies in
     # [-pi, pi], so |Arg(u v)| is the circular defect.
-    return float(np.max([
-        IdentitySides(np.angle(other * fwd), 0.0, ok_fwd & ok_other).worst()
+    return np.maximum(*(
+        IdentitySides(np.angle(other * fwd), 0.0, ok_fwd & ok_other, axes=3).worst()
         for other, ok_other in ((rev, ok_rev), (swap, ok_swap))
-    ]))
+    ))
 
 
 def bayes_convert(forward: CcpTable, converted: CcpTable) -> IdentitySides:
@@ -324,21 +340,18 @@ def bayes_convert(forward: CcpTable, converted: CcpTable) -> IdentitySides:
     ``forward`` is the table over (M, A, B), ``converted`` the one over
     (A, B, M).
     """
-    _require_same(
-        (forward.m_basis, converted.b_basis),
-        (forward.a_basis, converted.m_basis),
-        (forward.b_basis, converted.a_basis),
-    )
-    p_a_b = ergodic_table(forward.a_basis, forward.b_basis).probs  # [a, b]
-    p_m_b = ergodic_table(forward.m_basis, forward.b_basis).probs  # [m, b]
-    lhs = forward.vals * p_a_b[np.newaxis, :, :]
-    rhs = np.transpose(converted.vals, (2, 0, 1)) * p_m_b[:, np.newaxis, :]
-    mask = forward.defined_mask[np.newaxis, :, :] & converted.defined_mask.T[:, np.newaxis, :]
-    return IdentitySides(lhs, rhs, mask)
+    _require_over(converted, forward.a_basis, forward.b_basis, forward.m_basis)
+    p_a_b = ergodic_table(forward.a_basis, forward.b_basis).probs  # [..., a, b]
+    p_m_b = ergodic_table(forward.m_basis, forward.b_basis).probs  # [..., m, b]
+    lhs = forward.vals * p_a_b[..., np.newaxis, :, :]
+    rhs = np.moveaxis(converted.vals, -1, -3) * p_m_b[..., :, np.newaxis, :]
+    converted_mask = np.swapaxes(converted.defined_mask, -1, -2)[..., :, np.newaxis, :]
+    mask = forward.defined_mask[..., np.newaxis, :, :] & converted_mask
+    return IdentitySides(lhs, rhs, mask, axes=3)
 
 
 def ozawa_error(composed: CcpTable) -> np.ndarray:
-    """Average conditional uncertainty of the values carried by A, per condition b.
+    """Average conditional uncertainty of the values carried by A, per (stacked) condition b.
 
     ``composed`` is the determinism composition sum_m p(a'|m,b) p(m|a,b)
     over (A, A, B), as :func:`determinism_residual` takes it.  Evaluates
@@ -352,11 +365,11 @@ def ozawa_error(composed: CcpTable) -> np.ndarray:
         raise MissingValues("initial basis carries no outcome values")
     _require_same((composed.m_basis, composed.a_basis))
     half_sq = 0.5 * (values[:, np.newaxis] - values[np.newaxis, :]) ** 2  # [a, a']
-    p_a_b = ergodic_table(composed.a_basis, composed.b_basis).probs  # [a, b]
-    eps = np.einsum("aA,Aab->b", half_sq, composed.vals * p_a_b)
+    p_a_b = ergodic_table(composed.a_basis, composed.b_basis).probs  # [..., a, b]
+    eps = np.einsum("aA,...Aab->...b", half_sq, composed.vals * p_a_b[..., np.newaxis, :, :])
     if np.max(np.abs(eps.imag)) >= IMAG_RESIDUE_TOL:
         raise NumericsError(f"imaginary residue {np.max(np.abs(eps.imag)):.3e} in epsilon^2")
-    return np.where(composed.defined_mask.all(axis=0), eps.real, np.nan)
+    return np.where(composed.defined_mask.all(axis=-2), eps.real, np.nan)
 
 
 def sampling_variance(values, probs) -> float:

@@ -112,7 +112,10 @@ def basis_from_spec(spec: Any, dim: int) -> Basis:
         re = _need(spec, "re", list, "a nested list")
         im = _need(spec, "im", list, "a nested list")
         mat = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
-        return make_basis(mat, labels=spec.get("labels"))
+        try:
+            return make_basis(mat, labels=spec.get("labels"))
+        except QergoError as exc:  # not orthonormal, or of the wrong shape
+            raise ConfigError(f"explicit basis: {exc}") from None
     raise ConfigError(f"unknown basis kind {kind!r}")
 
 
@@ -185,8 +188,9 @@ def _check_quantize(params: dict) -> None:
         if not isinstance(values, list) or len(values) < 2:
             raise ConfigError("values must be a list of at least two numbers")
     elif "lattice" in params:
-        _check_grid(_need(params, "lattice", dict, "an object"))
-        _need(params, "levels", int, "an integer")
+        d = _check_grid(_need(params, "lattice", dict, "an object"))
+        if not 2 <= _need(params, "levels", int, "an integer") <= d:
+            raise ConfigError(f"levels must lie within 2..{d}")
     else:
         raise ConfigError("quantize needs either 'values' or 'lattice'")
     if _need(params, "period", (int, float), "a number") <= 0:

@@ -21,6 +21,8 @@ _CELL = 48
 _MARGIN = 56
 _PLOT_W = 560
 _PLOT_H = 320
+#: Labels are written into SVG as character data.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(v: float) -> str:
@@ -53,7 +55,10 @@ def parse_grid_csv(text: str):
         a, b = parts[0], parts[1]
         re = _parse_float(parts[2], i, "re")
         im = _parse_float(parts[3], i, "im")
-        rows.setdefault(a, {})[b] = complex(re, im)
+        row = rows.setdefault(a, {})
+        if b in row:
+            raise ParseError(f"repeated cell ({a!r}, {b!r})", i)
+        row[b] = complex(re, im)
         if b not in col_order:
             col_order.append(b)
     row_order = list(rows)
@@ -115,7 +120,7 @@ def render_heatmap(row_labels, col_labels, mat: np.ndarray) -> str:
         y = _MARGIN + i * _CELL
         parts.append(
             f'<text x="{_MARGIN - 6}" y="{y + _CELL / 2 + 4:.1f}" text-anchor="end" '
-            f'font-size="11" font-family="monospace">{a}</text>'
+            f'font-size="11" font-family="monospace">{str(a).translate(_ESCAPES)}</text>'
         )
         for j, b in enumerate(col_labels):
             x = _MARGIN + j * _CELL
@@ -128,7 +133,7 @@ def render_heatmap(row_labels, col_labels, mat: np.ndarray) -> str:
         x = _MARGIN + j * _CELL
         parts.append(
             f'<text x="{x + _CELL / 2:.1f}" y="{_MARGIN - 8}" text-anchor="middle" '
-            f'font-size="11" font-family="monospace">{b}</text>'
+            f'font-size="11" font-family="monospace">{str(b).translate(_ESCAPES)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -34,7 +34,7 @@ class PhaseProfile:
     @classmethod
     def from_phases(cls, basis: Basis, phases) -> "PhaseProfile":
         arr = np.asarray(phases, dtype=np.float64).copy()
-        if arr.shape != (basis.dim,):
+        if arr.shape != basis.vectors.shape[:-1]:
             raise DimensionMismatch(f"{arr.shape} phases for dim {basis.dim}")
         arr.setflags(write=False)
         return cls(basis=basis, phases=arr)
@@ -108,15 +108,12 @@ def transformed_prob(
     Matches |<b|U|a>|^2 for U = sum_m e^{-i phi_m}|m><m| (adjoint for on_b).
     """
     col = _checked_column(table, profile, a, b)
-    if direction == "on_a":
-        sign = -1.0
-    elif direction == "on_b":
-        sign = 1.0
-    else:
+    sign = {"on_a": -1.0, "on_b": 1.0}.get(direction)
+    if sign is None:
         raise ValueError(f"direction must be 'on_a' or 'on_b', got {direction!r}")
-    amp = np.sum(col * np.exp(sign * 1j * profile.phases))
+    amp = np.sum(col * np.exp(sign * 1j * profile.phases), axis=-1)
     p_b_a = ergodic_prob(table.b_basis, b, table.a_basis, a)
-    return float(p_b_a * abs(amp) ** 2)
+    return p_b_a * np.abs(amp) ** 2
 
 
 def dephase(table: CcpTable, a: int, b: int) -> float:

@@ -1,43 +1,32 @@
 """Batch verification of every conditional-probability identity.
 
 One run draws Haar-random basis quadruples per (dimension, seed) pair and
-accumulates the worst deviation of each identity across the sweep.  Every
-identity is evaluated by its library function over all indices at once;
-this module only builds the tables, reduces each result to its worst, and
-keeps the independent linear-algebra oracles.
+accumulates the worst deviation of each identity across the sweep.  The
+quadruples of a dim are evaluated in blocks, as stacked bases and tables:
+each identity's library function runs once per block over all indices of
+every quadruple in it.  ``BLOCK_BYTES`` bounds one d^3 table of a block,
+which fixes the block size per dim.  Quadruple k draws from its own child
+seeds, so blocking changes no basis.  This module builds the tables,
+reduces each result to its worst, and keeps the independent oracles.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MIN_DIM, Basis, haar_random_basis
-from .bridge import (
-    born_rule_coherence,
-    inner_product_ccp,
-    predict_outcome_prob,
-    pure_state_joint,
-    reconstruct_vector,
-    reference_gauge_amplitudes,
-)
-from .ccp import (
-    IdentitySides,
-    backaction_check,
-    bayes_convert,
-    ccp_table,
-    chain_compose,
-    determinism_residual,
-    ergodicity_product,
-    ozawa_error,
-    phase_antisymmetry_check,
-)
+from . import bridge, ccp
+from .basis import MIN_DIM, Basis, _adjoint, _freeze, haar_random_bases
 from .transform import PhaseProfile, transformed_prob
 
 MAX_DIM = 32
+
+#: Bytes of one complex d^3 table over a block of quadruples of one dim.  It
+#: sets the block size: 2 quadruples at d=32, 128 or more at d <= 8.
+BLOCK_BYTES = 1 << 20
 
 #: (identity name, tolerance); tolerances scale linearly beyond dim 16.
 IDENTITY_TOLERANCES: tuple[tuple[str, float], ...] = (
@@ -88,12 +77,7 @@ class VerdictReport:
             "seeds_per_dim": self.seeds_per_dim,
             "root_seed": self.root_seed,
             "checks": [
-                {
-                    "name": c.name,
-                    "tolerance": c.tolerance,
-                    "worst": c.worst,
-                    "pass": c.passed,
-                }
+                {"name": c.name, "tolerance": c.tolerance, "worst": c.worst, "pass": c.passed}
                 for c in self.checks
             ],
             "all_pass": self.all_pass,
@@ -114,99 +98,91 @@ def _child_seeds(root_seed: int, dim: int, index: int, count: int) -> list[int]:
 
 
 def conjugation_prob(
-    basis_m: Basis,
-    phases: np.ndarray,
-    basis_a: Basis,
-    a: int,
-    basis_b: Basis,
-    b: int,
-    direction: str,
-) -> float:
+    basis_m: Basis, phases, basis_a: Basis, a: int, basis_b: Basis, b: int, direction: str
+):
     """Matrix-conjugation oracle for the phase-transformed probability.
 
-    Builds U = sum_m e^{-i phi_m}|m><m| explicitly and returns
-    |<b|U|a>|^2 (direction 'on_a') or |<b|U^dag|a>|^2 ('on_b').
+    Builds U = sum_m e^{-i phi_m}|m><m| explicitly and returns |<b|U|a>|^2
+    (direction 'on_a') or |<b|U^dag|a>|^2 ('on_b'), per stacked basis.
     """
-    u = (basis_m.vectors * np.exp(-1j * phases)) @ basis_m.vectors.conj().T
+    u = (basis_m.vectors * np.exp(-1j * phases)[..., np.newaxis, :]) @ _adjoint(basis_m.vectors)
     if direction == "on_b":
-        u = u.conj().T
-    amp = np.vdot(basis_b.vectors[:, b], u @ basis_a.vectors[:, a])
-    return float(abs(amp) ** 2)
+        u = _adjoint(u)
+    amp = basis_b.amplitudes((u @ basis_a.column(a)[..., np.newaxis])[..., 0])[..., b]
+    return np.abs(amp) ** 2
 
 
-def _triple_worsts(
-    m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, rng_seed: int
-) -> dict[str, float]:
-    """Worst deviation of each identity on one basis quadruple."""
-    dim = m_b.dim
+def _draw_block(root_seed: int, dim: int, indices: range) -> tuple[list[Basis], np.ndarray]:
+    """The stacked (M, A, B, F) bases and transform phases of quadruples ``indices``."""
+    seeds = [_child_seeds(root_seed, dim, index, 5) for index in indices]
+    stack = haar_random_bases(dim, [s[role] for role in range(4) for s in seeds])
+    vectors = stack.vectors.reshape(4, len(seeds), dim, dim)
+    values = _freeze(np.arange(dim, dtype=np.float64))  # A's, for the conditional error
+    bases = [
+        Basis(dim, vectors[role], stack.labels, values if role == 1 else None) for role in range(4)
+    ]
+    rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(s[4]))) for s in seeds)
+    return bases, np.array([rng.uniform(0.0, 2.0 * np.pi, dim) for rng in rngs])
+
+
+def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dict[str, np.ndarray]:
+    """Worst deviation of each identity, one per quadruple of a stacked block.
+
+    The d^3 compositions and back-action sides are reduced and dropped one
+    at a time, so a block holds at most one of them beside its six tables.
+    """
     b_ref = 0
-    a_b = replace(a_b, values=np.arange(dim, dtype=np.float64))  # for the conditional error
-    t_mab = ccp_table(m_b, a_b, b_b)
-    t_amb = ccp_table(a_b, m_b, b_b)
-    t_fmb = ccp_table(f_b, m_b, b_b)
-    t_fab = ccp_table(f_b, a_b, b_b)
-    t_mba = ccp_table(m_b, b_b, a_b)
-    t_abm = ccp_table(a_b, b_b, m_b)
-    chain = chain_compose(t_fmb, t_mab)
-    det = chain_compose(t_amb, t_mab)
-    back = backaction_check(t_mab)
+    names = ["mab", "amb", "fmb", "fab", "mba", "abm"]
+    t = ccp.ccp_tables(dict(m=m_b, a=a_b, b=b_b, f=f_b), names)
+    t_mab, t_amb = t["mab"], t["amb"]
+
+    def top(x, axes=(-2, -1)):  # worst per quadruple; NaN propagates
+        return np.max(np.abs(x), axis=axes)
+
+    chain = ccp.chain_compose(t["fmb"], t_mab)
+    fab_mask = (chain.defined_mask & t["fab"].defined_mask)[..., np.newaxis, :, :]
+    worst = {"chain rule": ccp.IdentitySides(chain.vals, t["fab"].vals, fab_mask, axes=3).worst()}
+    del chain
+    det = ccp.chain_compose(t_amb, t_mab)
+    worst["determinism"] = ccp.determinism_residual(det).worst()
+    worst["conditional error"] = top(ccp.ozawa_error(det), -1)
+    del det
+    back = ccp.backaction_check(t_mab)
+    worst["back-action"] = back.worst()
+    dephasing = (back.lhs.sum(axis=-3), back.rhs.sum(axis=-3), t_mab.defined_mask)
+    worst["dephasing decomposition"] = ccp.IdentitySides(*dephasing, axes=2).worst()
+    del back
+    worst["column normalization"] = np.max([x.normalization_defect() for x in t.values()], axis=0)
+    worst["ergodicity product"] = ccp.ergodicity_product(t_mab, t_amb).worst()
+    worst["phase antisymmetry"] = ccp.phase_antisymmetry_check(t_mab, t_amb, t["mba"])
+    worst["bayes conversion"] = ccp.bayes_convert(t_mab, t["abm"]).worst()
 
     f_a = np.abs(f_b.overlaps_with(a_b))  # |<f|a>|
-    recon_oracle = reference_gauge_amplitudes(m_b, a_b, b_b, b_ref)
-    inner = inner_product_ccp(f_b, a_b, m_b, b_b, b_ref)
-    direct = inner_product_ccp(f_b, a_b, a_b, b_b, b_ref)  # intermediate basis A
-    joint = pure_state_joint((m_b, 0), a_b, b_b)
-    psi = m_b.vectors[:, 0]
-    born_a, born_b, born_f = (np.abs(x.vectors.conj().T @ psi) ** 2 for x in (a_b, b_b, f_b))
-
-    worst = {
-        "column normalization": np.max(
-            [t.normalization_defect() for t in (t_mab, t_amb, t_fmb, t_fab, t_mba, t_abm)]
-        ),
-        "chain rule": IdentitySides(
-            chain.vals, t_fab.vals, chain.defined_mask & t_fab.defined_mask
-        ).worst(),
-        "determinism": determinism_residual(det).worst(),
-        "ergodicity product": ergodicity_product(t_mab, t_amb).worst(),
-        "phase antisymmetry": phase_antisymmetry_check(t_mab, t_amb, t_mba),
-        "bayes conversion": bayes_convert(t_mab, t_abm).worst(),
-        "back-action": back.worst(),
-        "dephasing decomposition": IdentitySides(
-            back.lhs.sum(axis=0), back.rhs.sum(axis=0), t_mab.defined_mask
-        ).worst(),
-        "vector reconstruction": np.max(
-            np.abs(reconstruct_vector(t_mab, b_ref) - recon_oracle)
-        ),
-        "inner product": np.max(
-            [np.max(np.abs(np.abs(inner) - f_a)), np.max(np.abs(inner - direct))]
-        ),
-        "born coherence": np.max(
-            np.abs(born_rule_coherence(f_b, a_b, m_b, (b_b, b_ref)) - f_a**2)
-        ),
-        "joint quasiprobability": np.max([
-            abs(joint.total() - 1.0),
-            np.max(np.abs(joint.marginal_a() - born_a)),
-            np.max(np.abs(joint.marginal_b() - born_b)),
-        ]),
-        "outcome prediction": np.max(np.abs(predict_outcome_prob(joint, f_b) - born_f)),
-        "conditional error": np.max(np.abs(ozawa_error(det))),
-    }
+    oracle = bridge.reference_gauge_amplitudes(m_b, a_b, b_b, b_ref)
+    worst["vector reconstruction"] = top(bridge.reconstruct_vector(t_mab, b_ref) - oracle)
+    inner = bridge.inner_product_ccp(f_b, a_b, m_b, b_b, b_ref)
+    direct = bridge.inner_product_ccp(f_b, a_b, a_b, b_b, b_ref)  # intermediate basis A
+    worst["inner product"] = np.maximum(top(np.abs(inner) - f_a), top(inner - direct))
+    coherence = bridge.born_rule_coherence(f_b, a_b, m_b, (b_b, b_ref))
+    worst["born coherence"] = top(coherence - f_a**2)
+    joint = bridge.pure_state_joint((m_b, 0), a_b, b_b)
+    psi = m_b.vectors[..., 0]
+    born_a, born_b, born_f = (np.abs(x.amplitudes(psi)) ** 2 for x in (a_b, b_b, f_b))
+    marginals = (top(joint.marginal_a() - born_a, -1), top(joint.marginal_b() - born_b, -1))
+    worst["joint quasiprobability"] = np.max([np.abs(joint.total() - 1.0), *marginals], axis=0)
+    worst["outcome prediction"] = top(bridge.predict_outcome_prob(joint, f_b) - born_f, -1)
 
     # Phase-transform oracle, both directions, one random profile.
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
-    phases = rng.uniform(0.0, 2.0 * np.pi, dim)
     profile = PhaseProfile.from_phases(m_b, phases)
     worst["transform oracle"] = np.max([
-        abs(transformed_prob(t_mab, profile, 0, 0, direction)
-            - conjugation_prob(m_b, phases, a_b, 0, b_b, 0, direction))
+        np.abs(transformed_prob(t_mab, profile, 0, 0, direction)
+               - conjugation_prob(m_b, phases, a_b, 0, b_b, 0, direction))
         for direction in ("on_a", "on_b")
-    ])
-    return {name: float(value) for name, value in worst.items()}
+    ], axis=0)
+    return worst
 
 
-def run_verification_suite(
-    dims: list[int], seeds_per_dim: int, root_seed: int
-) -> VerdictReport:
+def run_verification_suite(dims: list[int], seeds_per_dim: int, root_seed: int) -> VerdictReport:
     """Sweep all identities over Haar-random bases.
 
     ``dims`` must be a subset of 2..32; each (dim, seed index) pair draws
@@ -220,26 +196,16 @@ def run_verification_suite(
 
     worst: dict[str, float] = {name: 0.0 for name, _ in IDENTITY_TOLERANCES}
     for dim in dims:
-        for index in range(seeds_per_dim):
-            s_m, s_a, s_b, s_f, s_phi = _child_seeds(root_seed, dim, index, 5)
-            bases = (
-                haar_random_basis(dim, s_m),
-                haar_random_basis(dim, s_a),
-                haar_random_basis(dim, s_b),
-                haar_random_basis(dim, s_f),
-            )
-            triple_worst = _triple_worsts(*bases, rng_seed=s_phi)
-            for name, value in triple_worst.items():
-                worst[name] = float(np.max([worst[name], value]))  # NaN propagates
+        size = max(1, BLOCK_BYTES // (16 * dim**3))
+        for start in range(0, seeds_per_dim, size):
+            indices = range(start, min(start + size, seeds_per_dim))
+            bases, phases = _draw_block(root_seed, dim, indices)
+            for name, values in _block_worsts(*bases, phases).items():
+                worst[name] = float(np.max(values, initial=worst[name]))  # NaN propagates
 
     scale = max(1.0, max(dims) / 16.0)  # rounding grows with the dim^3 sums
     checks = tuple(
         IdentityCheck(name=name, tolerance=tol * scale, worst=worst[name])
         for name, tol in IDENTITY_TOLERANCES
     )
-    return VerdictReport(
-        dims=tuple(dims),
-        seeds_per_dim=seeds_per_dim,
-        root_seed=root_seed,
-        checks=checks,
-    )
+    return VerdictReport(tuple(dims), seeds_per_dim, root_seed, checks)

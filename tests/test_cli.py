@@ -1,10 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
+import qergo
 from qergo.basis import MIN_DIM, haar_random_basis
 from qergo.ccp import ccp_table
 from qergo.cli import build_scenario, main
@@ -106,6 +111,15 @@ class TestKdCommand:
         config["params"]["row_basis"] = {**HADAMARD, "labels": labels}
         cfg = write_config(tmp_path, "kd.json", config)
         assert main(["kd", "--config", cfg, "--out", str(tmp_path / "kd"), "--format", "csv"]) == 2
+        assert not (tmp_path / "kd.csv").exists()
+
+    def test_invalid_explicit_basis_is_config_error(self, tmp_path, capsys):
+        config = self._config()
+        not_unitary = {"kind": "explicit", "re": [[1, 1], [0, 1]], "im": [[0, 0], [0, 0]]}
+        config["params"]["row_basis"] = not_unitary
+        cfg = write_config(tmp_path, "kd.json", config)
+        assert main(["kd", "--config", cfg, "--out", str(tmp_path / "kd"), "--format", "csv"]) == 2
+        assert "Gram defect" in capsys.readouterr().err
         assert not (tmp_path / "kd.csv").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -357,6 +371,15 @@ class TestLatticeAndQuantize:
         assert payload["pass"] is False
         assert payload["max_defect"] == pytest.approx(0.39788735772973816, rel=1e-12)
 
+    @pytest.mark.parametrize("levels", [-13, 0, 1, 17])
+    def test_quantize_levels_outside_two_to_d_rejected(self, tmp_path, capsys, levels):
+        lattice = {"d": 16, "L": 1.0, "mass": 1.0, "hbar": 1.0, "potential": {"kind": "box"}}
+        params = {"lattice": lattice, "levels": levels, "period": 1.0}
+        cfg = write_config(tmp_path, "cfg.json", params)
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert "levels" in capsys.readouterr().err
+        assert not (tmp_path / "q.json").exists()
+
     def test_quantize_lattice_spec_validated_before_run(self, tmp_path):
         cfg = write_config(
             tmp_path, "cfg.json", {"lattice": {"d": 16}, "levels": 3, "period": 1.0}
@@ -379,6 +402,22 @@ class TestRenderErrors:
         with pytest.raises(ParseError) as err:
             parse_profile_csv("x,re,im\n0.0,uh,0.0\n")
         assert err.value.line == 2
+
+    def test_repeated_cell_rejected(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a_label,b_label,re,im\n0,0,0.5,0.0\n0,1,0.5,0.0\n0,0,0.25,0.0\n")
+        code = main(["render", str(bad), "--style", "heatmap", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x.svg").exists()
+        with pytest.raises(ParseError) as err:
+            parse_grid_csv(bad.read_text())
+        assert err.value.line == 4
+
+    def test_markup_in_labels_is_escaped(self):
+        text = "a_label,b_label,re,im\n<b&>,x,0.5,0.0\n<b&>,y,0.5,0.0\n"
+        svg = minidom.parseString(render_distribution(text, "heatmap"))
+        texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+        assert texts == ["<b&>", "x", "y"]
 
     def test_render_deterministic_bytes(self, tmp_path):
         text = "a_label,b_label,re,im\n0,0,0.5,0.0\n0,1,0.0,0.25\n1,0,0.0,-0.25\n1,1,0.5,0.0\n"
@@ -513,3 +552,20 @@ class TestPinnedArtifactBytes:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "d39bc2f87d43141a6565252070564770dfa9fe5cf8b60aac106d85e660ec4a64"
         )
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # Every process pays for what ``import qergo.cli`` pulls in, so a new
+    # heavy dependency must be a deliberate change, not a side effect.
+    probe = (
+        "import sys; before = set(sys.modules); import qergo.cli; "
+        "top = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(' '.join(sorted(top - set(sys.stdlib_module_names))))"
+    )
+    src = str(Path(qergo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.split() == ["numpy", "qergo"]
