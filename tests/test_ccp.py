@@ -301,6 +301,17 @@ class TestPhaseAntisymmetry:
         tables = (ccp_table(y2, z2, x2), ccp_table(z2, y2, x2), ccp_table(y2, x2, z2))
         assert math.isnan(phase_antisymmetry_check(*map(emptied, tables)))
 
+    @pytest.mark.parametrize("broken", [1, 2])
+    def test_each_identity_breaks_alone(self, broken):
+        # a phase of 0.1 on p(a|m,b) breaks only the first identity; on p(m|b,a) only the second
+        m, a, b = haar_triple(4, 21)
+        tables = [ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)]
+        assert phase_antisymmetry_check(*tables) < 1e-12
+        t = tables[broken]
+        tables[broken] = CcpTable(t.m_basis, t.a_basis, t.b_basis, t.vals * np.exp(0.1j),
+                                  t.defined_mask)
+        assert phase_antisymmetry_check(*tables) == pytest.approx(0.1, abs=1e-12)
+
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)
         swapped = ccp_value(y2, 0, x2, 0, z2, 0)
@@ -355,6 +366,17 @@ class TestOzawaError:
         eps_sq = _ozawa(m, a_vals, b)
         for bi in range(4):
             assert abs(eps_sq[bi]) < 1e-9
+
+    def test_non_identity_composition_by_hand(self, z2):
+        # A = +-1 on z; b rotated so p(0|b_0) = 0.8, p(0|b_1) = 0.2.  Only a != a' carries
+        # (A_a - A_a')^2 / 2 = 2, so eps^2(b) = 2 (c[1,0,b] p(0|b) + c[0,1,b] p(1|b)).
+        a_vals = make_basis(z2.vectors, values=[1.0, -1.0])
+        c, s = np.sqrt(0.8), np.sqrt(0.2)
+        b = make_basis(np.array([[c, -s], [s, c]]))
+        composed = np.array([[[0.7, 0.6], [0.3, 0.1]], [[0.3, 0.4], [0.7, 0.9]]])  # [a', a, b]
+        table = CcpTable(a_vals, a_vals, b, composed.astype(complex), np.ones((2, 2), dtype=bool))
+        expected = [2.0 * (0.3 * 0.8 + 0.3 * 0.2), 2.0 * (0.4 * 0.2 + 0.1 * 0.8)]  # 0.6, 0.32
+        np.testing.assert_allclose(ozawa_error(table), expected, rtol=0, atol=1e-15)
 
     def test_missing_values(self, z2, x2, y2):
         with pytest.raises(MissingValues):

@@ -242,3 +242,40 @@ def test_empty_mask_fails_the_check(z2, y2):
     assert math.isnan(worst)
     assert not IdentityCheck(name="column normalization", tolerance=1e-9, worst=worst).passed
     assert math.isnan(IdentitySides(t.vals, t.vals, nothing).worst())
+
+
+#: The identity tolerances as first pinned.  A tolerance may be tightened, never loosened.
+PINNED_TOLERANCES = {
+    "column normalization": 1e-9,
+    "chain rule": 1e-9,
+    "determinism": 1e-9,
+    "ergodicity product": 1e-10,
+    "phase antisymmetry": 1e-9,
+    "bayes conversion": 1e-10,
+    "back-action": 1e-10,
+    "dephasing decomposition": 1e-10,
+    "vector reconstruction": 1e-9,
+    "inner product": 1e-9,
+    "born coherence": 1e-9,
+    "joint quasiprobability": 1e-9,
+    "outcome prediction": 1e-9,
+    "conditional error": 1e-9,
+    "transform oracle": 1e-10,
+}
+
+
+def test_identity_tolerances_never_loosened():
+    tolerances = dict(verify.IDENTITY_TOLERANCES)
+    assert sorted(tolerances) == sorted(PINNED_TOLERANCES)
+    for name, tol in tolerances.items():
+        assert 0.0 < tol <= PINNED_TOLERANCES[name], name
+
+
+@pytest.mark.parametrize("dim", [2, 32])
+def test_report_tolerances_never_loosened(dim):
+    # beyond dim 16 a report scales its tolerances linearly with the dim, and no further
+    scale = max(1.0, dim / 16.0)
+    report = run_verification_suite([dim], 1, 0)
+    assert sorted(c.name for c in report.checks) == sorted(PINNED_TOLERANCES)
+    for check in report.checks:
+        assert 0.0 < check.tolerance <= PINNED_TOLERANCES[check.name] * scale * (1 + 1e-12)

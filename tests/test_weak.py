@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,9 @@ from qergo import (
 )
 from qergo.ccp import ccp_column
 from qergo.weak import (
+    SAMPLING_CHUNK,
     _fold,
+    _gaussian_moments,
     _momentum_split,
     _position_mixture,
     _sample_momenta,
@@ -69,15 +73,29 @@ class TestPointerReadout:
         assert readout_bias_rate(w, 0.1) < 0.6 * readout_bias_rate(w, 0.2)
 
 
+def _remainder_envelope(w, g):
+    """(c0, c1, c2) with 1 + cos(gk - phi) <= c0 + c1|k| + c2 k^2, phi = arg x, and its mass
+    over N(0, 1/4): the tilted bound, or the flat bound 2 where that is lighter (or the
+    tilted one underflows to 0)."""
+    phase = _momentum_split(w)[2]
+    cos, sin = np.cos(phase), abs(np.sin(phase))
+    coef = np.array([1.0 + cos, sin * g, max(0.0, -cos) * g * g / 2.0])
+    # E|k| = 1/sqrt(2 pi) and E k^2 = 1/4 under N(0, 1/4)
+    mass = coef[0] + coef[1] / np.sqrt(2.0 * np.pi) + coef[2] / 4.0
+    return (coef, mass) if 0.0 < mass < 2.0 else (np.array([2.0, 0.0, 0.0]), 2.0)
+
+
 def _stated_rates(w, g):
     """Each sampler's n over its expected proposals, as its docstring states."""
     z, x = postselection_weight(w, g), w - abs(w) ** 2
-    momentum_mass = abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * abs(x)  # = (|w| + |1-w|)^2
+    momentum_mass = (abs(w) - abs(1 - w)) ** 2 + 2.0 * abs(x) * _remainder_envelope(w, g)[1]
     return z / np.abs(_position_mixture(w, g)[0]).sum(), z / momentum_mass
 
 
 def _remainder_rate(w, g):
-    return 0.5 * (1.0 + np.cos(_momentum_split(w)[2]) * np.exp(-g * g / 8.0))
+    cos = np.cos(_momentum_split(w)[2])
+    target = 1.0 + cos + cos * np.expm1(-g * g / 8.0)  # 1 + cos exp(-g^2/8), without cancellation
+    return target / _remainder_envelope(w, g)[1]
 
 
 def _target_moments(w, g):
@@ -115,21 +133,26 @@ class TestSamplerEnvelopes:
         # momentum: plain part plus remainder equals the interference factor
         k = np.linspace(-6.0, 6.0, 4001)
         plain, amp, phase = _momentum_split(w)
-        split = plain + amp * (1.0 + np.cos(g * k - phase))
+        remainder = 1.0 + np.cos(g * k - phase)
+        split = plain + amp * remainder
         target = np.abs(w * np.exp(-1j * g * k) + (1 - w)) ** 2
         assert np.all(np.abs(split - target) <= 1e-12 * peak)
+        # the remainder's envelope dominates it
+        (c0, c1, c2), mass = _remainder_envelope(w, g)
+        assert np.all(remainder <= c0 + c1 * np.abs(k) + c2 * k**2 + 1e-12)
         # every part has the target's mass z, and the remainder rate is a probability
         z, rest = postselection_weight(w, g), _remainder_rate(w, g)
         assert weights.sum() == pytest.approx(z, rel=1e-12)
-        assert plain + 2.0 * amp * rest == pytest.approx(z, rel=1e-12)
+        assert plain + amp * mass * rest == pytest.approx(z, rel=1e-12)
         assert 0.0 <= rest <= 1.0
-        # a remainder draw costs 1/rest proposals, so the momenta take (|w| + |1-w|)^2 / z each
-        assert plain + 2.0 * amp == pytest.approx(z / _stated_rates(w, g)[1], rel=1e-12)
+        # a remainder draw costs 1/rest proposals, so the momenta take (plain + amp mass) / z each
+        assert plain + amp * mass == pytest.approx(z / _stated_rates(w, g)[1], rel=1e-12)
         # the stated rates lie in (0, 1] and are at least the rejection-only samplers' rates
         c = (w - abs(w) ** 2).real
         old = (z / (abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * abs(c)), z / (abs(w) + abs(1 - w)) ** 2)
         for rate, old_rate in zip(_stated_rates(w, g), old):
-            assert 0.0 < rate <= 1.0
+            # the tilted envelope is exact as g -> 0, so a rate may reach 1 up to rounding
+            assert 0.0 < rate <= 1.0 + 1e-12
             assert rate >= old_rate * (1.0 - 1e-12)
 
     def test_scan_like_position_rate_near_one(self):
@@ -162,9 +185,9 @@ class TestSamplerEnvelopes:
             # proposals until the n-th accept: sd of n/proposals is rate sqrt((1-rate)/n)
             assert abs(n / q_proposals - rate_q) <= 5.0 * rate_q * np.sqrt((1.0 - rate_q) / n)
         # a momentum draw costs one proposal, or a geometric number in the remainder
-        rest = _remainder_rate(w, g)
+        rest, mass = _remainder_rate(w, g), _remainder_envelope(w, g)[1]
         plain, amp, _ = _momentum_split(w)
-        share = 2.0 * amp * rest / (plain + 2.0 * amp * rest)
+        share = amp * mass * rest / (plain + amp * mass * rest)
         var_cost = (1.0 - share) + share * (2.0 - rest) / rest**2 - 1.0 / rate_k**2
         assert abs(n / k_proposals - rate_k) <= 5.0 * rate_k**2 * np.sqrt(var_cost / n)
 
@@ -190,6 +213,110 @@ class TestSamplerEnvelopes:
         assert merged[0] == whole.size
         assert merged[1] == pytest.approx(whole.mean(), rel=1e-12)
         assert merged[2] == pytest.approx(dev @ dev, rel=1e-12)
+
+
+#: Kolmogorov-Smirnov critical value at level 0.001: sqrt(-ln(0.0005) / 2).
+KS_001 = 1.949
+
+
+def _ks_distance(x, y):
+    """Largest gap between the empirical distribution functions of two samples."""
+    grid = np.concatenate([x, y])
+    return np.max(np.abs(np.searchsorted(np.sort(x), grid, side="right") / x.size
+                         - np.searchsorted(np.sort(y), grid, side="right") / y.size))
+
+
+def _variate_positions(w, g, n, seed):
+    """The c >= 0 position sampler drawing every variate: n mixture draws, in chunks, folded."""
+    rng, (weights, centres) = np.random.default_rng(seed), _position_mixture(w, g)
+    share, moments = weights / weights.sum(), (0, 0.0, 0.0)
+    for start in range(0, n, SAMPLING_CHUNK):
+        size = min(SAMPLING_CHUNK, n - start)
+        draws = rng.standard_normal(size) + np.repeat(centres, rng.multinomial(size, share))
+        moments = _fold(moments, draws)
+    return moments
+
+
+def _variate_momenta(w, g, n, seed):
+    """The momentum sampler drawing every variate: the remainder by rejection from the flat
+    envelope 2 N(0, 1/4), then each plain N(0, 1/4) draw."""
+    rng, (plain, amp, phase) = np.random.default_rng(seed), _momentum_split(w)
+    rate = 0.5 * (1.0 + np.cos(phase) * np.exp(-g * g / 8.0))
+    n_rest = int(rng.binomial(n, 2.0 * amp * rate / (plain + 2.0 * amp * rate)))
+    moments = (0, 0.0, 0.0)
+    while moments[0] < n_rest:
+        k = 0.5 * rng.standard_normal(2 * n_rest + 16)
+        kept = k[rng.random(k.size) * 2.0 < 1.0 + np.cos(g * k - phase)]
+        moments = _fold(moments, kept[: n_rest - moments[0]])
+    return _fold(moments, 0.5 * rng.standard_normal(n - n_rest))
+
+
+class TestExactMoments:
+    """Gaussian parts drawn as exact (count, mean, SS), against their laws and the variate path."""
+
+    @pytest.mark.parametrize("n, mu, sd", [(2, 0.3, 1.0), (9, -1.0, 0.5), (5000, 0.05, 0.5)])
+    def test_normal_mean_and_chi_square_ss(self, n, mu, sd):
+        rng, runs = np.random.default_rng(61), 4000
+        draws = np.array([_gaussian_moments(rng, n, mu, sd) for _ in range(runs)])
+        assert np.all(draws[:, 0] == n)
+        # the standardized mean against the normal distribution function, by Kolmogorov-Smirnov
+        z = (draws[:, 1] - mu) * np.sqrt(n) / sd
+        cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in np.sort(z)])
+        ranks = np.arange(runs + 1) / runs
+        assert max(np.max(ranks[1:] - cdf), np.max(cdf - ranks[:-1])) < KS_001 / np.sqrt(runs)
+        # SS / sd^2 is chi^2 with k = n - 1: mean k, variance 2k, fourth central moment 12k(k + 4)
+        chi, k = draws[:, 2] / sd**2, n - 1
+        assert abs(chi.mean() - k) < 5.0 * np.sqrt(2.0 * k / runs)
+        assert abs(chi.var(ddof=1) - 2.0 * k) < 5.0 * np.sqrt((8.0 * k * k + 48.0 * k) / runs)
+        # and independent of the mean
+        assert abs(np.corrcoef(z, chi)[0, 1]) < 5.0 / np.sqrt(runs)
+
+    def test_single_and_empty_parts(self):
+        rng = np.random.default_rng(3)
+        assert _gaussian_moments(rng, 0, 1.0, 1.0) == (0, 0.0, 0.0)
+        count, mean, ss = _gaussian_moments(rng, 1, 1.0, 1.0)
+        assert count == 1 and ss == 0.0 and math.isfinite(mean)
+
+    @pytest.mark.parametrize("w, g", [(0.03, 0.05), (0.6 + 0.1j, 3.0)])
+    def test_positions_match_variate_oracle(self, w, g):
+        # at g = 3 the components lie apart, so the SS carries the merge's between-part term
+        n, runs = 64, 2000
+        exact = np.array([_sample_positions(w, g, n, (71, i))[0] for i in range(runs)])
+        oracle = np.array([_variate_positions(w, g, n, (72, i)) for i in range(runs)])
+        assert np.all(exact[:, 0] == n)
+        for col in (1, 2):
+            assert _ks_distance(exact[:, col], oracle[:, col]) < KS_001 * np.sqrt(2.0 / runs)
+
+    @pytest.mark.parametrize("w, g", [(0.03, 0.05), (0.5 + 0.5j, 2.0), (-0.3, 3.0)])
+    def test_momenta_match_variate_oracle(self, w, g):
+        # (0.5+0.5j, 2) proposes from |k|N(k) in 44% of remainder draws, (-0.3, 3) from k^2 N(k)
+        n, runs = 64, 2000
+        exact = np.array([_sample_momenta(w, g, n, (73, i))[0] for i in range(runs)])
+        oracle = np.array([_variate_momenta(w, g, n, (74, i)) for i in range(runs)])
+        assert np.all(exact[:, 0] == n)
+        for col in (1, 2):
+            assert _ks_distance(exact[:, col], oracle[:, col]) < KS_001 * np.sqrt(2.0 / runs)
+
+    def test_position_draw_costs_the_same_at_any_n(self):
+        n, w, g = 10**12, 0.03, 0.05
+        (count, mean, ss), proposals = _sample_positions(w, g, n, 5)
+        assert count == proposals == n
+        assert math.isfinite(mean) and math.isfinite(ss)
+        # against the mixture's mean and variance, within 5 sd of 10^12 near-normal draws
+        weights, centres = _position_mixture(w, g)
+        share = weights / weights.sum()
+        mu = share @ centres
+        var = 1.0 + share @ (centres - mu) ** 2
+        assert abs(mean - mu) < 5.0 * np.sqrt(var / n)
+        assert abs(ss / (n - 1) - var) < 5.0 * var * np.sqrt(2.0 / n)
+
+    def test_remainder_cost_bounded_at_small_coupling(self):
+        # x = w(1-w)* real and negative: a flat-envelope remainder draw took about 16/g^2 proposals
+        n = 10**6
+        for seed in range(40):
+            (count, _, _), proposals = _sample_momenta(-0.3, 1e-3, n, seed)
+            assert count == n
+            assert proposals <= 3 * n
 
 
 def _vdot_conditional(m_vec, a_vec, b_vec):
