@@ -36,3 +36,11 @@ def test_reduce_counts_pairs_won_in_each_metric_direction():
     assert metrics["op_p50_s"]["change"]["median"] == pytest.approx(0.045)
     assert workload["peak_rss_mb_per_pair"][3] == [42.0, 45.0]
     assert workload["all_correct"] == {"parent": True, "change": True}
+
+
+def test_reduce_refuses_a_repeated_run():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    records = [_record(100, "parent", 0.30, 42.0), _record(100, "change", 0.04, 43.0),
+               _record(100, "change", 0.05, 43.0)]
+    with pytest.raises(ValueError, match="weak-scan seed 100 change was run twice"):
+        bench_pairs.reduce_runs(records, spec)

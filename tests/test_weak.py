@@ -85,17 +85,26 @@ def _remainder_envelope(w, g):
     return (coef, mass) if 0.0 < mass < 2.0 else (np.array([2.0, 0.0, 0.0]), 2.0)
 
 
+def _remainder_target(w, g):
+    """The remainder's mass 1 + cos(phi) exp(-g^2/8) over N(0, 1/4), without cancellation."""
+    cos = np.cos(_momentum_split(w)[2])
+    return 1.0 + cos + cos * np.expm1(-g * g / 8.0)
+
+
 def _stated_rates(w, g):
-    """Each sampler's n over its expected proposals, as its docstring states."""
-    z, x = postselection_weight(w, g), w - abs(w) ** 2
-    momentum_mass = (abs(w) - abs(1 - w)) ** 2 + 2.0 * abs(x) * _remainder_envelope(w, g)[1]
-    return z / np.abs(_position_mixture(w, g)[0]).sum(), z / momentum_mass
+    """Each sampler's n over its expected proposals, as its docstring states.
+
+    Each rate's numerator and denominator sum the same terms, the numerator's
+    no larger, so a rate cannot round above 1; both numerators equal
+    postselection_weight(w, g) (see test_envelopes_dominate_and_acceptance_is_exact).
+    """
+    weights, (plain, amp, _) = _position_mixture(w, g)[0], _momentum_split(w)
+    target, envelope = _remainder_target(w, g), _remainder_envelope(w, g)[1]
+    return weights.sum() / np.abs(weights).sum(), (plain + amp * target) / (plain + amp * envelope)
 
 
 def _remainder_rate(w, g):
-    cos = np.cos(_momentum_split(w)[2])
-    target = 1.0 + cos + cos * np.expm1(-g * g / 8.0)  # 1 + cos exp(-g^2/8), without cancellation
-    return target / _remainder_envelope(w, g)[1]
+    return _remainder_target(w, g) / _remainder_envelope(w, g)[1]
 
 
 def _target_moments(w, g):
@@ -151,8 +160,7 @@ class TestSamplerEnvelopes:
         c = (w - abs(w) ** 2).real
         old = (z / (abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * abs(c)), z / (abs(w) + abs(1 - w)) ** 2)
         for rate, old_rate in zip(_stated_rates(w, g), old):
-            # the tilted envelope is exact as g -> 0, so a rate may reach 1 up to rounding
-            assert 0.0 < rate <= 1.0 + 1e-12
+            assert 0.0 < rate <= 1.0
             assert rate >= old_rate * (1.0 - 1e-12)
 
     def test_scan_like_position_rate_near_one(self):

@@ -6,12 +6,14 @@
         --change NEW --out BENCH.json
 
 OLD and NEW are two checkouts.  ``run`` runs ``perfbench/run.py`` in each
-with the same seed, pair by pair, the parent first on even pairs and the
-change first on odd ones, and appends one JSON line per run to ``--out``.
-``reduce`` writes, per workload, the median and quartiles of every
-end-to-end metric on each side, the pairs the change won, the seeds, the
-correctness of every run, the numpy and BLAS versions, the core count and
-the ``src/`` line count of each checkout.
+with the same seed, for the ``run_seconds`` of NEW's BENCHMARK.json, pair by
+pair, the parent first on even pairs and the change first on odd ones, and
+appends one JSON line per run to ``--out``.  ``reduce`` writes, per
+workload, the median and quartiles of every end-to-end metric on each side,
+the pairs the change won, the seeds, the correctness of every run, the numpy
+and BLAS versions, the core count and the ``src/`` line count of each
+checkout.  It refuses a run that repeats a (workload, seed, side), so no run
+made is dropped unreported.
 """
 
 from __future__ import annotations
@@ -42,11 +44,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def run_pairs(args: argparse.Namespace) -> None:
     checkouts = {"parent": Path(args.parent), "change": Path(args.change)}
+    seconds = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["run_seconds"]
     with open(args.out, "a") as out:
         for pair in range(args.pairs):
             seed = args.first_seed + pair
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(checkouts[side], args.workload, seed, args.seconds)
+                result = run_once(checkouts[side], args.workload, seed, seconds)
                 record = {"workload": args.workload, "seed": seed, "side": side, "result": result}
                 out.write(json.dumps(record) + "\n")
                 out.flush()
@@ -68,7 +71,10 @@ def reduce_runs(records: list[dict], spec: dict) -> dict:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     by_workload: dict[str, dict[int, dict[str, dict]]] = defaultdict(lambda: defaultdict(dict))
     for rec in records:
-        by_workload[rec["workload"]][rec["seed"]][rec["side"]] = rec["result"]
+        seed_runs = by_workload[rec["workload"]][rec["seed"]]
+        if rec["side"] in seed_runs:
+            raise ValueError(f"{rec['workload']} seed {rec['seed']} {rec['side']} was run twice")
+        seed_runs[rec["side"]] = rec["result"]
     workloads = {}
     for name, pairs in sorted(by_workload.items()):
         seeds = sorted(s for s, sides in pairs.items() if set(sides) == set(SIDES))
@@ -120,7 +126,6 @@ def main(argv: list[str] | None = None) -> None:
     run.add_argument("--workload", required=True)
     run.add_argument("--pairs", type=int, default=10)
     run.add_argument("--first-seed", type=int, required=True)
-    run.add_argument("--seconds", type=float, default=30.0)
     run.add_argument("--out", required=True)
     red = commands.add_parser("reduce")
     red.add_argument("runs", nargs="+")
