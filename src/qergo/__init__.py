@@ -9,7 +9,6 @@ triple on a discretized 1D grid.
 
 from .basis import (
     Basis,
-    ErgodicTable,
     computational_basis,
     ergodic_prob,
     ergodic_table,

@@ -78,7 +78,7 @@ def _json_field(payload, key: str):
 
 
 def _json_complex(payload, re_key: str, im_key: str) -> np.ndarray:
-    """Complex array from a real and an imaginary nested list of one shape."""
+    """Complex array from a real and an imaginary nested list of one shape, all finite."""
     try:
         re = np.array(_json_field(payload, re_key), dtype=np.float64)
         im = np.array(_json_field(payload, im_key), dtype=np.float64)
@@ -86,6 +86,8 @@ def _json_complex(payload, re_key: str, im_key: str) -> np.ndarray:
         raise ParseError(f"ragged or non-numeric {re_key}/{im_key}: {exc}", 1) from None
     if re.shape != im.shape:
         raise ParseError(f"{re_key} of shape {re.shape} but {im_key} of {im.shape}", 1)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ParseError(f"non-finite value in {re_key}/{im_key}", 1)
     return re + 1j * im
 
 
@@ -122,7 +124,9 @@ class Basis:
             raise IndexOutOfRange(f"outcome index {k} outside 0..{self.dim - 1}")
 
     def overlap(self, j: int, other: "Basis", k: int) -> complex:
-        """Amplitude <self_j | other_k>."""
+        """Amplitude <self_j | other_k> between two single (unstacked) bases."""
+        if self.vectors.ndim != 2 or other.vectors.ndim != 2:
+            raise DimensionMismatch("overlap takes single bases; use overlaps_with for stacks")
         self.check_index(j)
         other.check_index(k)
         return complex(np.vdot(self.vectors[:, j], other.vectors[:, k]))
@@ -176,18 +180,6 @@ class Basis:
         # Round-trip fidelity: stored floats are used verbatim, with no
         # re-orthonormalization or re-phasing.
         return cls(dim=mat.shape[0], vectors=_freeze(mat), labels=labels, values=values)
-
-
-@dataclass(frozen=True)
-class ErgodicTable:
-    """Squared-overlap transition probabilities between two bases."""
-
-    rows: Basis
-    cols: Basis
-    probs: np.ndarray  # probs[x, y] = |<row_x | col_y>|^2
-
-    def column_sums(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -379,7 +371,6 @@ def ergodic_prob(basis_x: Basis, x: int, basis_y: Basis, y: int) -> float:
     return np.abs(basis_x.amplitudes(basis_y.column(y))[..., x]) ** 2
 
 
-def ergodic_table(basis_x: Basis, basis_y: Basis) -> ErgodicTable:
-    """Full table of transition probabilities |<x|y>|^2."""
-    probs = np.abs(basis_x.overlaps_with(basis_y)) ** 2
-    return ErgodicTable(rows=basis_x, cols=basis_y, probs=_freeze(probs))
+def ergodic_table(basis_x: Basis, basis_y: Basis) -> np.ndarray:
+    """Transition probabilities |<x|y>|^2, frozen, indexed [..., x, y]."""
+    return _freeze(np.abs(basis_x.overlaps_with(basis_y)) ** 2)

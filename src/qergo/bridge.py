@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import Basis, _csv, _json_complex, _json_field
-from .ccp import CcpTable, IMAG_RESIDUE_TOL, ccp_table, is_defined
+from .ccp import CcpTable, IMAG_RESIDUE_TOL, _require_shared_dim, is_defined
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
     NumericsError,
     OrthogonalCondition,
+    ParseError,
     ZeroReferenceOverlap,
 )
 
@@ -134,7 +135,7 @@ def born_rule_coherence(
     back_left, back_right = _paired_conditionals(basis_a, basis_m, basis_f, basis_b, b_ref)
     total = (left @ right) * np.swapaxes(back_left @ back_right, -1, -2)
     residue = float(np.max(np.abs(total.imag)))
-    if residue >= IMAG_RESIDUE_TOL / 10:
+    if not residue < IMAG_RESIDUE_TOL / 10:
         raise NumericsError(f"imaginary residue {residue:.3e} in coherence sum")
     return total.real
 
@@ -143,16 +144,17 @@ def born_rule_coherence(
 class JointQuasiProb:
     """Complex joint quasiprobability of a state over a basis pair.
 
-    ``vals[a, b]`` sums to one and has real non-negative marginals.  The
-    auxiliary ``sandwich[a, b] = <a|rho|b>`` stores the overlap-free factor
-    of each entry so predictions stay finite even at orthogonal (a, b)
-    pairs, where the conditional alone diverges but the product does not.
+    ``vals[a, b] = <a|rho|b><b|a>`` sums to one and has real non-negative
+    marginals.  ``sandwich[a, b] = <a|rho|b>`` is the overlap-free factor of
+    each entry; predictions are summed over it, so they stay finite even at
+    orthogonal (a, b) pairs, where the conditional alone diverges but the
+    product does not.
     """
 
     a_basis: Basis
     b_basis: Basis
     vals: np.ndarray  # (..., dim, dim), complex
-    sandwich: np.ndarray | None = None  # (..., dim, dim), complex
+    sandwich: np.ndarray  # (..., dim, dim), complex
 
     @property
     def dim(self) -> int:
@@ -173,26 +175,25 @@ class JointQuasiProb:
             "b_basis": json.loads(self.b_basis.to_json()),
             "re": self.vals.real.tolist(),
             "im": self.vals.imag.tolist(),
-            "sandwich_re": None if self.sandwich is None else self.sandwich.real.tolist(),
-            "sandwich_im": None if self.sandwich is None else self.sandwich.imag.tolist(),
+            "sandwich_re": self.sandwich.real.tolist(),
+            "sandwich_im": self.sandwich.imag.tolist(),
         }
         return json.dumps(payload, sort_keys=True, indent=indent)
 
     @classmethod
     def from_json(cls, text: str) -> "JointQuasiProb":
         payload = json.loads(text)
-        vals = _json_complex(payload, "re", "im")
-        sandwich = None
-        if payload.get("sandwich_re") is not None:
-            sandwich = _json_complex(payload, "sandwich_re", "sandwich_im")
-            sandwich.setflags(write=False)
-        vals.setflags(write=False)
-        return cls(
-            a_basis=Basis.from_json(json.dumps(_json_field(payload, "a_basis"))),
-            b_basis=Basis.from_json(json.dumps(_json_field(payload, "b_basis"))),
-            vals=vals,
-            sandwich=sandwich,
+        a_basis, b_basis = (
+            Basis.from_json(json.dumps(_json_field(payload, key))) for key in ("a_basis", "b_basis")
         )
+        shape = (_require_shared_dim(a_basis, b_basis),) * 2
+        vals = _json_complex(payload, "re", "im")
+        sandwich = _json_complex(payload, "sandwich_re", "sandwich_im")
+        for name, arr in (("values", vals), ("sandwich", sandwich)):
+            if arr.shape != shape:
+                raise ParseError(f"need {name} of shape {shape}, got {arr.shape}", 1)
+            arr.setflags(write=False)
+        return cls(a_basis=a_basis, b_basis=b_basis, vals=vals, sandwich=sandwich)
 
     def to_csv(self) -> str:
         return _csv(
@@ -204,10 +205,10 @@ class JointQuasiProb:
 
 def _validate_joint(vals: np.ndarray) -> None:
     total = vals.sum(axis=(-2, -1))
-    if np.any(abs(total - 1.0) >= 1e-9):
+    if not np.all(abs(total - 1.0) < 1e-9):
         raise NumericsError(f"joint total {total} deviates from 1")
     for marg in (vals.sum(axis=-2), vals.sum(axis=-1)):
-        if np.max(np.abs(marg.imag)) >= 1e-9 or np.min(marg.real) <= -1e-9:
+        if not (np.all(np.abs(marg.imag) < 1e-9) and np.all(marg.real > -1e-9)):
             raise NumericsError("joint marginals are not real non-negative")
 
 
@@ -244,7 +245,7 @@ def mix_joints(joints, weights) -> JointQuasiProb:
     weights = np.asarray(weights, dtype=np.float64)
     if len(joints) == 0 or weights.shape != (len(joints),):
         raise DimensionMismatch("need one weight per joint")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-12:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= 1e-12):
         raise ValueError("weights must be non-negative and sum to one")
     first = joints[0]
     for j in joints[1:]:
@@ -254,11 +255,9 @@ def mix_joints(joints, weights) -> JointQuasiProb:
         ):
             raise BasisMismatch("joints are defined over different basis pairs")
     vals = sum(w * j.vals for w, j in zip(weights, joints))
-    sandwich = None
-    if all(j.sandwich is not None for j in joints):
-        sandwich = sum(w * j.sandwich for w, j in zip(weights, joints))
-        sandwich.setflags(write=False)
+    sandwich = sum(w * j.sandwich for w, j in zip(weights, joints))
     vals.setflags(write=False)
+    sandwich.setflags(write=False)
     return JointQuasiProb(
         a_basis=first.a_basis, b_basis=first.b_basis, vals=vals, sandwich=sandwich
     )
@@ -267,26 +266,19 @@ def mix_joints(joints, weights) -> JointQuasiProb:
 def predict_outcome_prob(joint: JointQuasiProb, basis_m: Basis) -> np.ndarray:
     """Probabilities of every outcome m predicted from a joint quasiprobability.
 
-    Evaluates p(m) = sum_{a,b} p(m|a,b) rho(a,b).  When the joint carries
-    its sandwich factor the sum is evaluated in the overlap-free form
-    <b|m><m|a> <a|rho|b>, exact for every basis pair; otherwise undefined
-    (a, b) pairs are skipped, which is only valid when their weight is
-    negligible.
+    Evaluates p(m) = sum_{a,b} p(m|a,b) rho(a,b) in the overlap-free form
+    <b|m><m|a> <a|rho|b>, in which <b|a> cancels, so it is exact for every
+    basis pair, orthogonal (a, b) pairs included.
     """
     if basis_m.dim != joint.dim:
         raise BasisMismatch(f"dim {basis_m.dim} vs joint dim {joint.dim}")
-    if joint.sandwich is not None:
-        m_a = basis_m.overlaps_with(joint.a_basis)  # <m|a>
-        b_m = np.conj(basis_m.overlaps_with(joint.b_basis))  # <b|m>, indexed [..., m, b]
-        total = np.sum((m_a @ joint.sandwich) * b_m, axis=-1)
-    else:
-        table = ccp_table(basis_m, joint.a_basis, joint.b_basis)
-        mask, rho = table.defined_mask[..., np.newaxis, :, :], joint.vals[..., np.newaxis, :, :]
-        total = np.where(mask, table.vals * rho, 0.0).sum(axis=(-2, -1))
+    m_a = basis_m.overlaps_with(joint.a_basis)  # <m|a>
+    b_m = np.conj(basis_m.overlaps_with(joint.b_basis))  # <b|m>, indexed [..., m, b]
+    total = np.sum((m_a @ joint.sandwich) * b_m, axis=-1)
     residue = float(np.max(np.abs(total.imag)))
-    if residue >= 1e-10:
+    if not residue < 1e-10:
         raise NumericsError(f"imaginary residue {residue:.3e} in prediction")
     prob = total.real
-    if np.any(prob < -1e-9) or np.any(prob > 1.0 + 1e-9):
+    if not np.all((prob >= -1e-9) & (prob <= 1.0 + 1e-9)):
         raise NumericsError(f"predicted probabilities {prob} outside [0, 1]")
     return prob

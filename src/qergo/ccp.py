@@ -163,8 +163,8 @@ class CcpTable:
             mask = np.array(_json_field(payload, "defined_mask"))
         except ValueError:
             raise ParseError("ragged defined_mask", 1) from None
-        if vals.shape != (dim, dim, dim) or not np.isfinite(vals).all():
-            raise ParseError(f"need finite values of shape {(dim,) * 3}, got {vals.shape}", 1)
+        if vals.shape != (dim, dim, dim):
+            raise ParseError(f"need values of shape {(dim,) * 3}, got {vals.shape}", 1)
         if mask.shape != (dim, dim) or mask.dtype != bool:
             raise ParseError(f"need a boolean mask of shape {(dim, dim)}", 1)
         table = cls(m_basis=m_b, a_basis=a_b, b_basis=b_b, vals=vals, defined_mask=mask)
@@ -286,7 +286,7 @@ def ergodicity_product(forward: CcpTable, backward: CcpTable) -> IdentitySides:
     """
     _require_over(backward, forward.a_basis, forward.m_basis, forward.b_basis)
     prod = np.swapaxes(backward.vals, -3, -2) * forward.vals  # [..., m, a, b]
-    p_m_a = ergodic_table(forward.m_basis, forward.a_basis).probs
+    p_m_a = ergodic_table(forward.m_basis, forward.a_basis)
     mask = forward.defined_mask[..., np.newaxis, :, :] & backward.defined_mask[..., np.newaxis, :]
     return IdentitySides(prod, p_m_a[..., np.newaxis], mask, axes=3)
 
@@ -296,9 +296,9 @@ def backaction_check(table: CcpTable) -> IdentitySides:
 
     Summed over m, the two sides give the dephasing decomposition.
     """
-    p_b_m = ergodic_table(table.b_basis, table.m_basis).probs  # [..., b, m]
-    p_m_a = ergodic_table(table.m_basis, table.a_basis).probs  # [..., m, a]
-    p_b_a = ergodic_table(table.b_basis, table.a_basis).probs  # [..., b, a]
+    p_b_m = ergodic_table(table.b_basis, table.m_basis)  # [..., b, m]
+    p_m_a = ergodic_table(table.m_basis, table.a_basis)  # [..., m, a]
+    p_b_a = ergodic_table(table.b_basis, table.a_basis)  # [..., b, a]
     seq = np.swapaxes(p_b_m, -1, -2)[..., :, np.newaxis, :] * p_m_a[..., np.newaxis]
     direct = np.abs(table.vals)
     np.square(direct, out=direct)
@@ -341,8 +341,8 @@ def bayes_convert(forward: CcpTable, converted: CcpTable) -> IdentitySides:
     (A, B, M).
     """
     _require_over(converted, forward.a_basis, forward.b_basis, forward.m_basis)
-    p_a_b = ergodic_table(forward.a_basis, forward.b_basis).probs  # [..., a, b]
-    p_m_b = ergodic_table(forward.m_basis, forward.b_basis).probs  # [..., m, b]
+    p_a_b = ergodic_table(forward.a_basis, forward.b_basis)  # [..., a, b]
+    p_m_b = ergodic_table(forward.m_basis, forward.b_basis)  # [..., m, b]
     lhs = forward.vals * p_a_b[..., np.newaxis, :, :]
     rhs = np.moveaxis(converted.vals, -1, -3) * p_m_b[..., :, np.newaxis, :]
     converted_mask = np.swapaxes(converted.defined_mask, -1, -2)[..., :, np.newaxis, :]
@@ -365,10 +365,11 @@ def ozawa_error(composed: CcpTable) -> np.ndarray:
         raise MissingValues("initial basis carries no outcome values")
     _require_same((composed.m_basis, composed.a_basis))
     half_sq = 0.5 * (values[:, np.newaxis] - values[np.newaxis, :]) ** 2  # [a, a']
-    p_a_b = ergodic_table(composed.a_basis, composed.b_basis).probs  # [..., a, b]
+    p_a_b = ergodic_table(composed.a_basis, composed.b_basis)  # [..., a, b]
     eps = np.einsum("aA,...Aab->...b", half_sq, composed.vals * p_a_b[..., np.newaxis, :, :])
-    if np.max(np.abs(eps.imag)) >= IMAG_RESIDUE_TOL:
-        raise NumericsError(f"imaginary residue {np.max(np.abs(eps.imag)):.3e} in epsilon^2")
+    residue = np.max(np.abs(eps.imag))
+    if not residue < IMAG_RESIDUE_TOL:
+        raise NumericsError(f"imaginary residue {residue:.3e} in epsilon^2")
     return np.where(composed.defined_mask.all(axis=-2), eps.real, np.nan)
 
 

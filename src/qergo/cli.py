@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-import numpy as np
-
 from . import lattice as lat
 from .basis import (
-    MIN_DIM, Basis, computational_basis, fourier_basis, haar_random_basis, make_basis,
+    MIN_DIM, Basis, _json_complex, computational_basis, fourier_basis, haar_random_basis,
+    make_basis,
 )
 from .bridge import pure_state_joint
 from .errors import BadGrid, ConfigError, NumericsError, ParseError, QergoError
@@ -109,12 +108,11 @@ def basis_from_spec(spec: Any, dim: int) -> Basis:
     if kind == "haar":
         return haar_random_basis(dim, _need(spec, "seed", int, "an integer"))
     if kind == "explicit":
-        re = _need(spec, "re", list, "a nested list")
-        im = _need(spec, "im", list, "a nested list")
-        mat = np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
+        _need(spec, "re", list, "a nested list")
+        _need(spec, "im", list, "a nested list")
         try:
-            return make_basis(mat, labels=spec.get("labels"))
-        except QergoError as exc:  # not orthonormal, or of the wrong shape
+            return make_basis(_json_complex(spec, "re", "im"), labels=spec.get("labels"))
+        except QergoError as exc:  # bad re/im arrays, or not an orthonormal square matrix
             raise ConfigError(f"explicit basis: {exc}") from None
     raise ConfigError(f"unknown basis kind {kind!r}")
 

@@ -215,11 +215,9 @@ def build_lattice(
     # energy basis is deterministic and running waves come out pure.  Only
     # these blocks make the eigenvectors complex; H applied to a rotated
     # block is (H block) rot, so the residual below needs no second product.
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and energies[stop] - energies[stop - 1] <= tol:
-            stop += 1
+    # Blocks break where neighbouring energies differ by more than tol (or by NaN).
+    bounds = np.concatenate(([0], np.flatnonzero(~(np.diff(energies) <= tol)) + 1, [d]))
+    for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop - start > 1:
             if not np.iscomplexobj(vectors):
                 vectors, hv = vectors.astype(np.complex128), hv.astype(np.complex128)
@@ -231,7 +229,6 @@ def build_lattice(
             _, rot = np.linalg.eigh(sub)
             vectors[:, start:stop] = block @ rot
             hv[:, start:stop] = hv[:, start:stop] @ rot
-        start = stop
 
     residual = float(np.max(np.linalg.norm(hv - vectors * energies, axis=0)))
     if not residual <= 1e-8 * max(h_norm, 1.0):

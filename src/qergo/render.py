@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from .basis import _json_complex
 from .errors import ParseError
 
 _CELL = 48
@@ -31,43 +32,51 @@ def _fmt(v: float) -> str:
 
 def _parse_float(text: str, line: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise ParseError(f"bad {what} value {text!r}", line) from None
+        value = math.nan  # rejected below, as a non-finite number is
+    if not math.isfinite(value):
+        raise ParseError(f"bad {what} value {text!r}", line)
+    return value
 
 
-def parse_grid_csv(text: str):
-    """(a_label, b_label, re, im) rows -> (row labels, col labels, matrix)."""
+def _data_rows(text: str, header_ok):
+    """Yield (line number, fields) of every non-blank row under an accepted header.
+
+    ``header_ok`` judges the stripped header fields.  Each row must have as
+    many fields as the header; every ParseError names the first bad line.
+    """
     lines = text.splitlines()
     if not lines:
         raise ParseError("empty input", 1)
     header = [h.strip() for h in lines[0].split(",")]
-    if header[:4] != ["a_label", "b_label", "re", "im"]:
+    if not header_ok(header):
         raise ParseError(f"unexpected header {lines[0]!r}", 1)
-    rows: dict[str, dict[str, complex]] = {}
-    col_order: list[str] = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", i)
-        a, b = parts[0], parts[1]
-        re = _parse_float(parts[2], i, "re")
-        im = _parse_float(parts[3], i, "im")
+        if len(parts) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(parts)}", i)
+        yield i, parts
+
+
+def parse_grid_csv(text: str):
+    """(a_label, b_label, re, im) rows -> (row labels, col labels, matrix)."""
+    rows: dict[str, dict[str, complex]] = {}
+    col_order: list[str] = []
+    for i, (a, b, re, im) in _data_rows(text, lambda h: h == ["a_label", "b_label", "re", "im"]):
         row = rows.setdefault(a, {})
         if b in row:
             raise ParseError(f"repeated cell ({a!r}, {b!r})", i)
-        row[b] = complex(re, im)
+        row[b] = complex(_parse_float(re, i, "re"), _parse_float(im, i, "im"))
         if b not in col_order:
             col_order.append(b)
-    row_order = list(rows)
-    n_cols = len(col_order)
-    for i, a in enumerate(row_order):
-        if len(rows[a]) != n_cols:
-            raise ParseError(f"incomplete grid for row {a!r}", len(lines))
-    mat = np.array([[rows[a][b] for b in col_order] for a in row_order])
-    return row_order, col_order, mat
+    for a, row in rows.items():
+        if len(row) != len(col_order):
+            raise ParseError(f"incomplete grid for row {a!r}", i)
+    mat = np.array([[rows[a][b] for b in col_order] for a in rows])
+    return list(rows), col_order, mat
 
 
 def parse_profile_csv(text: str):
@@ -75,25 +84,11 @@ def parse_profile_csv(text: str):
 
     Accepts any header whose first three columns are (x-like, re, im).
     """
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", 1)
-    header = [h.strip() for h in lines[0].split(",")]
-    if len(header) < 3 or header[1] != "re" or header[2] != "im":
-        raise ParseError(f"unexpected header {lines[0]!r}", 1)
-    n_fields = len(header)
     xs: list[float] = []
     vals: list[complex] = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_fields:
-            raise ParseError(f"expected {n_fields} fields, got {len(parts)}", i)
+    for i, parts in _data_rows(text, lambda h: len(h) >= 3 and h[1:3] == ["re", "im"]):
         xs.append(_parse_float(parts[0], i, "x"))
-        re = _parse_float(parts[1], i, "re")
-        im = _parse_float(parts[2], i, "im")
-        vals.append(complex(re, im))
+        vals.append(complex(_parse_float(parts[1], i, "re"), _parse_float(parts[2], i, "im")))
     if not xs:
         raise ParseError("no data rows", 2)
     return np.array(xs), np.array(vals)
@@ -201,11 +196,7 @@ def render_distribution(text: str, style: str) -> str:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno) from None
-        if "re" not in payload or "im" not in payload:
-            raise ParseError("JSON export lacks re/im arrays", 1)
-        mat = np.array(payload["re"], dtype=float) + 1j * np.array(
-            payload["im"], dtype=float
-        )
+        mat = _json_complex(payload, "re", "im")
         if style == "heatmap":
             if mat.ndim != 2:
                 raise ParseError("heatmap needs a 2D re/im grid", 1)

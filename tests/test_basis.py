@@ -25,6 +25,7 @@ from qergo.basis import (
     _finish_basis,
     _fix_column_phases,
     _structural_gate,
+    haar_random_bases,
 )
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -183,11 +184,19 @@ class TestErgodicProb:
     def test_table_transpose_symmetry(self, z2, y2):
         t1 = ergodic_table(z2, y2)
         t2 = ergodic_table(y2, z2)
-        np.testing.assert_allclose(t1.probs, t2.probs.T, atol=1e-15)
+        np.testing.assert_allclose(t1, t2.T, atol=1e-15)
+
+    def test_overlap_rejects_stacks(self):
+        # A stack has one amplitude per entry; no scalar answers for all of them.
+        stack = haar_random_bases(3, [1, 2])
+        with pytest.raises(DimensionMismatch):
+            stack.overlap(0, haar_random_bases(3, [3, 4]), 1)
+        with pytest.raises(DimensionMismatch):
+            haar_random_basis(3, 1).overlap(0, stack, 1)
 
     def test_table_columns_sum_to_one(self):
         t = ergodic_table(haar_random_basis(6, 5), haar_random_basis(6, 6))
-        np.testing.assert_allclose(t.column_sums(), np.ones(6), atol=1e-10)
+        np.testing.assert_allclose(t.sum(axis=0), np.ones(6), atol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)

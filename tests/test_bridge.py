@@ -1,10 +1,16 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qergo import (
+    Basis,
     JointQuasiProb,
+    NumericsError,
+    ParseError,
     ZeroReferenceOverlap,
     align_global_phase,
     born_rule_coherence,
@@ -203,15 +209,6 @@ class TestPredictOutcome:
             p2 = probs2[k]
             assert abs(p1 - p2) < 1e-9
 
-    def test_fallback_without_sandwich(self):
-        m, a, b = haar_triple(4, 80)
-        joint = pure_state_joint((m, 0), a, b)
-        stripped = JointQuasiProb(a_basis=a, b_basis=b, vals=joint.vals, sandwich=None)
-        fallback = predict_outcome_prob(stripped, m)
-        exact = predict_outcome_prob(joint, m)
-        for k in range(4):
-            assert fallback[k] == pytest.approx(exact[k], abs=1e-9)
-
 
 class TestMixAndSerialize:
     def test_convex_mixture_interpolates(self):
@@ -253,3 +250,58 @@ class TestMixAndSerialize:
             for row in lines[1:]
         )
         assert total == pytest.approx(joint.total(), abs=1e-12)
+
+
+def _nan_basis(dim: int) -> Basis:
+    """A basis of NaN vectors, built directly so no constructor check sees it."""
+    return Basis(dim=dim, vectors=np.full((dim, dim), np.nan + 0j), labels=tuple("abcdefgh"[:dim]))
+
+
+class TestNonFiniteFailsClosed:
+    """A NaN in a weight, a joint or a basis raises; it never reaches a result."""
+
+    def test_nan_weights_rejected(self):
+        m, a, b = haar_triple(3, 85)
+        j = pure_state_joint((m, 0), a, b)
+        with pytest.raises(ValueError):
+            mix_joints([j, j], [np.nan, np.nan])
+
+    def test_nan_sandwich_prediction_raises(self):
+        m, a, b = haar_triple(3, 86)
+        joint = pure_state_joint((m, 0), a, b)
+        broken = dataclasses.replace(joint, sandwich=np.full((3, 3), np.nan + 0j))
+        with pytest.raises(NumericsError):
+            predict_outcome_prob(broken, m)
+
+    def test_nan_state_joint_raises(self):
+        _, a, b = haar_triple(3, 87)
+        with pytest.raises(NumericsError):
+            pure_state_joint((_nan_basis(3), 0), a, b)
+
+    def test_nan_intermediate_coherence_raises(self):
+        f, a, b = haar_triple(3, 88)
+        with pytest.raises(NumericsError):
+            born_rule_coherence(f, a, _nan_basis(3), (b, 0))
+
+
+_NAN_3X3 = [[float("nan")] * 3] * 3
+
+
+class TestJointFromJsonChecks:
+    """The loader takes only finite (dim, dim) values and sandwich."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]},  # one-dimensional values
+            {"sandwich_re": [[1.0]], "sandwich_im": [[0.0]]},  # 1 x 1 sandwich
+            {"sandwich_re": _NAN_3X3},
+            {"im": [[float("inf")] * 3] * 3},
+            {"sandwich_re": None, "sandwich_im": None},  # the form of a joint without one
+        ],
+    )
+    def test_rejected(self, fields):
+        m, a, b = haar_triple(3, 89)
+        payload = {**json.loads(pure_state_joint((m, 0), a, b).to_json()), **fields}
+        with pytest.raises(ParseError):
+            JointQuasiProb.from_json(json.dumps(payload))

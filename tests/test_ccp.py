@@ -10,6 +10,7 @@ from qergo import (
     BasisMismatch,
     CcpTable,
     MissingValues,
+    NumericsError,
     OrthogonalCondition,
     ParseError,
     backaction_check,
@@ -381,6 +382,13 @@ class TestOzawaError:
     def test_missing_values(self, z2, x2, y2):
         with pytest.raises(MissingValues):
             _ozawa(y2, z2, x2)
+
+    def test_nan_composition_raises(self, z2, x2):
+        a_vals = make_basis(z2.vectors, values=[1.0, -1.0])
+        composed = np.full((2, 2, 2), np.nan + 0j)
+        table = CcpTable(a_vals, a_vals, x2, composed, np.ones((2, 2), dtype=bool))
+        with pytest.raises(NumericsError):
+            ozawa_error(table)
 
 
 @settings(max_examples=15, deadline=None)

@@ -122,6 +122,15 @@ class TestKdCommand:
         assert "Gram defect" in capsys.readouterr().err
         assert not (tmp_path / "kd.csv").exists()
 
+    def test_explicit_basis_re_im_shapes_must_match(self, tmp_path, capsys):
+        # An im of another shape must not broadcast against re.
+        config = self._config()
+        config["params"]["row_basis"] = {"kind": "explicit", "re": [[1, 0], [0, 1]], "im": [[0, 0]]}
+        cfg = write_config(tmp_path, "kd.json", config)
+        assert main(["kd", "--config", cfg, "--out", str(tmp_path / "kd"), "--format", "csv"]) == 2
+        assert "re of shape (2, 2) but im of (1, 2)" in capsys.readouterr().err
+        assert not (tmp_path / "kd.csv").exists()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_labeled_export_renders_well_formed_svg(self, tmp_path, fmt):
         config = self._config()
@@ -412,6 +421,37 @@ class TestRenderErrors:
         with pytest.raises(ParseError) as err:
             parse_grid_csv(bad.read_text())
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "style, parse, text",
+        [
+            ("profile", parse_profile_csv, "x,re,im\n0.0,0.5,0.0\n0.1,nan,0.0\n"),
+            ("heatmap", parse_grid_csv, "a_label,b_label,re,im\n0,0,0.5,0.0\n0,1,0.5,inf\n"),
+        ],
+    )
+    def test_non_finite_csv_value_names_line(self, tmp_path, style, parse, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        code = main(["render", str(bad), "--style", style, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x.svg").exists()
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "style, text",
+        [
+            ("profile", '{"re": [0.0, 0.5], "im": [0.0, NaN]}'),  # json.loads reads NaN
+            ("heatmap", '{"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [Infinity, 0.0]]}'),
+        ],
+    )
+    def test_non_finite_json_value_rejected(self, tmp_path, style, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["render", str(bad), "--style", style, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x.svg").exists()
 
     def test_markup_in_labels_is_escaped(self):
         text = "a_label,b_label,re,im\n<b&>,x,0.5,0.0\n<b&>,y,0.5,0.0\n"
