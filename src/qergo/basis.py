@@ -30,6 +30,8 @@ GRAM_INTERNAL_TOL = 1e-10
 PHASE_PIVOT_TOL = 1e-12
 #: Smallest dimension of a basis.
 MIN_DIM = 2
+#: Largest entry difference at which two bases count as the same basis.
+COMPATIBLE_TOL = 1e-12
 
 
 def _as_square_complex(columns) -> np.ndarray:
@@ -101,6 +103,12 @@ def _csv(**columns) -> str:
     return "\n".join((",".join(columns), *rows)) + "\n"
 
 
+def _check_index(k: int, dim: int) -> None:
+    """Raise :class:`IndexOutOfRange` unless ``k`` is an outcome index of a dim-``dim`` basis."""
+    if not 0 <= k < dim:
+        raise IndexOutOfRange(f"outcome index {k} outside 0..{dim - 1}")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -120,8 +128,7 @@ class Basis:
         return self.vectors[..., k]
 
     def check_index(self, k: int) -> None:
-        if not 0 <= k < self.dim:
-            raise IndexOutOfRange(f"outcome index {k} outside 0..{self.dim - 1}")
+        _check_index(k, self.dim)
 
     def overlap(self, j: int, other: "Basis", k: int) -> complex:
         """Amplitude <self_j | other_k> between two single (unstacked) bases."""
@@ -141,7 +148,7 @@ class Basis:
         """Components <self_k | vec> of a vector, or of a stack of them, shape (..., dim)."""
         return (_adjoint(self.vectors) @ vec[..., np.newaxis])[..., 0]
 
-    def compatible_with(self, other: "Basis", tol: float = 1e-12) -> bool:
+    def compatible_with(self, other: "Basis", tol: float = COMPATIBLE_TOL) -> bool:
         return (
             self.dim == other.dim
             and float(np.max(np.abs(self.vectors - other.vectors))) <= tol
@@ -243,19 +250,25 @@ def _finish_basis(
     return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
 
 
-def _dft_matrix(dim: int, first: int) -> np.ndarray:
-    """Columns exp(2i pi j (first + k) / dim) / sqrt(dim), for k = 0..dim-1.
+def _dft_columns(dim: int, first: int, cols) -> np.ndarray:
+    """Columns exp(2i pi j (first + k) / dim) / sqrt(dim) for k in ``cols``, j = 0..dim-1.
 
     Every entry is read from one table of the dim roots of unity at
     j (first + k) mod dim, so no entry carries the rounding of a large phase.
+    An integer ``cols`` gives the one column as a vector.
     """
     # The narrowest unsigned type that holds (dim - 1)^2 keeps the d x d index small.
     rows = np.arange(dim, dtype=np.min_scalar_type((dim - 1) ** 2))
-    freqs = ((first + np.arange(dim)) % dim).astype(rows.dtype)
+    freqs = ((first + np.asarray(cols)) % dim).astype(rows.dtype)
     index = np.multiply.outer(rows, freqs)
     np.remainder(index, dim, out=index)
     roots = np.exp(2j * np.pi * np.arange(dim) / dim) / math.sqrt(dim)
     return roots[index]
+
+
+def _dft_matrix(dim: int, first: int) -> np.ndarray:
+    """All dim columns of :func:`_dft_columns`, the DFT basis matrix."""
+    return _dft_columns(dim, first, np.arange(dim))
 
 
 def _structural_gate(mat: np.ndarray, first: int | None) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _csv, _json_complex, _json_field
+from .basis import COMPATIBLE_TOL, Basis, _csv, _json_complex, _json_field
 from .ccp import CcpTable, IMAG_RESIDUE_TOL, _require_shared_dim, is_defined
 from .errors import (
     BasisMismatch,
@@ -182,6 +182,20 @@ class JointQuasiProb:
 
     @classmethod
     def from_json(cls, text: str) -> "JointQuasiProb":
+        """Load a joint, refusing a file whose ``vals`` is not ``sandwich * <b|a>``.
+
+        Every entry must hold |vals - sandwich <b|a>| <= 2 sqrt(d) 1e-12 + 1e-12,
+        <b|a> recomputed from the file's bases, which covers every joint
+        ``pure_state_joint`` and ``mix_joints`` write.  The first term is
+        ``mix_joints``' basis drift: it pairs bases that agree to
+        ``COMPATIBLE_TOL`` per entry, which moves <b|a> by up to 2 sqrt(d)
+        COMPATIBLE_TOL, and |sandwich| <= 1 under weights summing to one.
+        The second bounds its rounding, u = 2^-53 (Higham 2002, sec. 3.1,
+        lemma 3.5): sqrt(2) gamma_2 per product, sqrt(2) gamma_{d+2} per
+        <b|a>, and gamma_n for each of its two sums over n joints, at most
+        (2n + 3d + 12) u, under 1e-12 for 2n + 3d <= 8,995.  One state's values
+        with another's sandwich miss by O(1) and raise :class:`ParseError`.
+        """
         payload = json.loads(text)
         a_basis, b_basis = (
             Basis.from_json(json.dumps(_json_field(payload, key))) for key in ("a_basis", "b_basis")
@@ -193,6 +207,11 @@ class JointQuasiProb:
             if arr.shape != shape:
                 raise ParseError(f"need {name} of shape {shape}, got {arr.shape}", 1)
             arr.setflags(write=False)
+        defect = np.abs(vals - sandwich * b_basis.overlaps_with(a_basis).T)
+        bound = 2.0 * np.sqrt(shape[0]) * COMPATIBLE_TOL + 1e-12  # basis drift + rounding
+        if not np.all(defect <= bound):
+            worst = float(np.max(defect))
+            raise ParseError(f"values are off sandwich * <b|a> by {worst:.3e} > {bound:.3e}", 1)
         return cls(a_basis=a_basis, b_basis=b_basis, vals=vals, sandwich=sandwich)
 
     def to_csv(self) -> str:

@@ -70,6 +70,15 @@ def _require_over(table: "CcpTable", m: Basis, a: Basis, b: Basis) -> None:
     _require_same((table.m_basis, m), (table.a_basis, a), (table.b_basis, b))
 
 
+def _require_defined(denom, a_label: str, b_label: str) -> None:
+    """Raise :class:`OrthogonalCondition` unless the overlap ``denom`` = <b|a> is defined."""
+    if not is_defined(denom):
+        raise OrthogonalCondition(
+            f"|<b|a>| = {abs(denom):.3e} at or below cutoff {ORTHOGONALITY_CUTOFF:.1e} "
+            f"(a={a_label}, b={b_label})"
+        )
+
+
 def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -> np.ndarray:
     """All p(m|a,b) for fixed (a, b), as a length-dim complex array.
 
@@ -80,11 +89,7 @@ def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -
     basis_a.check_index(a)
     basis_b.check_index(b)
     denom = basis_b.overlap(b, basis_a, a)
-    if not is_defined(denom):
-        raise OrthogonalCondition(
-            f"|<b|a>| = {abs(denom):.3e} at or below cutoff {ORTHOGONALITY_CUTOFF:.1e} "
-            f"(a={basis_a.labels[a]}, b={basis_b.labels[b]})"
-        )
+    _require_defined(denom, basis_a.labels[a], basis_b.labels[b])
     # numpy's own loops, not BLAS: a threaded gemv here would leave BLAS
     # workers spinning on every core after each of many small calls.
     b_m = np.einsum("i,im->m", basis_b.vectors[:, b].conj(), basis_m.vectors)  # <b|m>

@@ -17,12 +17,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, _csv, _finish_basis, _structured_basis
-from .ccp import ccp_column, is_defined
+from .basis import Basis, _check_index, _csv, _dft_columns, _finish_basis, _structured_basis
+from .ccp import _require_defined, ccp_column, is_defined
 from .errors import (
     BadGrid,
     NonHermitian,
@@ -103,6 +104,9 @@ class LatticeSystem:
 
     ``hamiltonian`` is the real symmetric float64 matrix that was
     diagonalized: the kinetic circulant t[(j - l) mod d] plus diag(V).
+    The energy basis is built with the system; the position and momentum
+    bases, dense complex d x d matrices, are built and cached on first
+    access, so a caller that reads neither never forms them.
     """
 
     d: int
@@ -112,11 +116,20 @@ class LatticeSystem:
     potential: np.ndarray  # V(x_j)
     positions: np.ndarray  # x_j = j * dx
     momenta: np.ndarray  # p_k = 2 pi hbar (k - d/2) / L
-    x_basis: Basis
-    p_basis: Basis
     e_basis: Basis  # values hold the energy eigenvalues, ascending
     hamiltonian: np.ndarray  # real symmetric, float64
     potential_spec: dict
+
+    @cached_property
+    def x_basis(self) -> Basis:
+        """The exact identity: column j is the grid point x_j."""
+        return _structured_basis(self.d, None, [f"x{j}" for j in range(self.d)], self.positions)
+
+    @cached_property
+    def p_basis(self) -> Basis:
+        """The centered DFT: column k is the mode exp(i p_k x / hbar), of DFT frequency k - d/2."""
+        labels = [f"p{k}" for k in range(self.d)]
+        return _structured_basis(self.d, -self.zero_momentum_index(), labels, self.momenta)
 
     @property
     def dx(self) -> float:
@@ -158,8 +171,9 @@ def build_lattice(
     ``eigh`` diagonalizes it.  The energy basis becomes complex only where a
     degenerate block is rotated onto momentum eigenstates; the block's
     momentum amplitudes come from an FFT of its columns.  The position and
-    momentum bases are the exact identity and the centered DFT, Gram-checked
-    through their structure in O(d^2 log d).
+    momentum bases, the exact identity and the centered DFT, are not built
+    here: each is built, Gram-checked through its structure in O(d^2 log d),
+    and cached on the first read of ``x_basis`` or ``p_basis``.
 
     Parameters
     ----------
@@ -234,9 +248,6 @@ def build_lattice(
     if not residual <= 1e-8 * max(h_norm, 1.0):
         raise NumericsError(f"eigen-residual {residual:.3e} exceeds 1e-8 * ||H||")
 
-    x_basis = _structured_basis(d, None, [f"x{j}" for j in range(d)], positions)
-    # column k is the mode exp(i p_k x / hbar), of DFT frequency k - d/2
-    p_basis = _structured_basis(d, -(d // 2), [f"p{k}" for k in range(d)], momenta)
     e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies)
 
     positions.setflags(write=False)
@@ -251,17 +262,33 @@ def build_lattice(
         potential=v,
         positions=positions,
         momenta=momenta,
-        x_basis=x_basis,
-        p_basis=p_basis,
         e_basis=e_basis,
         hamiltonian=h,
         potential_spec=spec,
     )
 
 
+def _xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> tuple[np.ndarray, complex]:
+    """The column p(x|E, p_ref) and the overlap <p_ref|E> it is divided by."""
+    sys.e_basis.check_index(e_index)
+    _check_index(p_ref, sys.d)
+    e_col = sys.e_basis.vectors[:, e_index]
+    p_col = _dft_columns(sys.d, -sys.zero_momentum_index(), p_ref)  # column p_ref of p_basis
+    denom = np.vdot(p_col, e_col)
+    _require_defined(denom, sys.e_basis.labels[e_index], f"p{p_ref}")
+    return p_col.conj() * e_col / denom, denom
+
+
 def ccp_xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> np.ndarray:
-    """Conditional position column p(x|E, p_ref) over the whole grid."""
-    return ccp_column(sys.x_basis, sys.e_basis, e_index, sys.p_basis, p_ref)
+    """Conditional position column p(x|E, p_ref) over the whole grid.
+
+    On the grid <x|m> is the identity, so the definition <p|x><x|E>/<p|E>
+    is the product of the energy column and the conjugate momentum column,
+    over their inner product: O(d), with neither d x d basis formed.  It
+    equals ``ccp_column(sys.x_basis, sys.e_basis, e_index, sys.p_basis,
+    p_ref)`` in every float and raises the same errors.
+    """
+    return _xEp(sys, e_index, p_ref)[0]
 
 
 def eigenfunction_from_ccp(sys: LatticeSystem, e_index: int, p_ref: int) -> np.ndarray:
@@ -271,9 +298,8 @@ def eigenfunction_from_ccp(sys: LatticeSystem, e_index: int, p_ref: int) -> np.n
     eigenfunction up to one global phase; other references attach the
     gauge ramp exp(-i p_ref x / hbar).
     """
-    col = ccp_xEp(sys, e_index, p_ref)
-    p_p_e = abs(sys.p_basis.overlap(p_ref, sys.e_basis, e_index)) ** 2
-    return math.sqrt(p_p_e * sys.d) * col
+    col, p_e = _xEp(sys, e_index, p_ref)
+    return math.sqrt(abs(p_e) ** 2 * sys.d) * col
 
 
 def gauge_shift(sys: LatticeSystem, e_index: int, p_from: int, p_to: int) -> np.ndarray:

@@ -188,6 +188,19 @@ def render_profile(xs: np.ndarray, vals: np.ndarray) -> str:
     return "\n".join(parts) + "\n"
 
 
+def _axis_labels(payload: dict, key: str, n: int) -> list[str]:
+    """Labels of one heatmap axis: ``payload[key]["labels"]``, or 0..n-1 without ``key``.
+
+    A present ``key`` must be an object whose ``labels`` is a list of n strings.
+    """
+    if key not in payload:
+        return [str(i) for i in range(n)]
+    labels = payload[key].get("labels") if isinstance(payload[key], dict) else None
+    if not (isinstance(labels, list) and len(labels) == n and all(type(x) is str for x in labels)):
+        raise ParseError(f"{key} needs a list of {n} string labels", 1)
+    return labels
+
+
 def render_distribution(text: str, style: str) -> str:
     """Render an exported distribution (CSV or the package's JSON) to SVG."""
     stripped = text.lstrip()
@@ -200,12 +213,9 @@ def render_distribution(text: str, style: str) -> str:
         if style == "heatmap":
             if mat.ndim != 2:
                 raise ParseError("heatmap needs a 2D re/im grid", 1)
-            a_labels = payload.get("a_basis", {}).get("labels") or [
-                str(i) for i in range(mat.shape[0])
-            ]
-            b_labels = payload.get("b_basis", {}).get("labels") or [
-                str(i) for i in range(mat.shape[1])
-            ]
+            a_labels, b_labels = (
+                _axis_labels(payload, key, n) for key, n in zip(("a_basis", "b_basis"), mat.shape)
+            )
             return render_heatmap(a_labels, b_labels, mat)
         if mat.ndim != 1:
             raise ParseError("profile needs a 1D re/im series", 1)

@@ -305,3 +305,24 @@ class TestJointFromJsonChecks:
         payload = {**json.loads(pure_state_joint((m, 0), a, b).to_json()), **fields}
         with pytest.raises(ParseError):
             JointQuasiProb.from_json(json.dumps(payload))
+
+    def test_values_of_one_state_with_the_sandwich_of_another_rejected(self):
+        m, a, b = haar_triple(3, 89)
+        payload = json.loads(pure_state_joint((m, 0), a, b).to_json())
+        other = json.loads(pure_state_joint((m, 1), a, b).to_json())
+        payload.update(sandwich_re=other["sandwich_re"], sandwich_im=other["sandwich_im"])
+        with pytest.raises(ParseError, match="sandwich"):
+            JointQuasiProb.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("dim, n", [(3, 2), (8, 200), (32, 400)])
+    def test_mixtures_within_the_stated_rounding(self, dim, n):
+        # The docstring's rounding budget, (2n + 3d + 12) u, holds each mixture.
+        _, a, b = haar_triple(dim, 90)
+        states = [(haar_random_basis(dim, 900 + k), k % dim) for k in range(n)]
+        joints = [pure_state_joint(state, a, b) for state in states]
+        weights = np.random.default_rng(n).random(n)
+        mixed = mix_joints(joints, weights / weights.sum())
+        defect = np.abs(mixed.vals - mixed.sandwich * b.overlaps_with(a).T)
+        assert defect.max() <= (2 * n + 3 * dim + 12) * np.finfo(float).eps / 2
+        again = JointQuasiProb.from_json(mixed.to_json())
+        assert np.array_equal(again.vals, mixed.vals)

@@ -453,6 +453,23 @@ class TestRenderErrors:
         assert code == 2
         assert not (tmp_path / "x.svg").exists()
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"a_basis": [1, 2]},
+            {"b_basis": {"labels": ["x", "y", "z"]}},
+            {"a_basis": {"labels": [0, 1]}},
+        ],
+        ids=["basis-not-an-object", "three-labels-for-two-columns", "labels-not-strings"],
+    )
+    def test_bad_json_labels_rejected(self, tmp_path, fields):
+        bad = tmp_path / "bad.json"
+        grid = {"re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        bad.write_text(json.dumps({**grid, **fields}))
+        code = main(["render", str(bad), "--style", "heatmap", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x.svg").exists()
+
     def test_markup_in_labels_is_escaped(self):
         text = "a_label,b_label,re,im\n<b&>,x,0.5,0.0\n<b&>,y,0.5,0.0\n"
         svg = minidom.parseString(render_distribution(text, "heatmap"))

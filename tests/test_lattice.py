@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 
 from qergo import (
     BadGrid,
+    IndexOutOfRange,
     OrthogonalCondition,
     PhaseUnwrapFailure,
     build_lattice,
     make_basis,
     quantized_spectrum_check,
 )
-from qergo.ccp import ccp_column, ccp_table
+from qergo import basis, lattice
+from qergo.ccp import ccp_column, ccp_table, is_defined
+from qergo.cli import main
 from qergo.lattice import (
     ccp_xEp,
     classical_momentum_check,
@@ -485,3 +489,63 @@ class TestNonFiniteInput:
         constants[field] = np.nan
         with pytest.raises(BadGrid):
             build_lattice(16, *constants, "free")
+
+
+class TestCcpXEpFromColumns:
+    """``ccp_xEp`` reads one energy column and one DFT column, never a d x d basis."""
+
+    @pytest.mark.parametrize("kind, d", [("box", 64), ("harmonic", 256), ("free", 128)])
+    def test_bitwise_equal_to_ccp_column(self, kind, d):
+        sys_ = GRIDS[kind](d)
+        if kind == "free":  # degenerate blocks make its energy basis complex
+            assert np.any(sys_.e_basis.vectors.imag != 0)
+        amps = sys_.p_basis.overlaps_with(sys_.e_basis)  # <p|E>, [p, E]
+        strongest = np.argmax(np.abs(amps), axis=0)
+        pairs = [(e, p) for e in range(0, d, 5) for p in {*range(0, d, 7), strongest[e]}]
+        defined = [(e, p) for e, p in pairs if is_defined(amps[p, e])]
+        assert len(defined) >= d // 5
+        for e, p in defined:
+            ours = ccp_xEp(sys_, e, p)
+            ref = ccp_column(sys_.x_basis, sys_.e_basis, e, sys_.p_basis, p)
+            assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), (e, p)
+
+    @pytest.mark.parametrize(
+        "e_index, p_offset, error",
+        [(1, 0, OrthogonalCondition), (64, 0, IndexOutOfRange), (-1, 0, IndexOutOfRange),
+         (0, 32, IndexOutOfRange), (0, -33, IndexOutOfRange)],
+    )
+    def test_same_errors_as_ccp_column(self, harmonic64, e_index, p_offset, error):
+        # level 1 is odd, so orthogonal to the zero-momentum reference
+        sys_, p_ref = harmonic64, harmonic64.zero_momentum_index() + p_offset
+        with pytest.raises(error) as want:
+            ccp_column(sys_.x_basis, sys_.e_basis, e_index, sys_.p_basis, p_ref)
+        with pytest.raises(error) as got:
+            ccp_xEp(sys_, e_index, p_ref)
+        assert str(got.value) == str(want.value)
+
+    def test_cli_paths_build_no_dense_x_or_p(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense position or momentum basis was built")
+
+        monkeypatch.setattr(basis, "_dft_matrix", refuse)
+        monkeypatch.setattr(lattice, "_structured_basis", refuse)
+        potential = {"kind": "harmonic", "omega": 1.0}
+        grid = {"d": 64, "L": 20.0, "mass": 1.0, "hbar": 1.0, "potential": potential}
+        sys_ = build_lattice(64, 20.0, 1.0, 1.0, ("harmonic", 1.0))
+        ccp_xEp(sys_, 2, 32)
+        eigenfunction_from_ccp(sys_, 0, 32)
+        configs = {
+            "lattice": {**grid, "column": {"energy_index": 2, "p_ref_index": 32}},
+            "quantize": {"lattice": grid, "levels": 5, "period": 2 * np.pi, "rtol": 0.01},
+        }
+        for command, params in configs.items():
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({"params": params}))
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        for name in ("x_basis", "p_basis"):  # the guard is live: a read still builds
+            with pytest.raises(AssertionError):
+                getattr(sys_, name)
+
+    def test_bases_built_once_on_first_read(self, box32):
+        assert box32.p_basis is box32.p_basis
+        assert box32.x_basis is box32.x_basis
