@@ -148,10 +148,10 @@ class Basis:
         """Components <self_k | vec> of a vector, or of a stack of them, shape (..., dim)."""
         return (_adjoint(self.vectors) @ vec[..., np.newaxis])[..., 0]
 
-    def compatible_with(self, other: "Basis", tol: float = COMPATIBLE_TOL) -> bool:
+    def compatible_with(self, other: "Basis") -> bool:
         return (
             self.dim == other.dim
-            and float(np.max(np.abs(self.vectors - other.vectors))) <= tol
+            and float(np.max(np.abs(self.vectors - other.vectors))) <= COMPATIBLE_TOL
         )
 
     def value(self, k: int) -> float:
@@ -234,9 +234,10 @@ def _finish_basis(
     """Gauge-fix, Gram-check, label and freeze a unitary matrix or stack of them, dim >= 2.
 
     ``make_basis`` ends here after its polar step.  Matrices that are
-    unitary by construction (Haar QR, ``eigh`` output) come here directly:
-    they skip the polar step but keep the Gram gate, one for a stack.  A
-    real matrix is gauge-fixed and Gram-checked in real arithmetic, then cast.
+    unitary by construction (Haar QR, ``eigh`` output, the identity, the
+    DFT) come here directly: they skip the polar step but keep the Gram
+    gate, one for a stack.  A real matrix is gauge-fixed and Gram-checked
+    in real arithmetic, then cast.
     """
     dim = mat.shape[-1]
     mat = _fix_column_phases(mat)
@@ -255,7 +256,8 @@ def _dft_columns(dim: int, first: int, cols) -> np.ndarray:
 
     Every entry is read from one table of the dim roots of unity at
     j (first + k) mod dim, so no entry carries the rounding of a large phase.
-    An integer ``cols`` gives the one column as a vector.
+    An integer ``cols`` gives the one column as a vector; ``range(dim)``
+    gives the whole DFT basis matrix.
     """
     # The narrowest unsigned type that holds (dim - 1)^2 keeps the d x d index small.
     rows = np.arange(dim, dtype=np.min_scalar_type((dim - 1) ** 2))
@@ -264,51 +266,6 @@ def _dft_columns(dim: int, first: int, cols) -> np.ndarray:
     np.remainder(index, dim, out=index)
     roots = np.exp(2j * np.pi * np.arange(dim) / dim) / math.sqrt(dim)
     return roots[index]
-
-
-def _dft_matrix(dim: int, first: int) -> np.ndarray:
-    """All dim columns of :func:`_dft_columns`, the DFT basis matrix."""
-    return _dft_columns(dim, first, np.arange(dim))
-
-
-def _structural_gate(mat: np.ndarray, first: int | None) -> None:
-    """Gram gate for the identity (``first`` None) or ``_dft_matrix(dim, first)``.
-
-    It costs O(d^2 log d) where a Gram product costs d^3.  The identity must
-    be exact.  For the DFT, G = FFT(mat) / sqrt(d), taken down each column,
-    must equal the permutation with a one at row (first + k) mod d of column
-    k, within ``GRAM_INTERNAL_TOL``.  The normalized FFT is unitary, so
-    mat^H mat - I = G^H G - I, and a structural defect delta bounds each of
-    its entries by 2 sqrt(d) delta + d delta^2.  A NaN entry fails either check.
-    """
-    dim = mat.shape[0]
-    if first is None:
-        if not (np.count_nonzero(mat) == dim and np.all(np.diagonal(mat) == 1)):
-            raise NotOrthonormal("identity basis is not the exact identity")
-        return
-    spectrum = np.fft.fft(mat, axis=0) / math.sqrt(dim)
-    cols = np.arange(dim)
-    spectrum[(first + cols) % dim, cols] -= 1.0
-    defect = float(np.max(np.abs(spectrum)))
-    if not defect <= GRAM_INTERNAL_TOL:
-        raise NotOrthonormal(f"DFT structural defect {defect:.3e}")
-
-
-def _structured_basis(
-    dim: int,
-    first: int | None,
-    labels: Sequence[str] | None = None,
-    values: Sequence[float] | None = None,
-) -> Basis:
-    """The identity (``first`` None) or the DFT basis ``_dft_matrix(dim, first)``.
-
-    Both satisfy the phase convention as built: the identity's pivots are
-    1, and row 0 of the DFT is 1/sqrt(dim).  The Gram gate is structural.
-    """
-    mat = np.eye(dim, dtype=np.complex128) if first is None else _dft_matrix(dim, first)
-    _structural_gate(mat, first)
-    label_tuple, value_arr = _checked_labels_values(dim, labels, values)
-    return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
 
 
 def _checked_labels_values(
@@ -338,7 +295,7 @@ def computational_basis(dim: int, values: Sequence[float] | None = None) -> Basi
     """Identity-column basis {|0>, ..., |dim-1>}."""
     if dim < MIN_DIM:
         raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
-    return _structured_basis(dim, None, values=values)
+    return _finish_basis(np.eye(dim), values=values)
 
 
 def fourier_basis(dim: int) -> Basis:
@@ -348,7 +305,7 @@ def fourier_basis(dim: int) -> Basis:
     """
     if dim < MIN_DIM:
         raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
-    return _structured_basis(dim, 0, labels=[f"f{k}" for k in range(dim)])
+    return _finish_basis(_dft_columns(dim, 0, range(dim)), labels=[f"f{k}" for k in range(dim)])
 
 
 def haar_random_bases(dim: int, seeds: Sequence[int]) -> Basis:

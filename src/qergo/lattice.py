@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, _check_index, _csv, _dft_columns, _finish_basis, _structured_basis
-from .ccp import _require_defined, ccp_column, is_defined
+from .basis import Basis, _check_index, _csv, _dft_columns, _finish_basis
+from .ccp import _require_defined, is_defined
 from .errors import (
     BadGrid,
     NonHermitian,
@@ -106,7 +106,8 @@ class LatticeSystem:
     diagonalized: the kinetic circulant t[(j - l) mod d] plus diag(V).
     The energy basis is built with the system; the position and momentum
     bases, dense complex d x d matrices, are built and cached on first
-    access, so a caller that reads neither never forms them.
+    access, so a caller that reads neither never forms them.  No function
+    of this module reads them: each takes the one DFT column or row it needs.
     """
 
     d: int
@@ -123,13 +124,14 @@ class LatticeSystem:
     @cached_property
     def x_basis(self) -> Basis:
         """The exact identity: column j is the grid point x_j."""
-        return _structured_basis(self.d, None, [f"x{j}" for j in range(self.d)], self.positions)
+        return _finish_basis(np.eye(self.d), [f"x{j}" for j in range(self.d)], self.positions)
 
     @cached_property
     def p_basis(self) -> Basis:
         """The centered DFT: column k is the mode exp(i p_k x / hbar), of DFT frequency k - d/2."""
         labels = [f"p{k}" for k in range(self.d)]
-        return _structured_basis(self.d, -self.zero_momentum_index(), labels, self.momenta)
+        dft = _dft_columns(self.d, -self.zero_momentum_index(), range(self.d))
+        return _finish_basis(dft, labels, self.momenta)
 
     @property
     def dx(self) -> float:
@@ -172,8 +174,8 @@ def build_lattice(
     degenerate block is rotated onto momentum eigenstates; the block's
     momentum amplitudes come from an FFT of its columns.  The position and
     momentum bases, the exact identity and the centered DFT, are not built
-    here: each is built, Gram-checked through its structure in O(d^2 log d),
-    and cached on the first read of ``x_basis`` or ``p_basis``.
+    here: each is built, Gram-checked like any other basis, and cached on
+    the first read of ``x_basis`` or ``p_basis``.
 
     Parameters
     ----------
@@ -247,6 +249,7 @@ def build_lattice(
     residual = float(np.max(np.linalg.norm(hv - vectors * energies, axis=0)))
     if not residual <= 1e-8 * max(h_norm, 1.0):
         raise NumericsError(f"eigen-residual {residual:.3e} exceeds 1e-8 * ||H||")
+    del hv  # d x d; freed before the energy basis's Gram gate
 
     e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies)
 
@@ -279,6 +282,23 @@ def _xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> tuple[np.ndarray, comp
     return p_col.conj() * e_col / denom, denom
 
 
+def _pEx(sys: LatticeSystem, e_index: int, x_ref: int) -> np.ndarray:
+    """The column p(p|E, x_ref) = <x_ref|p><p|E>/<x_ref|E> over every momentum.
+
+    Row x_ref of the centered DFT is column x_ref of the uncentered one,
+    rolled to centered order: the same roots-table entries.  <p|E> is the
+    energy column's FFT in the same order.  It raises ``ccp_column``'s errors.
+    """
+    sys.e_basis.check_index(e_index)
+    _check_index(x_ref, sys.d)
+    e_col = sys.e_basis.vectors[:, e_index]
+    _require_defined(e_col[x_ref], sys.e_basis.labels[e_index], f"x{x_ref}")
+    shift = sys.zero_momentum_index()
+    x_row = np.roll(_dft_columns(sys.d, 0, x_ref), shift)  # <x_ref|p_k>
+    p_e = np.roll(np.fft.fft(e_col), shift) / math.sqrt(sys.d)  # <p_k|E>
+    return x_row * p_e / e_col[x_ref]
+
+
 def ccp_xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> np.ndarray:
     """Conditional position column p(x|E, p_ref) over the whole grid.
 
@@ -309,6 +329,7 @@ def gauge_shift(sys: LatticeSystem, e_index: int, p_from: int, p_to: int) -> np.
     renormalizes; equals the directly computed p(x|E,p_to).
     """
     col = ccp_xEp(sys, e_index, p_from)
+    _check_index(p_to, sys.d)
     ramp = np.exp(
         1j * (sys.momenta[p_from] - sys.momenta[p_to]) * sys.positions / sys.hbar
     )
@@ -335,7 +356,7 @@ def conjugate_product_check(
     under the grid convention dx dp = 2 pi hbar / d.
     """
     col_x = ccp_xEp(sys, e_index, p)
-    col_p = ccp_column(sys.p_basis, sys.e_basis, e_index, sys.x_basis, x)
+    col_p = _pEx(sys, e_index, x)
     return ConjugatePair(lhs=complex(col_x[x] * col_p[p]), rhs=1.0 / sys.d)
 
 
@@ -353,7 +374,7 @@ def fourier_relation_check(
     and returns the max distance from the directly computed column.
     """
     col = ccp_xEp(sys, e_index, p_ref)
-    direct = ccp_column(sys.p_basis, sys.e_basis, e_index, sys.x_basis, x_ref)
+    direct = _pEx(sys, e_index, x_ref)
     # On the grid (p' - p) x_j / hbar = 2 pi j (p_ref - k) / d, so the sum over
     # x' is the DFT of the column at frequency k - p_ref.
     numer = np.roll(np.fft.fft(col), p_ref)
@@ -467,7 +488,14 @@ def energy_concentration(
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
-    col = ccp_column(sys.e_basis, sys.x_basis, x, sys.p_basis, p)
+    _check_index(x, sys.d)
+    _check_index(p, sys.d)
+    p_col = _dft_columns(sys.d, -sys.zero_momentum_index(), p)
+    p_x = p_col[x].conj()  # <p|x>
+    _require_defined(p_x, f"x{x}", f"p{p}")
+    e = sys.e_basis.vectors
+    # <p|E><E|x>/<p|x>, the floats ccp_column forms from the full bases
+    col = np.einsum("i,im->m", p_col.conj(), e) * e[x].conj() / p_x
     e_lo, e_hi = float(sys.energies[0]), float(sys.energies[-1])
     edges = np.linspace(e_lo, e_hi, n_bins + 1)
     which = np.clip(np.searchsorted(edges, sys.energies, side="right") - 1, 0, n_bins - 1)

@@ -21,10 +21,9 @@ from qergo import (
 from qergo.basis import (
     GRAM_INTERNAL_TOL,
     PHASE_PIVOT_TOL,
-    _dft_matrix,
+    _dft_columns,
     _finish_basis,
     _fix_column_phases,
-    _structural_gate,
     haar_random_bases,
 )
 
@@ -109,25 +108,33 @@ class TestFourierBasis:
 
 
 class TestStructuralGate:
+    """The structured bases, the identity (``first`` None) and the DFT, pass the one Gram gate."""
+
+    @staticmethod
+    def _structure(first):
+        return np.eye(16) if first is None else _dft_columns(16, first, range(16))
+
     @pytest.mark.parametrize("first", [None, 0, -8])
     def test_exact_structures_pass(self, first):
-        mat = np.eye(16, dtype=np.complex128) if first is None else _dft_matrix(16, first)
-        _structural_gate(mat, first)
+        mat = self._structure(first)
+        assert np.array_equal(_finish_basis(mat).vectors, mat)
 
     @pytest.mark.parametrize("first", [None, 0, -8])
     @pytest.mark.parametrize("entry", [(0, 0), (3, 11)])
     @pytest.mark.parametrize("bad", [1e-9, np.nan])
     def test_one_bad_entry_rejected(self, first, entry, bad):
-        mat = np.eye(16, dtype=np.complex128) if first is None else _dft_matrix(16, first)
+        mat = self._structure(first)
         mat[entry] += bad
         with pytest.raises(NotOrthonormal):
-            _structural_gate(mat, first)
+            _finish_basis(mat)
 
     @pytest.mark.parametrize("first", [0, -4, 3])
     def test_dft_matches_exp_formula(self, first):
         j = np.arange(8)
         phases = np.outer(j, first + j) % 8  # reduced, so exp sees the table's arguments
-        np.testing.assert_array_equal(_dft_matrix(8, first), np.exp(2j * np.pi * phases / 8) / np.sqrt(8))
+        np.testing.assert_array_equal(
+            _dft_columns(8, first, range(8)), np.exp(2j * np.pi * phases / 8) / np.sqrt(8)
+        )
 
     @pytest.mark.parametrize("dim", [2, 3, 16, 33])
     def test_agrees_with_gram_product(self, dim):

@@ -13,7 +13,7 @@ from qergo import (
     make_basis,
     quantized_spectrum_check,
 )
-from qergo import basis, lattice
+from qergo import lattice
 from qergo.ccp import ccp_column, ccp_table, is_defined
 from qergo.cli import main
 from qergo.lattice import (
@@ -168,6 +168,12 @@ class TestGaugeShift:
             direct = ccp_xEp(sys_r, e_idx, pb)
             via_shift = gauge_shift(sys_r, e_idx, pa, pb)
             assert np.max(np.abs(direct - via_shift)) < 1e-9
+
+    @pytest.mark.parametrize("p_to", [-1, 32])
+    def test_target_index_checked(self, box32, p_to):
+        # -1 would wrap to the last momentum; 32 would index past it
+        with pytest.raises(IndexOutOfRange, match=f"outcome index {p_to} outside 0..31"):
+            gauge_shift(box32, 0, 16, p_to)
 
 
 class TestConjugateProduct:
@@ -524,16 +530,28 @@ class TestCcpXEpFromColumns:
         assert str(got.value) == str(want.value)
 
     def test_cli_paths_build_no_dense_x_or_p(self, monkeypatch, tmp_path):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a dense position or momentum basis was built")
+        finish, columns = lattice._finish_basis, lattice._dft_columns
 
-        monkeypatch.setattr(basis, "_dft_matrix", refuse)
-        monkeypatch.setattr(lattice, "_structured_basis", refuse)
+        def energy_basis_only(mat, labels=None, values=None):
+            if labels is None or labels[0] != "E0":
+                raise AssertionError("a dense position or momentum basis was built")
+            return finish(mat, labels, values)
+
+        def one_column_only(dim, first, cols):
+            if np.ndim(cols) != 0:
+                raise AssertionError("a dense DFT was built")
+            return columns(dim, first, cols)
+
+        monkeypatch.setattr(lattice, "_finish_basis", energy_basis_only)
+        monkeypatch.setattr(lattice, "_dft_columns", one_column_only)
         potential = {"kind": "harmonic", "omega": 1.0}
         grid = {"d": 64, "L": 20.0, "mass": 1.0, "hbar": 1.0, "potential": potential}
         sys_ = build_lattice(64, 20.0, 1.0, 1.0, ("harmonic", 1.0))
         ccp_xEp(sys_, 2, 32)
         eigenfunction_from_ccp(sys_, 0, 32)
+        conjugate_product_check(sys_, 2, 30, 33)
+        fourier_relation_check(sys_, 0, 32, 32)
+        energy_concentration(sys_, 30, 33, 8)
         configs = {
             "lattice": {**grid, "column": {"energy_index": 2, "p_ref_index": 32}},
             "quantize": {"lattice": grid, "levels": 5, "period": 2 * np.pi, "rtol": 0.01},
@@ -549,3 +567,83 @@ class TestCcpXEpFromColumns:
     def test_bases_built_once_on_first_read(self, box32):
         assert box32.p_basis is box32.p_basis
         assert box32.x_basis is box32.x_basis
+
+
+class TestConditionalsFromColumns:
+    """p(p|E,x) and p(E|x,p) on the grid match ``ccp_column`` on the full bases."""
+
+    @staticmethod
+    def _triples(sys_):
+        """(e, x, p) with p the strongest momentum of e and x spread over its support."""
+        vecs = sys_.e_basis.vectors
+        strongest = np.argmax(np.abs(sys_.p_basis.overlaps_with(sys_.e_basis)), axis=0)
+        for e in range(0, sys_.d, 5):
+            for x in {int(np.argmax(np.abs(vecs[:, e]))), sys_.d // 3, sys_.d // 2 + 1}:
+                if is_defined(vecs[x, e]):
+                    yield e, x, int(strongest[e])
+
+    @staticmethod
+    def _dense_concentration_sums(sys_, x, p, n_bins):
+        col = ccp_column(sys_.e_basis, sys_.x_basis, x, sys_.p_basis, p)
+        edges = np.linspace(sys_.energies[0], sys_.energies[-1], n_bins + 1)
+        which = np.clip(np.searchsorted(edges, sys_.energies, side="right") - 1, 0, n_bins - 1)
+        sums = np.zeros(n_bins, dtype=np.complex128)
+        np.add.at(sums, which, col)
+        return sums
+
+    @pytest.mark.parametrize("kind, d", [("box", 64), ("harmonic", 128), ("free", 128)])
+    def test_energy_concentration_bitwise_equal(self, kind, d):
+        sys_ = GRIDS[kind](d)
+        p0 = sys_.zero_momentum_index()
+        for x, p, n_bins in [(d // 2, p0, 4), (d // 3, p0 + 1, 8), (1, p0 - 3, 16), (d - 1, 0, 5)]:
+            ours = energy_concentration(sys_, x, p, n_bins).bin_sums
+            ref = self._dense_concentration_sums(sys_, x, p, n_bins)
+            assert np.array_equal(ours.view(np.uint64), ref.view(np.uint64)), (x, p, n_bins)
+
+    @pytest.mark.parametrize("kind, d", [("box", 64), ("harmonic", 128), ("free", 128)])
+    def test_conjugate_product_within_d_eps(self, kind, d):
+        sys_ = GRIDS[kind](d)
+        triples = list(self._triples(sys_))
+        assert len(triples) >= d // 5
+        for e, x, p in triples:
+            col_p = ccp_column(sys_.p_basis, sys_.e_basis, e, sys_.x_basis, x)
+            ref = ccp_xEp(sys_, e, p)[x] * col_p[p]
+            lhs = conjugate_product_check(sys_, e, x, p).lhs
+            assert abs(lhs - ref) <= d * EPS * abs(ref), (e, x, p)
+
+    @pytest.mark.parametrize("kind, d", [("box", 64), ("harmonic", 128), ("free", 128)])
+    def test_fourier_relation_within_d_eps(self, kind, d, monkeypatch):
+        sys_ = GRIDS[kind](d)
+        for e, x, p in self._triples(sys_):
+            dense = ccp_column(sys_.p_basis, sys_.e_basis, e, sys_.x_basis, x)
+            bound = d * EPS * max(1.0, float(np.max(np.abs(dense))))
+            assert np.max(np.abs(lattice._pEx(sys_, e, x) - dense)) <= bound, (e, x, p)
+            ours = fourier_relation_check(sys_, e, x, p)
+            with monkeypatch.context() as patch:  # the same check on the dense column
+                patch.setattr(lattice, "_pEx", lambda *args: dense)
+                ref = fourier_relation_check(sys_, e, x, p)
+            assert abs(ours - ref) <= bound, (e, x, p)
+
+    @pytest.mark.parametrize(
+        "e_index, x, error",
+        [(0, 0, OrthogonalCondition), (64, 32, IndexOutOfRange), (0, 64, IndexOutOfRange),
+         (0, -1, IndexOutOfRange)],
+    )
+    def test_same_errors_as_ccp_column(self, harmonic64, e_index, x, error):
+        # the ground state has no weight at the grid's edge, 10 widths out
+        sys_, p0 = harmonic64, harmonic64.zero_momentum_index()
+        with pytest.raises(error) as want:
+            ccp_column(sys_.p_basis, sys_.e_basis, e_index, sys_.x_basis, x)
+        for check in (conjugate_product_check, fourier_relation_check):
+            with pytest.raises(error) as got:
+                check(sys_, e_index, x, p0)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("x, p", [(64, 32), (-1, 32), (32, 64), (32, -1)])
+    def test_energy_concentration_same_errors(self, harmonic64, x, p):
+        sys_ = harmonic64
+        with pytest.raises(IndexOutOfRange) as want:
+            ccp_column(sys_.e_basis, sys_.x_basis, x, sys_.p_basis, p)
+        with pytest.raises(IndexOutOfRange) as got:
+            energy_concentration(sys_, x, p, 8)
+        assert str(got.value) == str(want.value)
