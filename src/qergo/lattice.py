@@ -443,6 +443,7 @@ def classical_momentum_check(
     allowed region, away from the grid edges, with the local wavelength
     resolved by at least four grid points.
     """
+    sys.e_basis.check_index(e_index)
     if p_ref is None:
         p_ref = sys.zero_momentum_index()
     lo, hi = window.start, window.stop

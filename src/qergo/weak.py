@@ -29,12 +29,13 @@ weight 2|c|a instead.  The momentum target over N(0, 1/4) is
 by rejection, from an envelope whose acceptance stays above 0.55 at any
 arg x and g <= 0.2.
 
-Each sampler draws from one generator per (seed, stream) and keeps only
-the count, mean and squared-deviation sum (SS).  A Gaussian part draws no
-variates: given its count n, its mean is N(mu, sd^2/n) and its SS is
-sd^2 chi^2_{n-1}, independent of the mean (Cochran 1934), so it costs the
-same at any n.  Only the rejection parts draw variates, and every part is
-joined by one pairwise update (Chan, Golub and LeVeque 1983).
+Each run draws its post-selected count, positions and momenta from one
+generator seeded by the run's seed, and keeps only the count, mean and
+squared-deviation sum (SS).  A Gaussian part draws no variates: given its
+count n, its mean is N(mu, sd^2/n) and its SS is sd^2 chi^2_{n-1},
+independent of the mean (Cochran 1934), so it costs the same at any n.
+Only the rejection parts draw variates, and every part is joined by one
+pairwise update (Chan, Golub and LeVeque 1983).
 """
 
 from __future__ import annotations
@@ -177,7 +178,9 @@ def _remainder_envelope(phase: float, g: float) -> tuple[np.ndarray, np.ndarray]
     return coef, masses
 
 
-def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments, int]:
+def _sample_positions(
+    w: complex, g: float, n: int, rng: np.random.Generator
+) -> tuple[Moments, int]:
     """Moments of n exact post-selected pointer positions, and the proposals they took.
 
     For c >= 0 the mixture's component counts are one multinomial draw and
@@ -186,7 +189,7 @@ def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments
     component, the cross one with weight 2|c|a, and is accepted with rate
     postselection_weight(w, g) / (|w|^2 + |1-w|^2 + 2|c|a).
     """
-    rng, (weights, centres) = _generator(seed, 1), _position_mixture(w, g)
+    weights, centres = _position_mixture(w, g)
     if weights[2] >= 0.0:
         moments = NO_DRAWS
         for count, centre in zip(rng.multinomial(n, weights / weights.sum()), centres):
@@ -205,7 +208,9 @@ def _sample_positions(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments
     return _accept_chunks(n, weights.sum() / mass, rng, propose)
 
 
-def _sample_momenta(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments, int]:
+def _sample_momenta(
+    w: complex, g: float, n: int, rng: np.random.Generator
+) -> tuple[Moments, int]:
     """Moments of n exact post-selected pointer momenta, and the proposals they took.
 
     A binomial sends each draw to plain N(0, 1/4), whose moments are drawn
@@ -213,22 +218,25 @@ def _sample_momenta(w: complex, g: float, n: int, seed: Seed) -> tuple[Moments, 
     from :func:`_remainder_envelope` with acceptance (1 + a cos arg x) / M,
     M the envelope's mass (at most 2, and the acceptance above 0.55 for
     g <= 0.2); overall, n / proposals averages postselection_weight(w, g) /
-    ((|w|-|1-w|)^2 + 2|x| M).
+    ((|w|-|1-w|)^2 + 2|x| M).  Where the envelope has no |k| or k^2 part, as
+    for every real positive x, a proposal is a plain N(0, 1/4) draw.
     """
-    rng, (plain, amp, phase) = _generator(seed, 2), _momentum_split(w)
+    plain, amp, phase = _momentum_split(w)
     coef, masses = _remainder_envelope(phase, g)
     cos = math.cos(phase)
     rest_mass = 1.0 + cos + cos * math.expm1(-g * g / 8.0)  # 1 + a cos, exact to rounding as g -> 0
     n_rest = int(rng.binomial(n, amp * rest_mass / (plain + amp * rest_mass)))
-    bounds = np.cumsum(masses)[:2] / masses.sum()
+    bounds, flat = np.cumsum(masses)[:2] / masses.sum(), not masses[1:].any()
 
     def propose(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        k = 0.5 * rng.standard_normal(size)
-        part = np.searchsorted(bounds, rng.random(size), side="right")
-        tilted = np.flatnonzero(part)  # from |k|N(k) or k^2 N(k): |k| = sqrt(Gamma(1 or 3/2) / 2)
-        magnitude = np.sqrt(0.5 * rng.standard_gamma(0.5 + 0.5 * part[tilted]))
-        k[tilted] = np.copysign(magnitude, k[tilted])
-        envelope = coef[0] + np.abs(k) * (coef[1] + coef[2] * np.abs(k))
+        k, envelope = 0.5 * rng.standard_normal(size), coef[0]
+        if not flat:
+            part = np.searchsorted(bounds, rng.random(size), side="right")
+            # from |k|N(k) or k^2 N(k): |k| = sqrt(Gamma(1 or 3/2) / 2)
+            tilted = np.flatnonzero(part)
+            magnitude = np.sqrt(0.5 * rng.standard_gamma(0.5 + 0.5 * part[tilted]))
+            k[tilted] = np.copysign(magnitude, k[tilted])
+            envelope = envelope + np.abs(k) * (coef[1] + coef[2] * np.abs(k))
         return k, rng.random(size) * envelope < 1.0 + np.cos(g * k - phase)
 
     rest, proposals = _accept_chunks(n_rest, rest_mass / masses.sum(), rng, propose)
@@ -280,29 +288,45 @@ def simulate_weak_value(
     shots : int
         Total trials before post-selection; at least 10^4.
     seed : int or tuple of int
-        Root seed; all randomness derives from it by counter.
+        Seed of the run's one generator.
     """
+    _check_run(g, shots)
+    rate = _postselection_rate(final, initial)
+    return _weak_run(ccp_value(basis_m, m, *initial, *final), rate, g, shots, seed)
+
+
+def _check_run(g: float, shots: int) -> None:
+    """Raise unless g is a weak coupling and ``shots`` reaches ``MIN_SHOTS``."""
     if not 0.0 < g <= MAX_COUPLING:
         raise WeakRegimeViolation(f"coupling g={g} outside (0, {MAX_COUPLING}]")
     if shots < MIN_SHOTS:
         raise ValueError(f"shots={shots} below the minimum {MIN_SHOTS}")
-    basis_a, a = initial
-    basis_b, b = final
-    rate = abs(basis_b.overlap(b, basis_a, a)) ** 2
+
+
+def _postselection_rate(final: tuple[Basis, int], initial: tuple[Basis, int]) -> float:
+    """|<b|a>|^2, the unperturbed post-selection rate; raises below the floor."""
+    rate = abs(final[0].overlap(final[1], *initial)) ** 2
     if rate < POSTSELECTION_RATE_FLOOR:
         raise PostSelectionStarvation(
             f"post-selection rate {rate:.3e} below {POSTSELECTION_RATE_FLOOR}"
         )
-    w = ccp_value(basis_m, m, basis_a, a, basis_b, b)
-    p_select = min(1.0, rate * postselection_weight(w, g))
+    return rate
 
-    n_selected = int(_generator(seed, 0).binomial(shots, p_select))
+
+def _weak_run(w: complex, rate: float, g: float, shots: int, seed: Seed) -> WeakRunReport:
+    """Weak run of conditional w at post-selection rate ``rate`` = |<b|a>|^2, g and shots checked.
+
+    The post-selected count, the positions and the momenta come, in that
+    order, from the one generator of ``seed``.
+    """
+    rng = _generator(seed)
+    n_selected = int(rng.binomial(shots, min(1.0, rate * postselection_weight(w, g))))
     if n_selected < MIN_POSTSELECTED:
         raise PostSelectionStarvation(
             f"only {n_selected} post-selected shots (< {MIN_POSTSELECTED})"
         )
-    (_, mean_q, ss_q), q_proposals = _sample_positions(w, g, n_selected, seed)
-    (_, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n_selected, seed)
+    (_, mean_q, ss_q), q_proposals = _sample_positions(w, g, n_selected, rng)
+    (_, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n_selected, rng)
     # standard error of a mean: sqrt(ss / (n - 1)) / sqrt(n)
     se_scale = g * math.sqrt(n_selected * (n_selected - 1))
     return WeakRunReport(
@@ -403,32 +427,31 @@ def scan_wavefunction(
 ) -> WavefunctionScan:
     """Weakly measure every position with a fixed momentum post-selection.
 
-    Each position index runs :func:`simulate_weak_value`; estimates are
-    rescaled by sqrt(rate * dim), with the post-selection rate pooled over
-    all points, so the output estimates the state's amplitudes in the
-    gauge fixed by the reference momentum outcome (for the zero-momentum
-    reference this is the eigenfunction itself, up to one global phase).
+    Position x is the weak run that :func:`simulate_weak_value` makes for
+    outcome x with seed (*seed, x); the checks, the rate and the column of
+    conditionals are computed once for the scan.  Estimates are rescaled by
+    sqrt(rate * dim), with the post-selection rate pooled over all points,
+    so the output estimates the state's amplitudes in the gauge fixed by
+    the reference momentum outcome (for the zero-momentum reference this
+    is the eigenfunction itself, up to one global phase).
     """
-    basis_e, e_idx = state
-    dim = basis_e.dim
+    dim = state[0].dim
     if dim > MAX_SCAN_DIM:
         raise ValueError(f"scan dimension {dim} exceeds {MAX_SCAN_DIM}")
-    rate_exact = abs(momentum_basis.overlap(b_ref, basis_e, e_idx)) ** 2
-    if rate_exact < POSTSELECTION_RATE_FLOOR:
-        raise PostSelectionStarvation(
-            f"reference outcome probability {rate_exact:.3e} below floor"
-        )
+    _check_run(g, shots_per_point)
+    final = (momentum_basis, b_ref)
+    rate = _postselection_rate(final, state)
+    column = ccp_column(position_basis, *state, *final)
     reports = [
-        simulate_weak_value((basis_e, e_idx), (momentum_basis, b_ref), position_basis, x, g,
-                            shots_per_point, _entropy(seed, x))
-        for x in range(dim)
+        _weak_run(w, rate, g, shots_per_point, _entropy(seed, x))
+        for x, w in enumerate(column.tolist())
     ]
     # Empirical post-selection rate pooled over all points; the weak
     # interaction perturbs it only at O(g^2), far below the per-point noise.
     pooled_rate = sum(r.shots_postselected for r in reports) / (dim * shots_per_point)
     scale = math.sqrt(pooled_rate * dim)
     values = np.array([scale * r.estimate for r in reports])
-    analytic = scale * ccp_column(position_basis, basis_e, e_idx, momentum_basis, b_ref)
+    analytic = scale * column
     se_re, se_im = scale * np.array([r.std_err for r in reports]).T
     for arr in (values, analytic, se_re, se_im):
         arr.setflags(write=False)

@@ -288,6 +288,12 @@ class TestClassicalMomentum:
         with pytest.raises(ValueError):
             classical_momentum_check(sys_c, deep, range(2, 62))
 
+    @pytest.mark.parametrize("e_index", [64, -1])
+    def test_energy_index_checked(self, harmonic64, e_index):
+        # 64 would index past the top level; -1 would wrap to it
+        with pytest.raises(IndexOutOfRange, match=f"outcome index {e_index} outside 0..63"):
+            classical_momentum_check(harmonic64, e_index, range(20, 44))
+
 
 class TestEnergyConcentration:
     def test_ratio_grows_with_grid(self):

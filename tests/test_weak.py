@@ -15,10 +15,13 @@ from qergo import (
     simulate_sequential,
     simulate_weak_value,
 )
+from qergo import weak
 from qergo.ccp import ccp_column
 from qergo.weak import (
+    MIN_SHOTS,
     SAMPLING_CHUNK,
     _fold,
+    _generator,
     _gaussian_moments,
     _momentum_split,
     _position_mixture,
@@ -165,7 +168,7 @@ class TestSamplerEnvelopes:
 
     def test_scan_like_position_rate_near_one(self):
         # small real w: the position draws need no accept test, the momenta almost none
-        (count, _, _), proposals = _sample_positions(0.03, 0.05, 50_000, 3)
+        (count, _, _), proposals = _sample_positions(0.03, 0.05, 50_000, _generator(3))
         assert count == proposals == 50_000
         rate_q, rate_k = _stated_rates(0.03, 0.05)
         assert rate_q == pytest.approx(1.0, abs=1e-15)
@@ -175,8 +178,8 @@ class TestSamplerEnvelopes:
     def test_moments_and_acceptance_at_strong_coupling(self, w):
         g, n = 0.2, 1_000_000
         exact = pointer_readout_means(w, g)
-        (nq, mean_q, ss_q), q_proposals = _sample_positions(w, g, n, (91, 1))
-        (nk, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n, (91, 2))
+        (nq, mean_q, ss_q), q_proposals = _sample_positions(w, g, n, _generator((91, 1)))
+        (nk, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n, _generator((91, 2)))
         assert nq == nk == n
         var_q, var_k = ss_q / (n - 1), ss_k / (n - 1)
         assert abs(mean_q / g - exact.real) < 5.0 * np.sqrt(var_q / n) / g
@@ -206,7 +209,7 @@ class TestSamplerEnvelopes:
         exact = pointer_readout_means(w, g)
         targets = ((_sample_positions, g * exact.real), (_sample_momenta, 0.5 * g * exact.imag))
         for sampler, target in targets:
-            means = np.array([sampler(w, g, n, (93, i))[0][1] for i in range(runs)])
+            means = np.array([sampler(w, g, n, _generator((93, i)))[0][1] for i in range(runs)])
             assert abs(means.mean() - target) < 5.0 * means.std(ddof=1) / np.sqrt(runs)
 
     def test_folded_moments_match_concatenation(self):
@@ -289,7 +292,7 @@ class TestExactMoments:
     def test_positions_match_variate_oracle(self, w, g):
         # at g = 3 the components lie apart, so the SS carries the merge's between-part term
         n, runs = 64, 2000
-        exact = np.array([_sample_positions(w, g, n, (71, i))[0] for i in range(runs)])
+        exact = np.array([_sample_positions(w, g, n, _generator((71, i)))[0] for i in range(runs)])
         oracle = np.array([_variate_positions(w, g, n, (72, i)) for i in range(runs)])
         assert np.all(exact[:, 0] == n)
         for col in (1, 2):
@@ -299,7 +302,7 @@ class TestExactMoments:
     def test_momenta_match_variate_oracle(self, w, g):
         # (0.5+0.5j, 2) proposes from |k|N(k) in 44% of remainder draws, (-0.3, 3) from k^2 N(k)
         n, runs = 64, 2000
-        exact = np.array([_sample_momenta(w, g, n, (73, i))[0] for i in range(runs)])
+        exact = np.array([_sample_momenta(w, g, n, _generator((73, i)))[0] for i in range(runs)])
         oracle = np.array([_variate_momenta(w, g, n, (74, i)) for i in range(runs)])
         assert np.all(exact[:, 0] == n)
         for col in (1, 2):
@@ -307,7 +310,7 @@ class TestExactMoments:
 
     def test_position_draw_costs_the_same_at_any_n(self):
         n, w, g = 10**12, 0.03, 0.05
-        (count, mean, ss), proposals = _sample_positions(w, g, n, 5)
+        (count, mean, ss), proposals = _sample_positions(w, g, n, _generator(5))
         assert count == proposals == n
         assert math.isfinite(mean) and math.isfinite(ss)
         # against the mixture's mean and variance, within 5 sd of 10^12 near-normal draws
@@ -322,7 +325,7 @@ class TestExactMoments:
         # x = w(1-w)* real and negative: a flat-envelope remainder draw took about 16/g^2 proposals
         n = 10**6
         for seed in range(40):
-            (count, _, _), proposals = _sample_momenta(-0.3, 1e-3, n, seed)
+            (count, _, _), proposals = _sample_momenta(-0.3, 1e-3, n, _generator(seed))
             assert count == n
             assert proposals <= 3 * n
 
@@ -568,6 +571,40 @@ class TestScanWavefunction:
                 (sys_big.e_basis, 0), sys_big.x_basis, sys_big.p_basis,
                 sys_big.zero_momentum_index(), g=0.05, shots_per_point=20_000, seed=1,
             )
+
+    @pytest.mark.parametrize(
+        "g, shots, error",
+        [(0.3, MIN_SHOTS, WeakRegimeViolation), (0.05, MIN_SHOTS - 1, ValueError)],
+    )
+    def test_run_settings_checked_before_any_run(self, monkeypatch, g, shots, error):
+        sys_box = build_lattice(8, 1.0, 1.0, 1.0, "box")
+
+        def no_run(*args):
+            raise AssertionError("a weak run started before the scan checked its settings")
+
+        monkeypatch.setattr(weak, "_weak_run", no_run)
+        with pytest.raises(error):
+            scan_wavefunction(
+                (sys_box.e_basis, 0), sys_box.x_basis, sys_box.p_basis,
+                sys_box.zero_momentum_index(), g=g, shots_per_point=shots, seed=1,
+            )
+
+    def test_points_are_simulate_weak_value_runs(self):
+        # point x is simulate_weak_value at seed (seed, x), bit for bit, and the
+        # analytic column is ccp_column's under the same pooled-rate scale
+        sys_box = build_lattice(8, 1.0, 1.0, 1.0, "box")
+        state, final = (sys_box.e_basis, 0), (sys_box.p_basis, sys_box.zero_momentum_index())
+        g, shots, seed = 0.1, 10_000, 23
+        scan = scan_wavefunction(state, sys_box.x_basis, *final, g, shots, seed)
+        reports = [simulate_weak_value(state, final, sys_box.x_basis, x, g, shots, (seed, x))
+                   for x in range(8)]
+        assert scan.postselection_rate == sum(r.shots_postselected for r in reports) / (8 * shots)
+        scale = math.sqrt(scan.postselection_rate * 8)
+        for x, report in enumerate(reports):
+            assert scan.values[x] == scale * report.estimate
+            assert scan.std_err_re[x] == scale * report.std_err[0]
+            assert scan.std_err_im[x] == scale * report.std_err[1]
+        assert np.array_equal(scan.analytic, scale * ccp_column(sys_box.x_basis, *state, *final))
 
     def test_same_seed_identical_arrays(self):
         sys_box = build_lattice(16, 1.0, 1.0, 1.0, "box")
