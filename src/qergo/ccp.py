@@ -94,7 +94,8 @@ def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -
     # workers spinning on every core after each of many small calls.
     b_m = np.einsum("i,im->m", basis_b.vectors[:, b].conj(), basis_m.vectors)  # <b|m>
     m_a = np.einsum("i,im->m", basis_a.vectors[:, a].conj(), basis_m.vectors).conj()  # <m|a>
-    return b_m * m_a / denom
+    # + 0.0 turns an exact -0.0 into +0.0: an exact zero has one sign however formed
+    return b_m * m_a / denom + 0.0
 
 
 def ccp_value(basis_m: Basis, m: int, basis_a: Basis, a: int, basis_b: Basis, b: int) -> complex:

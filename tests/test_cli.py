@@ -593,7 +593,7 @@ class TestPinnedArtifactBytes:
             (["seq", "--format", "csv"], {"params": _PINNED_SEQ, "seed": 9},
              "0de01c7d7cea13fc6c98833a09af4277b3f226b8c4255928e7e1395f05e9a51a"),
             (["lattice"], {"params": _README_LATTICE},
-             "f8e5497b9a7ea995a6a73747a1a86b15d4618b0b2496ef8a6d67ba69bec9c4bb"),
+             "840b4da064871c92de959821c8e3168f720e56029a78a2517227752dfeba8288"),
         ],
         ids=["kd", "seq", "lattice"],
     )

@@ -40,10 +40,14 @@ def harmonic64():
     return build_lattice(64, 20.0, 1.0, 1.0, ("harmonic", 1.0))
 
 
-def smooth_well(d: int, length: float = 20.0, depth: float = 5.0):
-    """Analytic periodic potential: circulating doublets above the barrier."""
+def smooth_well(d: int, length: float = 20.0, depth: float = 5.0, shift: float = 0.0):
+    """Analytic periodic potential: circulating doublets above the barrier.
+
+    Unshifted, the well is centred on x_{d/2} and even under j -> -j mod d;
+    a shift of length/3 breaks that symmetry.
+    """
     xs = (length / d) * np.arange(d)
-    v = depth * np.sin(np.pi * (xs - length / 2) / length) ** 2
+    v = depth * np.sin(np.pi * (xs - length / 2 - shift) / length) ** 2
     return build_lattice(d, length, 1.0, 1.0, v)
 
 
@@ -376,6 +380,8 @@ GRIDS = {
     "harmonic": lambda d: build_lattice(d, 20.0, 1.0, 1.0, ("harmonic", 1.0)),
     "free": lambda d: build_lattice(d, 2 * np.pi, 1.0, 1.0, "free"),
     "circulating": smooth_well,
+    # not reflection-symmetric: the one kind built by the full eigh
+    "shifted": lambda d: smooth_well(d, shift=20.0 / 3),
 }
 
 
@@ -436,6 +442,64 @@ class TestRealCirculantBuild:
             assert np.max(np.abs(off)) <= 1e-9 * float(np.max(np.abs(sys_.momenta)))
         if kind == "free":
             assert np.max(np.abs(np.max(np.abs(amps), axis=0) - 1.0)) <= 1e-12
+
+
+class TestReflectionSplit:
+    """Reflection-symmetric grids are diagonalized as an even and an odd block."""
+
+    @staticmethod
+    def _mirror(d):
+        return (-np.arange(d)) % d
+
+    @pytest.mark.parametrize("d, length", [(1000, 10.0), (512, 7.3)])
+    def test_harmonic_potential_symmetric_on_any_grid(self, d, length):
+        # positions - L/2 is not odd under the reflection for these L/d
+        sys_ = build_lattice(d, length, 1.0, 1.0, ("harmonic", 1.0))
+        assert np.array_equal(sys_.potential, sys_.potential[self._mirror(d)])
+
+    @pytest.mark.parametrize("kind", ["box", "harmonic"])
+    @pytest.mark.parametrize("d", [64, 128, 256])
+    def test_columns_exactly_even_or_odd(self, kind, d):
+        sys_ = GRIDS[kind](d)
+        in_block = np.zeros(d, dtype=bool)
+        for block in _blocks(sys_.energies):
+            in_block[block] = True
+        vecs, mirror = sys_.e_basis.vectors, self._mirror(d)
+        odd = 0
+        for n in np.flatnonzero(~in_block):
+            col = vecs[:, n]
+            assert np.all(col.imag == 0), n
+            if np.array_equal(col[mirror], col):
+                continue
+            assert np.array_equal(col[mirror], -col), n
+            assert col[0] == 0 and col[d // 2] == 0, n
+            odd += 1
+        assert odd >= (d - in_block.sum()) // 2 - 1
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_split_taken_exactly_when_symmetric(self, kind, monkeypatch):
+        calls = []
+        split = lattice._reflection_eigh
+        monkeypatch.setattr(lattice, "_reflection_eigh", lambda h: calls.append(h) or split(h))
+        sys_ = GRIDS[kind](64)
+        symmetric = np.array_equal(sys_.potential, sys_.potential[self._mirror(64)])
+        assert symmetric == (kind != "shifted")
+        assert len(calls) == symmetric
+
+    def test_exact_zero_reads_positive(self, harmonic64):
+        # an odd level whose stored column holds -0.0 at x_0 after gauge fixing
+        sys_, p_ref = harmonic64, harmonic64.zero_momentum_index() + 1
+        odd = [n for n in range(1, 20, 2) if np.signbit(sys_.e_basis.vectors[0, n].real)]
+        assert odd
+        for n in odd:
+            ours = ccp_xEp(sys_, n, p_ref)
+            ref = ccp_column(sys_.x_basis, sys_.e_basis, n, sys_.p_basis, p_ref)
+            for col in (ours, ref):
+                for x in (0, sys_.d // 2):
+                    assert col[x] == 0
+                    assert not np.signbit(col[x].real) and not np.signbit(col[x].imag), (n, x)
+            first = distribution_csv(sys_, ours).splitlines()[1].split(",")
+            assert first[1:4] == ["0.0", "0.0", "0.0"]
 
 
 class TestFftForms:
