@@ -10,7 +10,6 @@ triple on a discretized 1D grid.
 from .basis import (
     Basis,
     computational_basis,
-    ergodic_prob,
     ergodic_table,
     fourier_basis,
     haar_random_basis,
@@ -47,7 +46,6 @@ from .errors import (
     BadGrid,
     BasisMismatch,
     ConfigError,
-    DegenerateDenominator,
     DimensionMismatch,
     IndexOutOfRange,
     MissingValues,
@@ -77,7 +75,6 @@ from .lattice import (
 from .transform import (
     PhaseProfile,
     apply_phase_transform,
-    dephase,
     quantized_spectrum_check,
     transformed_prob,
 )

@@ -333,14 +333,6 @@ def haar_random_basis(dim: int, seed: int) -> Basis:
     return Basis(dim=dim, vectors=stack.vectors[0], labels=stack.labels)
 
 
-def ergodic_prob(basis_x: Basis, x: int, basis_y: Basis, y: int) -> float:
-    """Transition probability |<x|y>|^2 between two outcome vectors, per stacked basis."""
-    if basis_x.dim != basis_y.dim:
-        raise DimensionMismatch(f"dim {basis_x.dim} vs {basis_y.dim}")
-    basis_x.check_index(x)
-    return np.abs(basis_x.amplitudes(basis_y.column(y))[..., x]) ** 2
-
-
 def ergodic_table(basis_x: Basis, basis_y: Basis) -> np.ndarray:
     """Transition probabilities |<x|y>|^2, frozen, indexed [..., x, y]."""
     return _freeze(np.abs(basis_x.overlaps_with(basis_y)) ** 2)

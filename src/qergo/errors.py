@@ -32,10 +32,6 @@ class MissingValues(QergoError):
     """Basis lacks the real outcome values required by the operation."""
 
 
-class DegenerateDenominator(QergoError):
-    """Phase-transformed column renormalizer is numerically zero."""
-
-
 class WeakRegimeViolation(QergoError):
     """Pointer coupling strength outside the supported weak regime."""
 

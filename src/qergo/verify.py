@@ -8,6 +8,8 @@ every quadruple in it.  ``BLOCK_BYTES`` bounds one d^3 table of a block,
 which fixes the block size per dim.  Quadruple k draws from its own child
 seeds, so blocking changes no basis.  This module builds the tables,
 reduces each result to its worst, and keeps the independent oracles.
+The transform oracle compares :func:`.transform.transformed_prob` with an
+explicit conjugation |<b|U|a>|^2 at every defined (a, b), in both directions.
 """
 
 from __future__ import annotations
@@ -97,19 +99,19 @@ def _child_seeds(root_seed: int, dim: int, index: int, count: int) -> list[int]:
     return [int(s) for s in ss.generate_state(count, dtype=np.uint64)]
 
 
-def conjugation_prob(
-    basis_m: Basis, phases, basis_a: Basis, a: int, basis_b: Basis, b: int, direction: str
-):
-    """Matrix-conjugation oracle for the phase-transformed probability.
+def conjugation_prob(basis_m: Basis, phases, basis_a: Basis, basis_b: Basis, direction: str):
+    """Matrix-conjugation oracle for the phase-transformed probability, as [..., a, b].
 
     Builds U = sum_m e^{-i phi_m}|m><m| explicitly and returns |<b|U|a>|^2
-    (direction 'on_a') or |<b|U^dag|a>|^2 ('on_b'), per stacked basis.
+    (direction 'on_a') or |<b|U^dag|a>|^2 ('on_b') for every pair, per stacked basis.
     """
+    if direction not in ("on_a", "on_b"):
+        raise ValueError(f"direction must be 'on_a' or 'on_b', got {direction!r}")
     u = (basis_m.vectors * np.exp(-1j * phases)[..., np.newaxis, :]) @ _adjoint(basis_m.vectors)
     if direction == "on_b":
         u = _adjoint(u)
-    amp = basis_b.amplitudes((u @ basis_a.column(a)[..., np.newaxis])[..., 0])[..., b]
-    return np.abs(amp) ** 2
+    amp = _adjoint(basis_b.vectors) @ u @ basis_a.vectors  # <b|U|a>, [..., b, a]
+    return np.swapaxes(np.abs(amp) ** 2, -1, -2)
 
 
 def _draw_block(root_seed: int, dim: int, indices: range) -> tuple[list[Basis], np.ndarray]:
@@ -172,14 +174,19 @@ def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dic
     worst["joint quasiprobability"] = np.max([np.abs(joint.total() - 1.0), *marginals], axis=0)
     worst["outcome prediction"] = top(bridge.predict_outcome_prob(joint, f_b) - born_f, -1)
 
-    # Phase-transform oracle, both directions, one random profile.
-    profile = PhaseProfile.from_phases(m_b, phases)
-    worst["transform oracle"] = np.max([
-        np.abs(transformed_prob(t_mab, profile, 0, 0, direction)
-               - conjugation_prob(m_b, phases, a_b, 0, b_b, 0, direction))
+    worst["transform oracle"] = _transform_worst(t_mab, phases)
+    return worst
+
+
+def _transform_worst(t_mab: ccp.CcpTable, phases) -> np.ndarray:
+    """Worst |transformed_prob - conjugation_prob| over every defined (a, b) and both directions."""
+    profile = PhaseProfile.from_phases(t_mab.m_basis, phases)
+    bases = (t_mab.m_basis, phases, t_mab.a_basis, t_mab.b_basis)
+    return np.max([
+        ccp.IdentitySides(transformed_prob(t_mab, profile, direction),
+                          conjugation_prob(*bases, direction), t_mab.defined_mask, axes=2).worst()
         for direction in ("on_a", "on_b")
     ], axis=0)
-    return worst
 
 
 def run_verification_suite(dims: list[int], seeds_per_dim: int, root_seed: int) -> VerdictReport:

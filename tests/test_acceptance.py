@@ -76,8 +76,8 @@ def test_criterion_2_transformation_oracle():
         if not table.defined_mask[ai, bi]:
             continue
         direction = ("on_a", "on_b")[draws % 2]
-        via_ccp = transformed_prob(table, profile, ai, bi, direction)
-        via_matrix = conjugation_prob(m, phases, a, ai, b, bi, direction)
+        via_ccp = transformed_prob(table, profile, direction)[ai, bi]
+        via_matrix = conjugation_prob(m, phases, a, b, direction)[ai, bi]
         worst = max(worst, abs(via_ccp - via_matrix))
         draws += 1
     _verdict(

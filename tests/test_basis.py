@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from qergo import (
     Basis,
     DimensionMismatch,
-    IndexOutOfRange,
     NotOrthonormal,
     ParseError,
     computational_basis,
-    ergodic_prob,
     ergodic_table,
     fourier_basis,
     haar_random_basis,
@@ -172,21 +170,17 @@ class TestHaarRandomBasis:
 
 class TestErgodicProb:
     def test_same_outcome_is_one(self, z2):
-        assert ergodic_prob(z2, 0, z2, 0) == pytest.approx(1.0)
+        assert ergodic_table(z2, z2)[0, 0] == pytest.approx(1.0)
 
     def test_unbiased_pair_is_one_over_d(self):
         z = computational_basis(4)
         f = fourier_basis(4)
         for j in range(4):
             for k in range(4):
-                assert ergodic_prob(z, j, f, k) == pytest.approx(0.25)
+                assert ergodic_table(z, f)[j, k] == pytest.approx(0.25)
 
     def test_z_zero_against_x_plus(self, z2, x2):
-        assert ergodic_prob(z2, 0, x2, 0) == pytest.approx(0.5)
-
-    def test_index_out_of_range(self, z2):
-        with pytest.raises(IndexOutOfRange):
-            ergodic_prob(z2, 2, z2, 0)
+        assert ergodic_table(z2, x2)[0, 0] == pytest.approx(0.5)
 
     def test_table_transpose_symmetry(self, z2, y2):
         t1 = ergodic_table(z2, y2)

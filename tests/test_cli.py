@@ -389,6 +389,16 @@ class TestLatticeAndQuantize:
         assert "levels" in capsys.readouterr().err
         assert not (tmp_path / "q.json").exists()
 
+    @pytest.mark.parametrize("field", ["period", "hbar", "rtol", "values"])
+    def test_quantize_nan_field_is_a_config_error(self, tmp_path, capsys, field):
+        # A NaN must not read as an identity FAIL, nor reach the output as "max_defect": NaN.
+        params = {"values": [0.0, 2 * np.pi], "period": 1.0, "hbar": 1.0, "rtol": 1e-8}
+        params[field] = [0.0, float("nan")] if field == "values" else float("nan")
+        cfg = write_config(tmp_path, "cfg.json", {"params": params})
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "q.json").exists()
+
     def test_quantize_lattice_spec_validated_before_run(self, tmp_path):
         cfg = write_config(
             tmp_path, "cfg.json", {"lattice": {"d": 16}, "levels": 3, "period": 1.0}

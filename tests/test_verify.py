@@ -1,11 +1,13 @@
 import math
+import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qergo import verify
-from qergo.basis import computational_basis, haar_random_basis, make_basis
+from qergo.basis import computational_basis, ergodic_table, haar_random_basis, make_basis
 from qergo.bridge import (
     born_rule_coherence,
     inner_product_ccp,
@@ -88,13 +90,14 @@ def _triple_worsts(m_b, a_b, b_b, f_b, rng_seed):
         "conditional error": np.max(np.abs(ozawa_error(det))),
     }
 
-    # Phase-transform oracle, both directions, one random profile.
+    # Phase-transform oracle, every defined (a, b), both directions, one random profile.
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(rng_seed)))
     phases = rng.uniform(0.0, 2.0 * np.pi, dim)
     profile = PhaseProfile.from_phases(m_b, phases)
     worst["transform oracle"] = np.max([
-        abs(transformed_prob(t_mab, profile, 0, 0, direction)
-            - conjugation_prob(m_b, phases, a_b, 0, b_b, 0, direction))
+        IdentitySides(transformed_prob(t_mab, profile, direction),
+                      conjugation_prob(m_b, phases, a_b, b_b, direction),
+                      t_mab.defined_mask).worst()
         for direction in ("on_a", "on_b")
     ])
     return {name: float(value) for name, value in worst.items()}
@@ -279,3 +282,57 @@ def test_report_tolerances_never_loosened(dim):
     assert sorted(c.name for c in report.checks) == sorted(PINNED_TOLERANCES)
     for check in report.checks:
         assert 0.0 < check.tolerance <= PINNED_TOLERANCES[check.name] * scale * (1 + 1e-12)
+
+
+def test_tolerances_meet_the_benchmark_contract():
+    # The benchmark refuses every verify run whose report renames a check or
+    # loosens a tolerance past its own table; fail here first.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    checks = types.ModuleType("benchmark_checks")
+    exec(compile(path.read_text(), str(path), "exec"), checks.__dict__)
+    tolerances = dict(verify.IDENTITY_TOLERANCES)
+    assert sorted(tolerances) == sorted(checks.VERIFY_TOLERANCES)
+    for name, tol in tolerances.items():
+        assert tol <= checks.VERIFY_TOLERANCES[name], name
+
+
+def _entry_00_deviation(t_mab, phases, transformed=transformed_prob):
+    """The transform oracle at the one entry (a=0, b=0), per stacked quadruple."""
+    profile = PhaseProfile.from_phases(t_mab.m_basis, phases)
+    bases = (t_mab.m_basis, phases, t_mab.a_basis, t_mab.b_basis)
+    return np.max([
+        np.abs(transformed(t_mab, profile, d) - conjugation_prob(*bases, d))[..., 0, 0]
+        for d in ("on_a", "on_b")
+    ], axis=0)
+
+
+TRANSFORM_TOL = dict(verify.IDENTITY_TOLERANCES)["transform oracle"]
+
+
+def _transform_block():
+    (m, a, b, _), phases = verify._draw_block(7, 5, range(3))
+    t_mab = ccp_table(m, a, b)
+    assert np.all(verify._transform_worst(t_mab, phases) < TRANSFORM_TOL)
+    return t_mab, phases
+
+
+def test_transform_oracle_sees_one_conjugated_column():
+    t_mab, phases = _transform_block()
+    vals = np.array(t_mab.vals)
+    vals[..., 1, 2] = vals[..., 1, 2].conj()
+    tampered = replace(t_mab, vals=vals)
+    assert np.all(_entry_00_deviation(tampered, phases) < TRANSFORM_TOL)
+    assert np.all(verify._transform_worst(tampered, phases) > TRANSFORM_TOL)
+
+
+def test_transform_oracle_sees_a_transposed_transition_factor(monkeypatch):
+    # p(b|a) stored [b, a] but read as [a, b]: the diagonal, so entry (0, 0), is unchanged
+    def transposed(table, profile, direction):
+        p_b_a = ergodic_table(table.a_basis, table.b_basis)  # [a, b]
+        swapped = ergodic_table(table.b_basis, table.a_basis)  # [b, a]
+        return transformed_prob(table, profile, direction) / p_b_a * swapped
+
+    t_mab, phases = _transform_block()
+    assert np.all(_entry_00_deviation(t_mab, phases, transposed) < TRANSFORM_TOL)
+    monkeypatch.setattr(verify, "transformed_prob", transposed)
+    assert np.all(verify._transform_worst(t_mab, phases) > TRANSFORM_TOL)

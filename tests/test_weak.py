@@ -10,7 +10,7 @@ from qergo import (
     WeakRegimeViolation,
     build_lattice,
     ccp_value,
-    ergodic_prob,
+    ergodic_table,
     scan_wavefunction,
     simulate_sequential,
     simulate_weak_value,
@@ -410,7 +410,7 @@ class TestSimulateWeakValue:
         a, b, m_basis, m = _qubit_scenario(z2, x2, y2)
         report = simulate_weak_value(a, b, m_basis, m, 0.05, 400_000, 9)
         rate = report.shots_postselected / report.shots_total
-        p = ergodic_prob(x2, 0, z2, 0)
+        p = ergodic_table(x2, z2)[0, 0]
         se = np.sqrt(p * (1 - p) / report.shots_total)
         assert abs(rate - p) < 4.0 * se + 0.01 * p  # small O(g^2) shift allowed
 
