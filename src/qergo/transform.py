@@ -148,6 +148,8 @@ def quantized_spectrum_check(
         raise ValueError(f"period must be positive, got {period}")
     if hbar <= 0:
         raise ValueError(f"hbar must be positive, got {hbar}")
+    if rtol < 0:
+        raise ValueError(f"rtol must be non-negative, got {rtol}")
     if values.ndim != 1 or values.size < 2:
         raise DimensionMismatch("need at least two generator values")
     unit = 2.0 * np.pi * hbar / period

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from qergo import (
     phase_antisymmetry_check,
     sampling_variance,
 )
-from qergo.ccp import PHASE_FLOOR
+from qergo.basis import haar_random_bases
+from qergo.ccp import PHASE_FLOOR, IdentitySides, ccp_tables
 from conftest import haar_triple
 
 
@@ -313,6 +315,26 @@ class TestPhaseAntisymmetry:
                                   t.defined_mask)
         assert phase_antisymmetry_check(*tables) == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("dim, seed", [(8, 3), (2, 4), (4, 5)])
+    def test_circular_defect_is_the_angle_of_the_product_bit_for_bit(self, dim, seed):
+        # reference: |np.angle(u v)| reduced by IdentitySides over the same masks
+        m, a, b = haar_triple(dim, seed)
+        z = computational_basis(dim)
+        for forward, backward, swapped in (
+            (ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)),
+            (ccp_table(m, z, z), ccp_table(z, m, z), ccp_table(m, z, z)),  # partly undefined
+        ):
+            fwd = forward.vals
+            worst = 0.0
+            for other, mask in (
+                (np.swapaxes(backward.vals, 0, 1), backward.defined_mask[:, np.newaxis, :]),
+                (np.swapaxes(swapped.vals, 1, 2), swapped.defined_mask.T[np.newaxis]),
+            ):
+                ok = forward.defined_mask & mask & ~(np.abs(fwd) < PHASE_FLOOR)
+                ok &= ~(np.abs(other) < PHASE_FLOOR)
+                worst = np.maximum(worst, IdentitySides(np.angle(other * fwd), 0.0, ok).worst())
+            assert phase_antisymmetry_check(forward, backward, swapped) == worst
+
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)
         swapped = ccp_value(y2, 0, x2, 0, z2, 0)
@@ -412,3 +434,77 @@ def test_backaction_sum_recovers_dephased_total(dim, seed):
             seq = float(p_b_m[bi] @ p_m_a[:, ai])
             direct = p_b_a[bi, ai] * float(np.sum(np.abs(t.vals[:, ai, bi]) ** 2))
             assert abs(seq - direct) < 1e-10
+
+
+def _conjugate_swap_is_exact(m, a, b):
+    t = ccp_tables({"m": m, "a": a, "b": b}, ["mab", "mba"])
+    mab, mba = t["mab"], t["mba"]
+    assert np.array_equal(mba.defined_mask, np.swapaxes(mab.defined_mask, -1, -2))
+    # + 0.0 makes every zero +0.0: conjugation flips the sign of a zero imaginary part
+    got, want = (np.ascontiguousarray(x + 0.0).view(np.uint64)
+                 for x in (mba.vals, np.swapaxes(mab.vals, -1, -2).conj()))
+    assert np.array_equal(got, want)
+    undefined = ~np.broadcast_to(mab.defined_mask[..., np.newaxis, :, :], mab.vals.shape)
+    assert np.all(mab.vals[undefined] == 0)
+    return mab
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32])
+def test_swapped_table_is_the_exact_conjugate_haar(dim):
+    # verify forms the table over (M, B, A) as this conjugate instead of building it
+    stack = haar_random_bases(dim, range(10 * dim, 10 * dim + 6))
+    m, a, b = (replace(stack, vectors=stack.vectors[[k, k + 3]]) for k in range(3))
+    assert _conjugate_swap_is_exact(m, a, b).defined_mask.all()
+
+
+@pytest.mark.parametrize("dim", [2, 4, 7])
+def test_swapped_table_is_the_exact_conjugate_with_undefined_pairs(dim):
+    z, f = computational_basis(dim), fourier_basis(dim)
+    h = haar_random_basis(dim, 11)
+    triples = ((f, z, z), (z, z, z), (h, z, z), (z, z, f), (h, f, z))
+    defined = [bool(_conjugate_swap_is_exact(*t).defined_mask.all()) for t in triples]
+    assert defined == [False, False, False, True, True]
+
+
+def _masked_worst(sides):
+    """The masked reduction alone: the reference for worst()'s full-mask path."""
+    dev = np.abs(sides.lhs - sides.rhs)
+    axes = None if sides.axes is None else tuple(range(-sides.axes, 0))
+    mask = np.broadcast_to(sides.mask, dev.shape)
+    top = np.max(dev, axis=axes, where=mask, initial=-np.inf)
+    return np.where(np.any(mask, axis=axes), top, np.nan)[()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 3), max_size=2),
+    trail=st.lists(st.integers(1, 4), min_size=3, max_size=3),
+    axes=st.sampled_from([None, 2, 3]),
+    unit_axes=st.lists(st.booleans(), min_size=5, max_size=5),
+    kind=st.sampled_from(["full", "partial", "empty"]),
+    nan_at=st.sampled_from([None, True, False]),  # a compared entry, or a masked one
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_worst_full_mask_path_matches_masked_reduction(
+    lead, trail, axes, unit_axes, kind, nan_at, seed
+):
+    shape = (*lead, *trail)
+    rng = np.random.default_rng(seed)
+    lhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rhs = rng.normal(size=shape[-2:]) + 1j * rng.normal(size=shape[-2:])  # broadcast
+    mask_shape = tuple(1 if unit else n for unit, n in zip(unit_axes[-len(shape):], shape))
+    mask = {"full": np.ones(mask_shape, dtype=bool), "empty": np.zeros(mask_shape, dtype=bool),
+            "partial": rng.random(mask_shape) < 0.5}[kind]
+    compared = np.broadcast_to(mask, shape)
+    if nan_at is not None:
+        spots = np.argwhere(compared == nan_at)
+        if len(spots):
+            lhs[tuple(spots[rng.integers(len(spots))])] = np.nan
+    got = IdentitySides(lhs, rhs, mask, axes).worst()
+    want = _masked_worst(IdentitySides(lhs, rhs, mask, axes))
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    # NaN exactly where an instance compares nothing or compares a NaN
+    over = None if axes is None else tuple(range(-axes, 0))
+    nan_rule = ~np.any(compared, axis=over) | np.any(compared & np.isnan(lhs), axis=over)
+    assert np.array_equal(np.isnan(got), nan_rule)

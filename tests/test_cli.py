@@ -399,6 +399,14 @@ class TestLatticeAndQuantize:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "q.json").exists()
 
+    def test_quantize_negative_rtol_is_a_config_error(self, tmp_path, capsys):
+        # A perfect spectrum must not read FAIL and exit 1 because no defect is below -1.
+        params = {"values": [0.0, 2 * np.pi], "period": 1.0, "hbar": 1.0, "rtol": -1.0}
+        cfg = write_config(tmp_path, "cfg.json", {"params": params})
+        assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "q")]) == 2
+        assert "rtol" in capsys.readouterr().err
+        assert not (tmp_path / "q.json").exists()
+
     def test_quantize_lattice_spec_validated_before_run(self, tmp_path):
         cfg = write_config(
             tmp_path, "cfg.json", {"lattice": {"d": 16}, "levels": 3, "period": 1.0}
@@ -617,7 +625,7 @@ class TestPinnedArtifactBytes:
         table = ccp_table(m, a, b)
         text = "".join(table.column_csv(i, 0) for i in range(16))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "d39bc2f87d43141a6565252070564770dfa9fe5cf8b60aac106d85e660ec4a64"
+            "7161fa4cc2d642bb16eaa7fc01e402116b06aca9e50f12e56b75c4362e622d64"
         )
 
 

@@ -287,6 +287,12 @@ class TestQuantizedSpectrum:
         with pytest.raises(DimensionMismatch):
             quantized_spectrum_check([1.0], period=1.0, hbar=1.0)
 
+    def test_negative_rtol_rejected(self):
+        # a perfect spectrum has defect 0.0, which no negative rtol admits: it would read FAIL
+        with pytest.raises(ValueError, match="rtol"):
+            quantized_spectrum_check([0.0, 2 * np.pi], period=1.0, hbar=1.0, rtol=-1.0)
+        assert quantized_spectrum_check([0.0, 2 * np.pi], period=1.0, hbar=1.0, rtol=0.0).passed
+
     @pytest.mark.parametrize(
         "field, kwargs",
         [

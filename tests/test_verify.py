@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -234,6 +237,67 @@ def test_phase_antisymmetry_reports_nan_entry():
     vals[0, 0, 0] = np.nan
     poisoned = CcpTable(m, a, b, vals, forward.defined_mask)
     assert math.isnan(phase_antisymmetry_check(poisoned, backward, swapped))
+
+
+def test_phase_antisymmetry_sees_one_planted_phase(monkeypatch):
+    # verify forms p(m|b,a) as the conjugate of p(m|a,b), so a phase planted in the
+    # latter leaves the swap identity exact; the product with p(a|m,b) must still show it.
+    real = verify.ccp.ccp_tables
+
+    def planted(bases, names):
+        tables = real(bases, names)
+        vals = np.array(tables["mab"].vals)
+        vals[1, 3, 1, 2] *= np.exp(0.1j)  # quadruple 1, (m, a, b) = (3, 1, 2)
+        tables["mab"] = replace(tables["mab"], vals=vals)
+        return tables
+
+    monkeypatch.setattr(verify.ccp, "ccp_tables", planted)
+    # the conditional error raises on the imaginary residue the phase leaves in it
+    monkeypatch.setattr(verify.ccp, "ozawa_error", lambda det: np.zeros(det.vals.shape[:-2]))
+    bases, phases = verify._draw_block(7, 5, range(3))
+    worst = verify._block_worsts(*bases, phases)["phase antisymmetry"]
+    assert worst[1] == pytest.approx(0.1, abs=1e-12)
+    assert np.all(np.delete(worst, 1) < 1e-12)
+
+
+@pytest.fixture(scope="module")
+def fresh_d32_sweep():
+    """(minor page faults, CPU s, wall s) of a third d=32 x 20 sweep in a fresh interpreter.
+
+    A fresh process starts from the allocator state the CLI and the benchmark
+    start from; the heap that earlier tests leave behind would hide page churn.
+    """
+    probe = (
+        "import resource, time; from qergo.verify import run_verification_suite as run\n"
+        "run([32], 20, 1); run([32], 20, 2)\n"
+        "f, c, w = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.process_time(), "
+        "time.perf_counter()\n"
+        "run([32], 20, 3)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f, "
+        "time.process_time() - c, time.perf_counter() - w)"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    faults, cpu, wall = out.stdout.split()
+    return int(faults), float(cpu), float(wall)
+
+
+def test_d32_sweep_steady_state_faults_in_no_pages(fresh_d32_sweep):
+    # A d^3 temporary that outlives its use can push the heap past the allocator's
+    # trim point: pages go back and fault in again, thousands of faults a sweep.
+    faults, _, _ = fresh_d32_sweep
+    assert faults < 1000
+
+
+def test_d32_sweep_wakes_no_blas_threads(fresh_d32_sweep):
+    # BLAS workers that spin after a small product burn CPU on every core while
+    # the sweep itself runs on one: process CPU would be about twice the wall time.
+    _, cpu, wall = fresh_d32_sweep
+    assert cpu <= 1.5 * wall
 
 
 def test_empty_mask_fails_the_check(z2, y2):
