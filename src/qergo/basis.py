@@ -59,8 +59,8 @@ def _gram_defect(mat: np.ndarray) -> float:
     return float(max(left, right))
 
 
-def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
-    """Rotate every column so its first component above the pivot floor is real and >= 0."""
+def _column_phases(mat: np.ndarray) -> np.ndarray:
+    """The unit factors that make each column's first component above the pivot floor real and >= 0."""
     mags = np.abs(mat)
     # First significant row of each column; row 0 of a column with none.
     rows = np.argmax(mags > PHASE_PIVOT_TOL, axis=-2)[..., np.newaxis, :]
@@ -69,7 +69,12 @@ def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
     if empty.any():
         column = int(np.flatnonzero(empty)[0]) % mat.shape[-1]
         raise NotOrthonormal(f"column {column} is numerically zero")
-    return mat * (np.conj(np.take_along_axis(mat, rows, axis=-2)) / pivot_mags)
+    return np.conj(np.take_along_axis(mat, rows, axis=-2)) / pivot_mags
+
+
+def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
+    """Rotate every column so its first component above the pivot floor is real and >= 0."""
+    return mat * _column_phases(mat)
 
 
 def _json_field(payload, key: str):
@@ -230,25 +235,47 @@ def _finish_basis(
     mat: np.ndarray,
     labels: Sequence[str] | None = None,
     values: Sequence[float] | None = None,
+    gram_defect: float | None = None,
 ) -> Basis:
     """Gauge-fix, Gram-check, label and freeze a unitary matrix or stack of them, dim >= 2.
 
     ``make_basis`` ends here after its polar step.  Matrices that are
-    unitary by construction (Haar QR, ``eigh`` output, the identity, the
-    DFT) come here directly: they skip the polar step but keep the Gram
-    gate, one for a stack.  A real matrix is gauge-fixed and Gram-checked
-    in real arithmetic, then cast.
+    unitary by construction (Haar QR, the identity, the DFT) come here
+    directly: they skip the polar step but keep the Gram gate, one product
+    for a stack.  A builder that has already bounded max|U^H U - I| from the
+    factors it built U from (the lattice's energy basis, from its ``eigh``
+    blocks) passes that bound as ``gram_defect``; the gate then takes the
+    bound, widened by the gauge phases, and forms no product.  A real
+    matrix is gauge-fixed in real arithmetic, then cast.
     """
     dim = mat.shape[-1]
-    mat = _fix_column_phases(mat)
-    # One side suffices: for square U, U^H U and U U^H are similar, so their
-    # deviations from I share one spectrum (and spectral norm).
-    internal = float(np.max(np.abs(_adjoint(mat) @ mat - np.eye(dim))))
+    phases = _column_phases(mat)
+    mat = mat * phases
+    if gram_defect is None:
+        internal = _internal_gram_defect(mat)
+    else:
+        # Each entry becomes u c (1 + r): |c| is 1 to within delta, and the
+        # complex product rounds by |r| <= sqrt(5) 2^-53 (a real phase, +-1, is
+        # exact).  With m = (1 + delta)(1 + |r|), every entry of the phased
+        # Gram matrix minus I is at most m^2 gram_defect + (m^2 - 1)(1 + gram_defect).
+        delta = float(np.max(np.abs(np.abs(phases) - 1.0)))
+        rounding = math.sqrt(5.0) * 2.0**-53 if np.iscomplexobj(mat) else 0.0
+        m2 = ((1.0 + delta) * (1.0 + rounding)) ** 2
+        internal = m2 * gram_defect + (m2 - 1.0) * (1.0 + gram_defect)
     if not internal <= GRAM_INTERNAL_TOL:
         raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
     label_tuple, value_arr = _checked_labels_values(dim, labels, values)
     mat = mat.astype(np.complex128, copy=False)
     return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
+
+
+def _internal_gram_defect(mat: np.ndarray) -> float:
+    """max|U^H U - I| of a matrix or stack of them, from the product itself.
+
+    One side suffices: for square U, U^H U and U U^H are similar, so their
+    deviations from I share one spectrum (and spectral norm).
+    """
+    return float(np.max(np.abs(_adjoint(mat) @ mat - np.eye(mat.shape[-1]))))
 
 
 def _dft_columns(dim: int, first: int, cols) -> np.ndarray:

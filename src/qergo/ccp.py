@@ -336,10 +336,10 @@ def phase_antisymmetry_check(forward: CcpTable, backward: CcpTable, swapped: Ccp
     rev = np.swapaxes(backward.vals, -3, -2)  # p(a|m,b) -> [..., m, a, b]
     swap = np.swapaxes(swapped.vals, -2, -1)  # p(m|b,a) -> [..., m, a, b]
 
-    ok_fwd = forward.defined_mask[..., np.newaxis, :, :] & ~(np.abs(fwd) < PHASE_FLOOR)
-    ok_rev = backward.defined_mask[..., :, np.newaxis, :] & ~(np.abs(rev) < PHASE_FLOOR)
+    ok_fwd = forward.defined_mask[..., np.newaxis, :, :] & _not_below_phase_floor(fwd)
+    ok_rev = backward.defined_mask[..., :, np.newaxis, :] & _not_below_phase_floor(rev)
     swap_mask = np.swapaxes(swapped.defined_mask, -1, -2)[..., np.newaxis, :, :]
-    ok_swap = swap_mask & ~(np.abs(swap) < PHASE_FLOOR)
+    ok_swap = swap_mask & _not_below_phase_floor(swap)
 
     def circular_defect(other, ok_other):
         # Arg(u) + Arg(v) and Arg(u v) agree on the circle, so |Arg(u v)| is the
@@ -350,6 +350,21 @@ def phase_antisymmetry_check(forward: CcpTable, backward: CcpTable, swapped: Ccp
         return _masked_max(defect, ok_fwd & ok_other, 3)
 
     return np.maximum(circular_defect(rev, ok_rev), circular_defect(swap, ok_swap))
+
+
+def _not_below_phase_floor(z: np.ndarray) -> np.ndarray:
+    """``~(np.abs(z) < PHASE_FLOOR)`` bit for bit, NaN entries included.
+
+    hypot(x, y) >= max(|x|, |y|), so an entry with |Re z| or |Im z| at or
+    above the floor passes without one; ``np.abs`` (a hypot per entry) runs
+    only on the rest.
+    """
+    ok = np.abs(z.real) >= PHASE_FLOOR
+    ok |= np.abs(z.imag) >= PHASE_FLOOR
+    if not ok.all():
+        rest = ~ok
+        ok[rest] = ~(np.abs(z[rest]) < PHASE_FLOOR)
+    return ok
 
 
 def bayes_convert(forward: CcpTable, converted: CcpTable) -> IdentitySides:

@@ -8,7 +8,9 @@ then applies verbatim to the (x, E, p) triple.
 
 A potential even under the reflection j -> -j mod d (every built-in one)
 makes H commute with it, and H is diagonalized as one even and one odd
-block of about half the size, a quarter of the ``eigh`` cost.
+block of about half the size, a quarter of the ``eigh`` cost.  The
+energy basis's eigen-residual and Gram gates are taken on those blocks,
+where ``eigh`` produces them, not on the assembled d x d matrix.
 
 Degenerate energy eigenspaces (exactly, or within the block tolerance)
 are re-diagonalized against the momentum operator, which makes the energy
@@ -181,13 +183,18 @@ def build_lattice(
     V[j] == V[(-j) mod d] for every j, H commutes exactly with the
     reflection and ``_reflection_eigh`` diagonalizes its even and odd
     blocks, for about a quarter of the cost of one ``eigh`` of H; any other
-    V takes that one ``eigh``.  Either way the eigen-residual gate is taken
-    on the full H.  The energy basis becomes complex only where a
-    degenerate block is rotated onto momentum eigenstates; the block's
-    momentum amplitudes come from an FFT of its columns.  The position and
-    momentum bases, the exact identity and the centered DFT, are not built
-    here: each is built, Gram-checked like any other basis, and cached on
-    the first read of ``x_basis`` or ``p_basis``.
+    V takes that one ``eigh``.  The eigen-residual and Gram gates are taken
+    on the blocks ``eigh`` diagonalizes, so a symmetric build with no
+    degenerate block forms no d x d product besides its two block ``eigh``.
+    The energy basis becomes complex only where a degenerate block is
+    rotated onto momentum eigenstates; the block's momentum amplitudes come
+    from an FFT of its columns.  A rotated column's residual is bounded only
+    by its block's residuals plus the spread of the block's levels, which
+    for b levels may reach (b - 1) DEGENERACY_RTOL max(||H||, 1), at or
+    above the gate; so H is applied to the rotated columns to gate them.
+    The position and momentum bases, the exact identity and the centered
+    DFT, are not built here: each is built, Gram-checked like any other
+    basis, and cached on the first read of ``x_basis`` or ``p_basis``.
 
     Parameters
     ----------
@@ -205,7 +212,10 @@ def build_lattice(
         kind, a wrong shape, or a non-finite value.
     NonHermitian, NumericsError
         If the kinetic column is not real and even to within rounding, or
-        an eigen-residual exceeds 1e-8 * ||H||.
+        an eigen-residual exceeds 1e-8 * max(||H||, 1).
+    NotOrthonormal
+        If the energy basis's Gram defect, as bounded from its blocks,
+        exceeds ``GRAM_INTERNAL_TOL``.
     """
     if not valid_grid_size(d):
         raise BadGrid(f"grid size must be even and >= {MIN_GRID_SIZE}, got {d}")
@@ -234,39 +244,12 @@ def build_lattice(
     h = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), d)[::-1].copy()
     h[np.diag_indices(d)] += v
 
-    if np.array_equal(v, v[mirror]):
-        energies, vectors = _reflection_eigh(h)
-    else:
-        energies, vectors = np.linalg.eigh(h)
+    energies, vectors, residuals, gram_defect = _energy_eigh(h, momenta, np.array_equal(v, v[mirror]))
     h_norm = float(np.max(np.abs(energies)))
-    tol = DEGENERACY_RTOL * max(h_norm, 1.0)
-    hv = h @ vectors
-
-    # Re-diagonalize (near-)degenerate blocks against momentum so the
-    # energy basis is deterministic and running waves come out pure.  Only
-    # these blocks make the eigenvectors complex; H applied to a rotated
-    # block is (H block) rot, so the residual below needs no second product.
-    # Blocks break where neighbouring energies differ by more than tol (or by NaN).
-    bounds = np.concatenate(([0], np.flatnonzero(~(np.diff(energies) <= tol)) + 1, [d]))
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - start > 1:
-            if not np.iscomplexobj(vectors):
-                vectors, hv = vectors.astype(np.complex128), hv.astype(np.complex128)
-            block = vectors[:, start:stop]
-            # momentum amplitudes <p_k|block>, k in the centered order of ``momenta``
-            fb = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0) / math.sqrt(d)
-            sub = (fb.conj().T * momenta) @ fb
-            sub = 0.5 * (sub + sub.conj().T)
-            _, rot = np.linalg.eigh(sub)
-            vectors[:, start:stop] = block @ rot
-            hv[:, start:stop] = hv[:, start:stop] @ rot
-
-    residual = float(np.max(np.linalg.norm(hv - vectors * energies, axis=0)))
+    residual = float(np.max(residuals))
     if not residual <= 1e-8 * max(h_norm, 1.0):
         raise NumericsError(f"eigen-residual {residual:.3e} exceeds 1e-8 * ||H||")
-    del hv  # d x d; freed before the energy basis's Gram gate
-
-    e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies)
+    e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies, gram_defect=gram_defect)
 
     positions.setflags(write=False)
     momenta.setflags(write=False)
@@ -286,7 +269,88 @@ def build_lattice(
     )
 
 
-def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _energy_eigh(
+    h: np.ndarray, momenta: np.ndarray, symmetric: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Levels, eigenvectors, eigen-residual per column and Gram defect of H.
+
+    H is diagonalized by ``_reflection_eigh`` when ``symmetric``, else as one
+    block; either way both gates come from the blocks ``eigh`` diagonalized.
+    (Near-)degenerate blocks are then re-diagonalized against momentum, so
+    the energy basis is deterministic and running waves come out pure; only
+    these rotations make the eigenvectors complex.  A rotated column's
+    residual is recomputed from H, and its Gram defect is composed: for
+    rotations R of at most b columns, each entry of (V R)^H (V R) - I is at most
+        max|R^H R - I| + b (1 + max|R^H R - I|) (max|V^T V - I| + 2 eps),
+    the 2 eps covering the rounding of the length-b products V R.
+    """
+    if symmetric:
+        energies, vectors, residuals, gram_defect = _reflection_eigh(h)
+    else:
+        energies, vectors, residuals = _block_eigh(h)
+        gram_defect = _gram_defect(vectors)
+    d = h.shape[0]
+    tol = DEGENERACY_RTOL * max(float(np.max(np.abs(energies))), 1.0)
+    # Blocks break where neighbouring energies differ by more than tol (or by NaN).
+    bounds = np.concatenate(([0], np.flatnonzero(~(np.diff(energies) <= tol)) + 1, [d]))
+    rotated, rot_defects = [], []
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop - start > 1:
+            if not np.iscomplexobj(vectors):
+                vectors = vectors.astype(np.complex128)
+            block = vectors[:, start:stop]
+            # momentum amplitudes <p_k|block>, k in the centered order of ``momenta``
+            fb = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0) / math.sqrt(d)
+            sub = (fb.conj().T * momenta) @ fb
+            sub = 0.5 * (sub + sub.conj().T)
+            _, rot = np.linalg.eigh(sub)
+            vectors[:, start:stop] = block @ rot
+            rotated.append(np.arange(start, stop))
+            rot_defects.append(np.max(np.abs(rot.conj().T @ rot - np.eye(stop - start))))
+    if rotated:
+        cols = np.concatenate(rotated)
+        residuals[cols] = _residuals(h, np.take(vectors, cols, axis=1), energies[cols])
+        rho, width = float(np.max(rot_defects)), max(map(len, rotated))
+        gram_defect = rho + width * (1.0 + rho) * (gram_defect + 2.0 * np.finfo(float).eps)
+    return energies, vectors, residuals, gram_defect
+
+
+def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``eigh`` of a real symmetric block, with the residual ||B u - u lambda|| of each column."""
+    levels, vecs = np.linalg.eigh(block)
+    return levels, vecs, _residuals(block, vecs, levels)
+
+
+def _residuals(mat: np.ndarray, vecs: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Column norms of mat @ vecs - vecs * levels, for real ``mat`` and C-ordered ``vecs``.
+
+    Complex columns are multiplied as their real and imaginary parts side
+    by side, one real product of twice the width.
+    """
+    if np.iscomplexobj(vecs):
+        prod = (mat @ vecs.view(np.float64)).view(np.complex128)
+    else:
+        prod = mat @ vecs
+    prod -= vecs * levels
+    return np.linalg.norm(prod, axis=0)
+
+
+def _gram_defect(vecs: np.ndarray, once=None) -> float:
+    """max|U^T W U - I| for real U: W = I, or 2 I with weight 1 on the rows ``once``.
+
+    With ``once`` it is the Gram defect of columns that store each row of U
+    twice, at a grid point and at its mirror, except the rows ``once``.
+    """
+    gram = vecs.T @ vecs
+    if once is not None:
+        gram *= 2.0
+        for row in vecs[once]:
+            gram -= np.multiply.outer(row, row)
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """``eigh`` of a real symmetric h that commutes exactly with j -> -j mod d.
 
     The reflection splits R^d into an even space, spanned by e_0, e_{d/2}
@@ -300,6 +364,14 @@ def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ascending merge of the two spectra (even first among equal levels), so
     each column is exactly even or odd, and an odd one is exactly 0 at x_0
     and x_{d/2}.
+
+    It also returns each column's residual in its block, ||B u - u lambda||,
+    which is H's on the scattered column up to the rounding of the sqrt(1/2)
+    weights, and the Gram defect of the scattered columns, read off the
+    stored entries: an even column holds rows 0 and d/2 once and the others
+    twice, an odd one every row twice (once negated), and an even and an odd
+    column are orthogonal exactly.  Each gate costs two products of about
+    (d/2)^3, where one on the assembled matrix costs d^3.
     """
     d = h.shape[0]
     half = d // 2
@@ -311,8 +383,8 @@ def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     root = math.sqrt(0.5)
     even[[0, half]] *= root
     even[:, [0, half]] *= root
-    even_levels, even_vecs = np.linalg.eigh(even)
-    odd_levels, odd_vecs = np.linalg.eigh(odd)
+    even_levels, even_vecs, even_res = _block_eigh(even)
+    odd_levels, odd_vecs, odd_res = _block_eigh(odd)
 
     levels = np.concatenate((even_levels, odd_levels))
     order = np.argsort(levels, kind="stable")
@@ -322,11 +394,13 @@ def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors = np.zeros((d, d))
     even_vecs[1:half] *= root
     odd_vecs *= root
+    gram_defect = float(np.maximum(_gram_defect(even_vecs, once=[0, half]), _gram_defect(odd_vecs, once=[])))
     vectors[np.ix_(k, even_cols)] = even_vecs
     vectors[np.ix_(outer, even_cols)] = even_vecs[1:half]
     vectors[np.ix_(inner, odd_cols)] = odd_vecs
     vectors[np.ix_(outer, odd_cols)] = -odd_vecs
-    return levels[order], vectors
+    residuals = np.concatenate((even_res, odd_res))[order]
+    return levels[order], vectors, residuals, gram_defect
 
 
 def _xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> tuple[np.ndarray, complex]:

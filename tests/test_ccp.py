@@ -31,7 +31,7 @@ from qergo import (
     sampling_variance,
 )
 from qergo.basis import haar_random_bases
-from qergo.ccp import PHASE_FLOOR, IdentitySides, ccp_tables
+from qergo.ccp import PHASE_FLOOR, IdentitySides, _not_below_phase_floor, ccp_tables
 from conftest import haar_triple
 
 
@@ -334,6 +334,22 @@ class TestPhaseAntisymmetry:
                 ok &= ~(np.abs(other) < PHASE_FLOOR)
                 worst = np.maximum(worst, IdentitySides(np.angle(other * fwd), 0.0, ok).worst())
             assert phase_antisymmetry_check(forward, backward, swapped) == worst
+
+    def test_floor_pretest_is_the_abs_mask(self):
+        # a d=32 block of two triples, as verify stacks them, in the views the check takes
+        m, a, b = (haar_random_bases(32, seeds) for seeds in ([1, 2], [3, 4], [5, 6]))
+        t = ccp_tables(dict(m=m, a=a, b=b), ["mab", "amb", "mba"])
+        views = [t["mab"].vals, np.swapaxes(t["amb"].vals, -3, -2), np.swapaxes(t["mba"].vals, -2, -1)]
+        # a partly undefined triple (its undefined entries hold 0), with NaN, infinite and
+        # floor-sized entries; 8e-13 (1 + 1j) is below the floor in each part, not in modulus
+        z = computational_basis(4)
+        odd = ccp_table(haar_random_basis(4, 7), z, z).vals.copy()
+        odd.flat[:12] = [np.nan, complex(np.nan, 1e-13), complex(1e-13, np.nan), np.inf,
+                         complex(np.nan, np.inf), 8e-13 * (1 + 1j), 1e-13 * (1 + 1j), 1e-12,
+                         -1e-12j, complex(-7.1e-13, 7.1e-13), 0.0, -0.0]
+        views += [odd, np.swapaxes(odd, -2, -1)]
+        for vals in views:
+            assert np.array_equal(_not_below_phase_floor(vals), ~(np.abs(vals) < PHASE_FLOOR))
 
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)

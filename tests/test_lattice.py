@@ -7,13 +7,15 @@ import pytest
 from qergo import (
     BadGrid,
     IndexOutOfRange,
+    NotOrthonormal,
+    NumericsError,
     OrthogonalCondition,
     PhaseUnwrapFailure,
     build_lattice,
     make_basis,
     quantized_spectrum_check,
 )
-from qergo import lattice
+from qergo import basis, lattice
 from qergo.ccp import ccp_column, ccp_table, is_defined
 from qergo.cli import main
 from qergo.lattice import (
@@ -43,11 +45,12 @@ def harmonic64():
 def smooth_well(d: int, length: float = 20.0, depth: float = 5.0, shift: float = 0.0):
     """Analytic periodic potential: circulating doublets above the barrier.
 
-    Unshifted, the well is centred on x_{d/2} and even under j -> -j mod d;
-    a shift of length/3 breaks that symmetry.
+    Unshifted, the well is centred on x_{d/2} and, taken from signed offsets
+    about it as the harmonic well is, exactly even under j -> -j mod d on
+    any grid; a shift of length/3 breaks that symmetry.
     """
-    xs = (length / d) * np.arange(d)
-    v = depth * np.sin(np.pi * (xs - length / 2 - shift) / length) ** 2
+    offsets = (np.arange(d) - d // 2) * (length / d)
+    v = depth * np.sin(np.pi * (offsets - shift) / length) ** 2
     return build_lattice(d, length, 1.0, 1.0, v)
 
 
@@ -481,10 +484,12 @@ class TestReflectionSplit:
         calls = []
         split = lattice._reflection_eigh
         monkeypatch.setattr(lattice, "_reflection_eigh", lambda h: calls.append(h) or split(h))
-        sys_ = GRIDS[kind](64)
-        symmetric = np.array_equal(sys_.potential, sys_.potential[self._mirror(64)])
-        assert symmetric == (kind != "shifted")
-        assert len(calls) == symmetric
+        for d in (64, 96, 1000):  # at 96 and 1000, x_j - L/2 is not odd under the reflection
+            calls.clear()
+            sys_ = GRIDS[kind](d)
+            symmetric = np.array_equal(sys_.potential, sys_.potential[self._mirror(d)])
+            assert symmetric == (kind != "shifted"), d
+            assert len(calls) == symmetric, d
 
     def test_exact_zero_reads_positive(self, harmonic64):
         # an odd level whose stored column holds -0.0 at x_0 after gauge fixing
@@ -500,6 +505,111 @@ class TestReflectionSplit:
                     assert not np.signbit(col[x].real) and not np.signbit(col[x].imag), (n, x)
             first = distribution_csv(sys_, ours).splitlines()[1].split(",")
             assert first[1:4] == ["0.0", "0.0", "0.0"]
+
+
+class TestBlockGates:
+    """The energy basis's residual and Gram gates, taken on its ``eigh`` blocks."""
+
+    def test_gates_match_the_finished_basis(self, built):
+        sys_, _ = built
+        d, h = sys_.d, sys_.hamiltonian
+        symmetric = np.array_equal(sys_.potential, sys_.potential[(-np.arange(d)) % d])
+        _, _, residuals, gram_defect = lattice._energy_eigh(h, sys_.momenta, symmetric)
+        vecs, energies = sys_.e_basis.vectors, sys_.energies
+        full = np.linalg.norm(h @ vecs - vecs * energies, axis=0)
+        assert np.max(np.abs(residuals - full)) <= d * EPS * max(sys_.hamiltonian_norm, 1.0)
+        gram = np.max(np.abs(vecs.conj().T @ vecs - np.eye(d)))
+        assert abs(gram_defect - gram) <= d * EPS
+
+    @pytest.mark.parametrize("kind", ["box", "harmonic", "shifted", "free"])
+    def test_no_full_product_without_rotation_or_asymmetry(self, kind, monkeypatch):
+        d, shapes, eigh_shapes = 128, [], []
+        for name in ("_residuals", "_gram_defect"):
+            def spy(mat, *args, _fn=getattr(lattice, name), **kwargs):
+                shapes.append(mat.shape)
+                return _fn(mat, *args, **kwargs)
+            monkeypatch.setattr(lattice, name, spy)
+        eigh = np.linalg.eigh
+
+        def record(a):  # the diagonalizations are real; the momentum rotations complex
+            if not np.iscomplexobj(a):
+                eigh_shapes.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", record)
+
+        def no_product(mat):
+            raise AssertionError("the energy basis ran a d x d Gram product")
+
+        monkeypatch.setattr(basis, "_internal_gram_defect", no_product)
+        sys_ = GRIDS[kind](d)
+        largest = max(max(shape) for shape in shapes)
+        if kind == "shifted":  # the full eigh: one block of size d
+            assert eigh_shapes == [(d, d)] and largest == d
+            return
+        assert sorted(eigh_shapes) == [(d // 2 - 1, d // 2 - 1), (d // 2 + 1, d // 2 + 1)]
+        # the free grid's rotated columns take the one residual product with H
+        assert bool(_blocks(sys_.energies)) == (kind == "free")
+        assert largest == (d if kind == "free" else d // 2 + 1)
+
+    @staticmethod
+    def _patch_eigh(monkeypatch, perturb, rotation=False):
+        """Apply ``perturb(levels, vecs)`` to every real ``eigh`` output, or every complex one."""
+        eigh = np.linalg.eigh
+
+        def patched(a):
+            levels, vecs = eigh(a)
+            if np.iscomplexobj(a) == rotation:
+                perturb(levels, vecs)
+            return levels, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", patched)
+
+    @staticmethod
+    def _level_one(kind):
+        """Level E1 of the d=64 grid, the tolerance that finds it, and how many columns hold it."""
+        ref = GRIDS[kind](64)
+        tol = 1e-8 * ref.hamiltonian_norm
+        target = ref.energies[1]
+        return ref.hamiltonian_norm, target, tol, int(np.sum(np.abs(ref.energies - target) <= tol))
+
+    # split path, full path, and a rotated pair (both members moved alike)
+    @pytest.mark.parametrize("kind, members", [("harmonic", 1), ("shifted", 1), ("free", 2)])
+    def test_level_off_raises(self, kind, members, monkeypatch):
+        norm, target, tol, found = self._level_one(kind)
+        assert found == members
+
+        def shift_level(levels, vecs):
+            levels[np.abs(levels - target) <= tol] += 1e-6 * norm
+
+        self._patch_eigh(monkeypatch, shift_level)
+        with pytest.raises(NumericsError):
+            GRIDS[kind](64)
+
+    @pytest.mark.parametrize("kind, members", [("harmonic", 1), ("shifted", 1), ("free", 2)])
+    def test_column_off_unit_raises(self, kind, members, monkeypatch):
+        _, target, tol, found = self._level_one(kind)
+        assert found == members
+        scaled = []
+
+        def scale_column(levels, vecs):
+            near = np.flatnonzero(np.abs(levels - target) <= tol)
+            if near.size and not scaled:
+                vecs[:, near[0]] *= 1 + 1e-9
+                scaled.append(near[0])
+
+        self._patch_eigh(monkeypatch, scale_column)
+        with pytest.raises(NotOrthonormal):
+            GRIDS[kind](64)
+        assert scaled
+
+    def test_rotation_off_unitary_raises(self, monkeypatch):
+        def scale_rotation(levels, vecs):
+            vecs *= 1 + 1e-9
+
+        self._patch_eigh(monkeypatch, scale_rotation, rotation=True)
+        with pytest.raises(NotOrthonormal):
+            GRIDS["free"](64)
 
 
 class TestFftForms:
@@ -602,10 +712,10 @@ class TestCcpXEpFromColumns:
     def test_cli_paths_build_no_dense_x_or_p(self, monkeypatch, tmp_path):
         finish, columns = lattice._finish_basis, lattice._dft_columns
 
-        def energy_basis_only(mat, labels=None, values=None):
+        def energy_basis_only(mat, labels=None, values=None, gram_defect=None):
             if labels is None or labels[0] != "E0":
                 raise AssertionError("a dense position or momentum basis was built")
-            return finish(mat, labels, values)
+            return finish(mat, labels, values, gram_defect)
 
         def one_column_only(dim, first, cols):
             if np.ndim(cols) != 0:
