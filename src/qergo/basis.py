@@ -51,12 +51,21 @@ def _adjoint(mat: np.ndarray) -> np.ndarray:
     return np.swapaxes(mat, -1, -2).conj()
 
 
-def _gram_defect(mat: np.ndarray) -> float:
-    dim = mat.shape[0]
-    eye = np.eye(dim)
-    left = np.max(np.abs(mat.conj().T @ mat - eye))
-    right = np.max(np.abs(mat @ mat.conj().T - eye))
-    return float(max(left, right))
+def _gram_defect(mat: np.ndarray, weights=None) -> float:
+    """max|U^H diag(w) U - I| over a matrix U or a stack; w, scalar or one per row, default 1."""
+    adj = _adjoint(mat)
+    gram = adj @ mat if weights is None else (adj * weights) @ mat
+    return float(np.max(np.abs(gram - np.eye(mat.shape[-1]))))
+
+
+def _check_input_gram(mat: np.ndarray) -> None:
+    """Raise :class:`NotOrthonormal` unless U^H U and U U^H are within ``GRAM_INPUT_TOL`` of I.
+
+    Entrywise the sides differ: a DFT row scaled by 1 + e moves U U^H by 2e, U^H U by 2e/d.
+    """
+    defect = max(_gram_defect(mat), _gram_defect(_adjoint(mat)))
+    if not defect <= GRAM_INPUT_TOL:
+        raise NotOrthonormal(f"Gram defect {defect:.3e} exceeds {GRAM_INPUT_TOL}")
 
 
 def _column_phases(mat: np.ndarray) -> np.ndarray:
@@ -183,9 +192,7 @@ class Basis:
         mat = _as_square_complex(_json_complex(payload, "re", "im"))
         if mat.shape[0] != _json_field(payload, "dim"):
             raise DimensionMismatch("declared dim does not match matrix shape")
-        defect = _gram_defect(mat)
-        if not defect <= GRAM_INPUT_TOL:
-            raise NotOrthonormal(f"Gram defect {defect:.3e} exceeds {GRAM_INPUT_TOL}")
+        _check_input_gram(mat)
         labels, values = _checked_labels_values(
             mat.shape[0], _json_field(payload, "labels"), payload.get("values")
         )
@@ -222,9 +229,7 @@ def make_basis(
         On ragged input, dim < 2, or label/value length mismatch.
     """
     mat = _as_square_complex(columns)
-    defect = _gram_defect(mat)
-    if not defect <= GRAM_INPUT_TOL:
-        raise NotOrthonormal(f"Gram defect {defect:.3e} exceeds {GRAM_INPUT_TOL}")
+    _check_input_gram(mat)
     # Nearest unitary via polar decomposition; a no-op (to rounding) for
     # already-unitary input, which keeps the phase convention idempotent.
     u, _, vh = np.linalg.svd(mat)
@@ -242,17 +247,18 @@ def _finish_basis(
     ``make_basis`` ends here after its polar step.  Matrices that are
     unitary by construction (Haar QR, the identity, the DFT) come here
     directly: they skip the polar step but keep the Gram gate, one product
-    for a stack.  A builder that has already bounded max|U^H U - I| from the
-    factors it built U from (the lattice's energy basis, from its ``eigh``
-    blocks) passes that bound as ``gram_defect``; the gate then takes the
-    bound, widened by the gauge phases, and forms no product.  A real
-    matrix is gauge-fixed in real arithmetic, then cast.
+    U^H U for a stack: U^H U - I and U U^H - I are similar, so one side
+    bounds the other's spectral norm.  A builder that has already bounded
+    max|U^H U - I| from the factors it built U from (the lattice's energy
+    basis, from its ``eigh`` blocks) passes that bound as ``gram_defect``;
+    the gate then takes the bound, widened by the gauge phases, and forms no
+    product.  A real matrix is gauge-fixed in real arithmetic, then cast.
     """
     dim = mat.shape[-1]
     phases = _column_phases(mat)
     mat = mat * phases
     if gram_defect is None:
-        internal = _internal_gram_defect(mat)
+        internal = _gram_defect(mat)
     else:
         # Each entry becomes u c (1 + r): |c| is 1 to within delta, and the
         # complex product rounds by |r| <= sqrt(5) 2^-53 (a real phase, +-1, is
@@ -267,15 +273,6 @@ def _finish_basis(
     label_tuple, value_arr = _checked_labels_values(dim, labels, values)
     mat = mat.astype(np.complex128, copy=False)
     return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
-
-
-def _internal_gram_defect(mat: np.ndarray) -> float:
-    """max|U^H U - I| of a matrix or stack of them, from the product itself.
-
-    One side suffices: for square U, U^H U and U U^H are similar, so their
-    deviations from I share one spectrum (and spectral norm).
-    """
-    return float(np.max(np.abs(_adjoint(mat) @ mat - np.eye(mat.shape[-1]))))
 
 
 def _dft_columns(dim: int, first: int, cols) -> np.ndarray:

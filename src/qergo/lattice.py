@@ -4,11 +4,13 @@ The grid carries three bases on one d-dimensional space: positions
 (grid points), momenta (centered discrete Fourier modes, p_k =
 2 pi hbar (k - d/2)/L), and energies (eigenvectors of the spectral-method
 Hamiltonian p^2/(2 mass) + V).  All conditional-probability machinery
-then applies verbatim to the (x, E, p) triple.
+then applies verbatim to the (x, E, p) triple.  H, an even circulant plus
+diag(V), is held as its kinetic column t and V and applied to columns by FFT.
 
 A potential even under the reflection j -> -j mod d (every built-in one)
 makes H commute with it, and H is diagonalized as one even and one odd
-block of about half the size, a quarter of the ``eigh`` cost.  The
+block of about half the size, read off t and V, a quarter of the ``eigh``
+cost; a dense H is formed only for any other V, or when a caller reads it.  The
 energy basis's eigen-residual and Gram gates are taken on those blocks,
 where ``eigh`` produces them, not on the assembled d x d matrix.
 
@@ -28,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, _check_index, _csv, _dft_columns, _finish_basis
+from .basis import Basis, _check_index, _csv, _dft_columns, _finish_basis, _freeze, _gram_defect
 from .ccp import _require_defined, is_defined
 from .errors import (
     BadGrid,
@@ -111,12 +113,14 @@ def _potential_values(spec, positions: np.ndarray, length: float, mass: float, h
 class LatticeSystem:
     """Periodic position grid with its position, momentum, and energy bases.
 
-    ``hamiltonian`` is the real symmetric float64 matrix that was
-    diagonalized: the kinetic circulant t[(j - l) mod d] plus diag(V).
-    The energy basis is built with the system; the position and momentum
-    bases, dense complex d x d matrices, are built and cached on first
-    access, so a caller that reads neither never forms them.  No function
-    of this module reads them: each takes the one DFT column or row it needs.
+    The diagonalized H, the float64 matrix t[|j - l|] + V[j] delta_jl, is held
+    as ``kinetic`` (t, exactly even) and ``potential`` (V); ``hamiltonian``
+    assembles it on first read.  The energy basis is built with the system;
+    the position and momentum bases, the exact identity and the centered DFT,
+    are built, Gram-checked like any other basis, and cached on first access,
+    so a caller that reads neither never forms them.  No function of this
+    module reads a dense matrix but the energy basis: each takes the one DFT
+    column or row it needs, or applies H by FFT.
     """
 
     d: int
@@ -127,8 +131,13 @@ class LatticeSystem:
     positions: np.ndarray  # x_j = j * dx
     momenta: np.ndarray  # p_k = 2 pi hbar (k - d/2) / L
     e_basis: Basis  # values hold the energy eigenvalues, ascending
-    hamiltonian: np.ndarray  # real symmetric, float64
+    kinetic: np.ndarray  # t: H[j, l] = t[|j - l|] + V[j] delta_jl
     potential_spec: dict
+
+    @cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """H as a read-only dense float64 matrix, assembled from t and V."""
+        return _freeze(_dense_hamiltonian(self.kinetic, self.potential))
 
     @cached_property
     def x_basis(self) -> Basis:
@@ -177,24 +186,24 @@ def build_lattice(
 ) -> LatticeSystem:
     """Construct the grid, diagonalize, and assemble the three bases.
 
-    The spectral kinetic term is a real symmetric circulant, formed from one
-    length-d FFT of p^2/(2 mass), so the Hamiltonian is real and real
-    ``eigh`` diagonalizes it.  Its kinetic column is exactly even, so when
-    V[j] == V[(-j) mod d] for every j, H commutes exactly with the
-    reflection and ``_reflection_eigh`` diagonalizes its even and odd
-    blocks, for about a quarter of the cost of one ``eigh`` of H; any other
-    V takes that one ``eigh``.  The eigen-residual and Gram gates are taken
-    on the blocks ``eigh`` diagonalizes, so a symmetric build with no
+    The spectral kinetic term is a real symmetric circulant, its column t one
+    length-d FFT of p^2/(2 mass), so H is real and real ``eigh``
+    diagonalizes it.  t is exactly even, so when V[j] == V[(-j) mod d] for
+    every j, H commutes exactly with the reflection and ``_reflection_eigh``
+    diagonalizes its even and odd blocks, read off t and V, for about a
+    quarter of the cost of one ``eigh`` of H; any other V takes that one
+    ``eigh``, of a dense H dropped after the build.  The symmetry test is
+    exact: a V symmetric only to rounding takes the full ``eigh``, about 3.5
+    times the split's cost at d=2048.  The eigen-residual and Gram gates are
+    taken on the blocks ``eigh`` diagonalizes, so a symmetric build with no
     degenerate block forms no d x d product besides its two block ``eigh``.
     The energy basis becomes complex only where a degenerate block is
     rotated onto momentum eigenstates; the block's momentum amplitudes come
     from an FFT of its columns.  A rotated column's residual is bounded only
     by its block's residuals plus the spread of the block's levels, which
     for b levels may reach (b - 1) DEGENERACY_RTOL max(||H||, 1), at or
-    above the gate; so H is applied to the rotated columns to gate them.
-    The position and momentum bases, the exact identity and the centered
-    DFT, are not built here: each is built, Gram-checked like any other
-    basis, and cached on the first read of ``x_basis`` or ``p_basis``.
+    above the gate; so H is applied to the rotated columns by FFT to gate
+    them.  The system keeps t and V, not H, nor the position and momentum bases.
 
     Parameters
     ----------
@@ -226,10 +235,11 @@ def build_lattice(
     momenta = 2.0 * np.pi * hbar * (np.arange(d) - d / 2) / length
     v, spec = _parse_potential(potential, positions, length, mass, hbar)
 
-    # Kinetic term: the circulant t[(j - l) mod d], with t = DFT(T) / d for
-    # T = p_k^2/(2 mass) in FFT order.  T is even, so the DFT's sign does not
-    # matter and t is real and even up to rounding; both are gated here.
-    t = np.fft.fft(np.fft.ifftshift(momenta**2 / (2.0 * mass))) / d
+    # Kinetic term: the circulant t[(j - l) mod d], with t = DFT(T) / d for the
+    # multiplier T = p_k^2/(2 mass) in FFT order.  T is even, so the DFT's sign
+    # does not matter and t is real and even up to rounding; both are gated here.
+    multiplier = np.fft.ifftshift(momenta**2 / (2.0 * mass))
+    t = np.fft.fft(multiplier) / d
     mirror = -np.arange(d)  # n -> (-n) mod d
     scale = max(1.0, float(np.max(np.abs(t))), float(np.max(np.abs(t[0].real + v))))
     herm_defect = float(np.max(np.abs(t - t[mirror].conj())))
@@ -239,57 +249,68 @@ def build_lattice(
     if not imag_part <= 1e-10 * scale:
         raise NumericsError(f"imaginary kinetic part {imag_part:.3e}")
     t = 0.5 * (t.real + t.real[mirror])  # exactly even
-    # An even circulant is the symmetric Toeplitz matrix h[j, l] = t[|j - l|]:
-    # row j is the window of [t[d-1], ..., t[1], t[0], ..., t[d-1]] at d-1-j.
-    h = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), d)[::-1].copy()
-    h[np.diag_indices(d)] += v
 
-    energies, vectors, residuals, gram_defect = _energy_eigh(h, momenta, np.array_equal(v, v[mirror]))
+    energies, vectors, residuals, gram_defect = _energy_eigh(t, v, multiplier, momenta)
     h_norm = float(np.max(np.abs(energies)))
     residual = float(np.max(residuals))
     if not residual <= 1e-8 * max(h_norm, 1.0):
         raise NumericsError(f"eigen-residual {residual:.3e} exceeds 1e-8 * ||H||")
     e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies, gram_defect=gram_defect)
 
-    positions.setflags(write=False)
-    momenta.setflags(write=False)
-    v.setflags(write=False)
-    h.setflags(write=False)
     return LatticeSystem(
         d=d,
         length=float(length),
         mass=float(mass),
         hbar=float(hbar),
-        potential=v,
-        positions=positions,
-        momenta=momenta,
+        potential=_freeze(v),
+        positions=_freeze(positions),
+        momenta=_freeze(momenta),
         e_basis=e_basis,
-        hamiltonian=h,
+        kinetic=_freeze(t),
         potential_spec=spec,
     )
 
 
+def _dense_hamiltonian(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dense H[j, l] = t[|j - l|] + V[j] delta_jl: rows are windows of [t[d-1], ..., t[1], t]."""
+    d = t.size
+    h = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), d)[::-1].copy()
+    h[np.diag_indices(d)] += v
+    return h
+
+
+def _apply_h(multiplier: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """ifft(T fft(c)) + v c, for a column c or each column of a d x n array.
+
+    With T the kinetic ``multiplier`` in FFT order and v = V it is H c, at
+    d log d a column; v = V - E gives (H - E) c.
+    """
+    axis = (slice(None),) + (np.newaxis,) * (cols.ndim - 1)
+    return np.fft.ifft(multiplier[axis] * np.fft.fft(cols, axis=0), axis=0) + v[axis] * cols
+
+
 def _energy_eigh(
-    h: np.ndarray, momenta: np.ndarray, symmetric: bool
+    t: np.ndarray, v: np.ndarray, multiplier: np.ndarray, momenta: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Levels, eigenvectors, eigen-residual per column and Gram defect of H.
 
-    H is diagonalized by ``_reflection_eigh`` when ``symmetric``, else as one
-    block; either way both gates come from the blocks ``eigh`` diagonalized.
-    (Near-)degenerate blocks are then re-diagonalized against momentum, so
-    the energy basis is deterministic and running waves come out pure; only
-    these rotations make the eigenvectors complex.  A rotated column's
-    residual is recomputed from H, and its Gram defect is composed: for
-    rotations R of at most b columns, each entry of (V R)^H (V R) - I is at most
+    H, t[|j - l|] + diag(V), is diagonalized by ``_reflection_eigh`` when V
+    is exactly even, else as one dense block; either way both gates come
+    from the blocks ``eigh`` diagonalized.  (Near-)degenerate blocks are then
+    re-diagonalized against momentum, so the energy basis is deterministic
+    and running waves come out pure; only these rotations make the
+    eigenvectors complex.  A rotated column's residual is recomputed by
+    applying H by FFT, with t's ``multiplier``, and its Gram defect is composed:
+    for rotations R of at most b columns, each entry of (V R)^H (V R) - I is at most
         max|R^H R - I| + b (1 + max|R^H R - I|) (max|V^T V - I| + 2 eps),
     the 2 eps covering the rounding of the length-b products V R.
     """
-    if symmetric:
-        energies, vectors, residuals, gram_defect = _reflection_eigh(h)
+    d = t.size
+    if np.array_equal(v, v[-np.arange(d)]):  # exactly even: V[j] == V[(-j) mod d]
+        energies, vectors, residuals, gram_defect = _reflection_eigh(t, v)
     else:
-        energies, vectors, residuals = _block_eigh(h)
+        energies, vectors, residuals = _block_eigh(_dense_hamiltonian(t, v))
         gram_defect = _gram_defect(vectors)
-    d = h.shape[0]
     tol = DEGENERACY_RTOL * max(float(np.max(np.abs(energies))), 1.0)
     # Blocks break where neighbouring energies differ by more than tol (or by NaN).
     bounds = np.concatenate(([0], np.flatnonzero(~(np.diff(energies) <= tol)) + 1, [d]))
@@ -306,10 +327,12 @@ def _energy_eigh(
             _, rot = np.linalg.eigh(sub)
             vectors[:, start:stop] = block @ rot
             rotated.append(np.arange(start, stop))
-            rot_defects.append(np.max(np.abs(rot.conj().T @ rot - np.eye(stop - start))))
+            rot_defects.append(_gram_defect(rot))
     if rotated:
         cols = np.concatenate(rotated)
-        residuals[cols] = _residuals(h, np.take(vectors, cols, axis=1), energies[cols])
+        vecs = np.take(vectors, cols, axis=1)
+        resid = _apply_h(multiplier, v, vecs) - vecs * energies[cols]
+        residuals[cols] = np.linalg.norm(resid, axis=0)
         rho, width = float(np.max(rot_defects)), max(map(len, rotated))
         gram_defect = rho + width * (1.0 + rho) * (gram_defect + 2.0 * np.finfo(float).eps)
     return energies, vectors, residuals, gram_defect
@@ -318,48 +341,24 @@ def _energy_eigh(
 def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``eigh`` of a real symmetric block, with the residual ||B u - u lambda|| of each column."""
     levels, vecs = np.linalg.eigh(block)
-    return levels, vecs, _residuals(block, vecs, levels)
+    prod = block @ vecs
+    prod -= vecs * levels  # in place: one fewer block-sized temporary at the build's memory peak
+    return levels, vecs, np.linalg.norm(prod, axis=0)
 
 
-def _residuals(mat: np.ndarray, vecs: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Column norms of mat @ vecs - vecs * levels, for real ``mat`` and C-ordered ``vecs``.
-
-    Complex columns are multiplied as their real and imaginary parts side
-    by side, one real product of twice the width.
-    """
-    if np.iscomplexobj(vecs):
-        prod = (mat @ vecs.view(np.float64)).view(np.complex128)
-    else:
-        prod = mat @ vecs
-    prod -= vecs * levels
-    return np.linalg.norm(prod, axis=0)
-
-
-def _gram_defect(vecs: np.ndarray, once=None) -> float:
-    """max|U^T W U - I| for real U: W = I, or 2 I with weight 1 on the rows ``once``.
-
-    With ``once`` it is the Gram defect of columns that store each row of U
-    twice, at a grid point and at its mirror, except the rows ``once``.
-    """
-    gram = vecs.T @ vecs
-    if once is not None:
-        gram *= 2.0
-        for row in vecs[once]:
-            gram -= np.multiply.outer(row, row)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return float(np.max(np.abs(gram)))
-
-
-def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """``eigh`` of a real symmetric h that commutes exactly with j -> -j mod d.
+def _reflection_eigh(
+    t: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """``eigh`` of H = t[|j - l|] + diag(V), for t and V exactly even under j -> -j mod d.
 
     The reflection splits R^d into an even space, spanned by e_0, e_{d/2}
     and (e_k + e_{d-k})/sqrt(2), and an odd one, spanned by
     (e_k - e_{d-k})/sqrt(2), for 0 < k < d/2.  H maps each into itself, so
-    its blocks there, of sizes d/2 + 1 and d/2 - 1, are read off the top rows
-    of h: h[k, l] + h[k, d-l] and h[k, l] - h[k, d-l], the even block's e_0
-    and e_{d/2} rows and columns scaled by sqrt(1/2).  The two block
-    ``eigh`` together cost about a quarter of one on h.  The eigenvectors
+    its blocks there, of sizes d/2 + 1 and d/2 - 1, are h[k, l] + h[k, d-l]
+    and h[k, l] - h[k, d-l] on the top rows, the even block's e_0 and e_{d/2}
+    rows and columns scaled by sqrt(1/2), where h[k, l] = t[|k - l|] and
+    h[k, d-l] = t[(k + l) mod d], plus V on the diagonal of h.  The two block
+    ``eigh`` together cost about a quarter of one on H.  The eigenvectors
     are scattered back with sqrt(1/2) weights to the columns of the
     ascending merge of the two spectra (even first among equal levels), so
     each column is exactly even or odd, and an odd one is exactly 0 at x_0
@@ -368,16 +367,18 @@ def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     It also returns each column's residual in its block, ||B u - u lambda||,
     which is H's on the scattered column up to the rounding of the sqrt(1/2)
     weights, and the Gram defect of the scattered columns, read off the
-    stored entries: an even column holds rows 0 and d/2 once and the others
-    twice, an odd one every row twice (once negated), and an even and an odd
-    column are orthogonal exactly.  Each gate costs two products of about
-    (d/2)^3, where one on the assembled matrix costs d^3.
+    stored entries as row weights: an even column holds rows 0 and d/2 once
+    and the others twice, an odd one every row twice (once negated), and an
+    even and an odd column are orthogonal exactly.  Each gate costs two
+    products of about (d/2)^3, where one on the assembled matrix costs d^3.
     """
-    d = h.shape[0]
+    d = t.size
     half = d // 2
     k = np.arange(half + 1)
     inner, outer = k[1:half], d - k[1:half]  # the points 0 < k < d/2 and their mirrors
-    near, far = h[: half + 1, : half + 1], h[: half + 1, (-k) % d]  # h[k, l], h[k, d - l]
+    near, far = t[np.abs(np.subtract.outer(k, k))], t[np.add.outer(k, k) % d]  # h[k, l], h[k, d-l]
+    near[k, k] += v[k]
+    far[[0, half], [0, half]] += v[[0, half]]
     even = near + far
     odd = (near - far)[1:half, 1:half]
     root = math.sqrt(0.5)
@@ -394,7 +395,8 @@ def _reflection_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     vectors = np.zeros((d, d))
     even_vecs[1:half] *= root
     odd_vecs *= root
-    gram_defect = float(np.maximum(_gram_defect(even_vecs, once=[0, half]), _gram_defect(odd_vecs, once=[])))
+    twice = np.r_[1.0, np.full(half - 1, 2.0), 1.0]  # rows 0 and d/2 are stored once
+    gram_defect = float(np.maximum(_gram_defect(even_vecs, twice), _gram_defect(odd_vecs, 2.0)))
     vectors[np.ix_(k, even_cols)] = even_vecs
     vectors[np.ix_(outer, even_cols)] = even_vecs[1:half]
     vectors[np.ix_(inner, odd_cols)] = odd_vecs
@@ -529,11 +531,9 @@ def schrodinger_residual(sys: LatticeSystem, e_index: int, p_ref: int) -> float:
     at the extreme momenta, where the reference shift would alias.
     """
     col = ccp_xEp(sys, e_index, p_ref)
-    shifted_sq = (sys.momenta + sys.momenta[p_ref]) ** 2 / (2.0 * sys.mass)
-    # The momentum basis is the DFT in centered order, so the spectral
-    # multiplier is applied in FFT order between an FFT and its inverse.
-    kinetic_col = np.fft.ifft(np.fft.ifftshift(shifted_sq) * np.fft.fft(col))
-    resid = kinetic_col + (sys.potential - float(sys.energies[e_index])) * col
+    # The momentum basis is the DFT in centered order: the multiplier goes in FFT order.
+    multiplier = np.fft.ifftshift((sys.momenta + sys.momenta[p_ref]) ** 2 / (2.0 * sys.mass))
+    resid = _apply_h(multiplier, sys.potential - float(sys.energies[e_index]), col)
     return float(np.linalg.norm(resid) / np.linalg.norm(col))
 
 

@@ -18,10 +18,13 @@ from qergo import (
 )
 from qergo.basis import (
     GRAM_INTERNAL_TOL,
+    GRAM_INPUT_TOL,
     PHASE_PIVOT_TOL,
+    _adjoint,
     _dft_columns,
     _finish_basis,
     _fix_column_phases,
+    _gram_defect,
     haar_random_bases,
 )
 
@@ -139,6 +142,55 @@ class TestStructuralGate:
         for mat in (computational_basis(dim).vectors, fourier_basis(dim).vectors):
             assert np.max(np.abs(mat.conj().T @ mat - np.eye(dim))) <= GRAM_INTERNAL_TOL
             np.testing.assert_array_equal(_fix_column_phases(mat), mat)  # gauge holds as built
+
+
+class TestGramDefect:
+    """One helper, max|U^H diag(w) U - I|; the input gate takes it on both sides."""
+
+    @staticmethod
+    def _skewed_dft():
+        # U = D F, D = diag(s, 1, ..., 1) with s^2 = 1 + 2e-8: U^H U - I has entries
+        # 2e-8 / d = 2.5e-9, U U^H - I = D^2 - I one entry 2e-8
+        mat = _dft_columns(8, 0, range(8))
+        mat[0] *= np.sqrt(1.0 + 2e-8)
+        return mat
+
+    def test_one_side_passes_two_sides_fail(self):
+        mat = self._skewed_dft()
+        one_sided = _gram_defect(mat)
+        two_sided = max(one_sided, _gram_defect(_adjoint(mat)))
+        assert one_sided == pytest.approx(2.5e-9, rel=1e-6) and one_sided <= GRAM_INPUT_TOL
+        assert two_sided == pytest.approx(2.0e-8, rel=1e-6) and two_sided > GRAM_INPUT_TOL
+
+    def test_make_basis_gates_both_sides(self):
+        with pytest.raises(NotOrthonormal):
+            make_basis(self._skewed_dft())
+
+    def test_from_json_gates_both_sides(self):
+        mat = self._skewed_dft()
+        payload = {"dim": 8, "labels": [str(k) for k in range(8)], "values": None,
+                   "re": mat.real.tolist(), "im": mat.imag.tolist()}
+        with pytest.raises(NotOrthonormal):
+            Basis.from_json(json.dumps(payload))
+
+    def test_weighted_real_matrix(self):
+        rng = np.random.default_rng(3)
+        mat, weights = rng.standard_normal((6, 4)), rng.uniform(0.5, 2.0, 6)
+        explicit = mat.T @ np.diag(weights) @ mat - np.eye(4)
+        assert _gram_defect(mat, weights) == pytest.approx(np.max(np.abs(explicit)), rel=1e-14)
+        explicit = 2.0 * mat.T @ mat - np.eye(4)
+        assert _gram_defect(mat, 2.0) == pytest.approx(np.max(np.abs(explicit)), rel=1e-14)
+
+    def test_weighted_complex_stack(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        weights = rng.uniform(0.5, 2.0, 5)
+        explicit = max(
+            np.max(np.abs(u.conj().T @ np.diag(weights) @ u - np.eye(5))) for u in stack
+        )
+        assert _gram_defect(stack, weights) == pytest.approx(explicit, rel=1e-14)
+        unweighted = max(np.max(np.abs(u.conj().T @ u - np.eye(5))) for u in stack)
+        assert _gram_defect(stack) == pytest.approx(unweighted, rel=1e-14)
 
 
 class TestHaarRandomBasis:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -483,7 +484,7 @@ class TestReflectionSplit:
     def test_split_taken_exactly_when_symmetric(self, kind, monkeypatch):
         calls = []
         split = lattice._reflection_eigh
-        monkeypatch.setattr(lattice, "_reflection_eigh", lambda h: calls.append(h) or split(h))
+        monkeypatch.setattr(lattice, "_reflection_eigh", lambda t, v: calls.append(t) or split(t, v))
         for d in (64, 96, 1000):  # at 96 and 1000, x_j - L/2 is not odd under the reflection
             calls.clear()
             sys_ = GRIDS[kind](d)
@@ -513,8 +514,10 @@ class TestBlockGates:
     def test_gates_match_the_finished_basis(self, built):
         sys_, _ = built
         d, h = sys_.d, sys_.hamiltonian
-        symmetric = np.array_equal(sys_.potential, sys_.potential[(-np.arange(d)) % d])
-        _, _, residuals, gram_defect = lattice._energy_eigh(h, sys_.momenta, symmetric)
+        multiplier = np.fft.ifftshift(sys_.momenta**2 / (2.0 * sys_.mass))
+        _, _, residuals, gram_defect = lattice._energy_eigh(
+            sys_.kinetic, sys_.potential, multiplier, sys_.momenta
+        )
         vecs, energies = sys_.e_basis.vectors, sys_.energies
         full = np.linalg.norm(h @ vecs - vecs * energies, axis=0)
         assert np.max(np.abs(residuals - full)) <= d * EPS * max(sys_.hamiltonian_norm, 1.0)
@@ -523,11 +526,17 @@ class TestBlockGates:
 
     @pytest.mark.parametrize("kind", ["box", "harmonic", "shifted", "free"])
     def test_no_full_product_without_rotation_or_asymmetry(self, kind, monkeypatch):
-        d, shapes, eigh_shapes = 128, [], []
-        for name in ("_residuals", "_gram_defect"):
-            def spy(mat, *args, _fn=getattr(lattice, name), **kwargs):
-                shapes.append(mat.shape)
-                return _fn(mat, *args, **kwargs)
+        d, shapes, applied, eigh_shapes = 128, [], [], []
+        # the shape of the matrix each block eigh or Gram product runs on, and of
+        # the columns H is applied to by FFT
+        for name, seen, shape_of in (
+            ("_block_eigh", shapes, lambda block: block.shape),
+            ("_gram_defect", shapes, lambda mat, weights=None: mat.shape),
+            ("_apply_h", applied, lambda multiplier, v, cols: cols.shape),
+        ):
+            def spy(*args, _fn=getattr(lattice, name), _seen=seen, _shape_of=shape_of):
+                _seen.append(_shape_of(*args))
+                return _fn(*args)
             monkeypatch.setattr(lattice, name, spy)
         eigh = np.linalg.eigh
 
@@ -538,19 +547,21 @@ class TestBlockGates:
 
         monkeypatch.setattr(np.linalg, "eigh", record)
 
-        def no_product(mat):
+        def no_product(mat, weights=None):
             raise AssertionError("the energy basis ran a d x d Gram product")
 
-        monkeypatch.setattr(basis, "_internal_gram_defect", no_product)
+        monkeypatch.setattr(basis, "_gram_defect", no_product)
         sys_ = GRIDS[kind](d)
+        blocks = _blocks(sys_.energies)
+        # rotated columns take one H-apply by FFT, no product with H
+        assert applied == ([(d, sum(b.stop - b.start for b in blocks))] if blocks else [])
         largest = max(max(shape) for shape in shapes)
         if kind == "shifted":  # the full eigh: one block of size d
             assert eigh_shapes == [(d, d)] and largest == d
             return
         assert sorted(eigh_shapes) == [(d // 2 - 1, d // 2 - 1), (d // 2 + 1, d // 2 + 1)]
-        # the free grid's rotated columns take the one residual product with H
-        assert bool(_blocks(sys_.energies)) == (kind == "free")
-        assert largest == (d if kind == "free" else d // 2 + 1)
+        assert bool(blocks) == (kind == "free")
+        assert largest == d // 2 + 1
 
     @staticmethod
     def _patch_eigh(monkeypatch, perturb, rotation=False):
@@ -610,6 +621,68 @@ class TestBlockGates:
         self._patch_eigh(monkeypatch, scale_rotation, rotation=True)
         with pytest.raises(NotOrthonormal):
             GRIDS["free"](64)
+
+
+class TestKineticDescription:
+    """The system holds H as its kinetic column t and V; the dense H is formed only where needed."""
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_array_fields_hold_at_most_d_entries(self, kind):
+        sys_ = GRIDS[kind](64)
+        arrays = [getattr(sys_, f.name) for f in dataclasses.fields(sys_)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 4  # potential, positions, momenta, kinetic
+        assert all(a.size <= sys_.d for a in arrays)
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_dense_h_assembled_only_for_the_full_eigh(self, kind, monkeypatch):
+        calls, dense = [], lattice._dense_hamiltonian
+
+        def spy(t, v):
+            if kind != "shifted":
+                raise AssertionError("a reflection-symmetric build assembled the dense H")
+            calls.append(t.size)
+            return dense(t, v)
+
+        monkeypatch.setattr(lattice, "_dense_hamiltonian", spy)
+        GRIDS[kind](128)
+        assert calls == ([128] if kind == "shifted" else [])
+
+    @pytest.mark.parametrize("kind", list(GRIDS))
+    def test_hamiltonian_read_only_and_equal_to_sliding_window(self, kind):
+        d = 64
+        sys_ = GRIDS[kind](d)
+        # reference: t from one FFT of p^2/(2m), made exactly even, and row j of
+        # the Toeplitz part the window of [t[d-1], ..., t[1], t[0], ..., t[d-1]] at d-1-j
+        t = np.fft.fft(np.fft.ifftshift(sys_.momenta**2 / (2.0 * sys_.mass))) / d
+        t = 0.5 * (t.real + t.real[-np.arange(d)])
+        ref = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), d)[::-1].copy()
+        ref[np.diag_indices(d)] += sys_.potential
+        h = sys_.hamiltonian
+        assert h.dtype == np.float64 and np.array_equal(h, ref)
+        assert sys_.hamiltonian is h
+        assert not h.flags.writeable
+        with pytest.raises(ValueError):
+            h[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys_.hamiltonian = ref
+
+    # (level, p_ref - d/2, the residual the dense-H build returned)
+    @pytest.mark.parametrize(
+        "which, pinned",
+        [
+            ("box32", [(0, 0, 8.357511897052486e-13), (2, 1, 1.786337068196964e-12),
+                       (4, -2, 16.579829355794434), (1, 1, 1.4352909714818805e-12),
+                       (3, 2, 1.3376921931934092e-12), (6, -3, 45.31588431684589)]),
+            ("harmonic64", [(0, 0, 1.79296527858278e-14), (2, 1, 1.6648076172343186e-14),
+                            (4, -2, 1.7706745091040613e-14), (1, 1, 1.8302866874936816e-14),
+                            (3, 2, 1.2955012574293604e-14), (6, -3, 1.1741601905310907e-12)]),
+        ],
+    )
+    def test_schrodinger_residual_floats_unchanged(self, which, pinned, request):
+        sys_ = request.getfixturevalue(which)
+        p0 = sys_.zero_momentum_index()
+        assert [schrodinger_residual(sys_, e, p0 + dp) for e, dp, _ in pinned] == [r for *_, r in pinned]
 
 
 class TestFftForms:
