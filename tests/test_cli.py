@@ -598,10 +598,30 @@ _README_LATTICE = {
     "d": 64, "L": 1.0, "mass": 1.0, "hbar": 1.0, "potential": {"kind": "box"},
     "column": {"energy_index": 0, "p_ref_index": 32},
 }
+_README_VERIFY = {"dims": [2, 3, 4, 5, 6, 7, 8], "seeds_per_dim": 100}
+_README_WEAK = {
+    "dim": 2,
+    "initial": {"basis": {"kind": "computational"}, "index": 0},
+    "final": {"basis": {"kind": "fourier"}, "index": 0},
+    "meter_basis": {"kind": "haar", "seed": 1},
+    "m_index": 0, "g": 0.05, "shots": 1000000,
+}
+_README_QUANTIZE = {
+    "lattice": {
+        "d": 64, "L": 20.0, "mass": 1.0, "hbar": 1.0,
+        "potential": {"kind": "harmonic", "omega": 1.0},
+    },
+    "levels": 5, "period": 6.283185307179586, "rtol": 0.01,
+}
 
 
 class TestPinnedArtifactBytes:
-    """sha256 of exports as first pinned: any change to their bytes is a format change."""
+    """sha256 of exports as first pinned: any change to their bytes is a format change.
+
+    The seed-42 ``weak.json`` pin holds the pointer's present draw order.  Drawing
+    each stage from its own independent stream (ROADMAP item 1) will move it, as
+    a recorded format change.
+    """
 
     @pytest.mark.parametrize(
         "argv, payload, digest",
@@ -619,6 +639,25 @@ class TestPinnedArtifactBytes:
         cfg = write_config(tmp_path, "cfg.json", payload)
         assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 0
         assert hashlib.sha256((tmp_path / "x.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, payload, digest",
+        [
+            (["verify"], {"params": _README_VERIFY, "seed": 7},
+             "bcdd4beb424a2c0722e2624868e03786984c1d7cdfdd97d4439d9a4511407b2c"),
+            (["lattice"], {"params": _README_LATTICE},
+             "314dbdc2bdc4993b71081e57c02fb800395c4f1830fcc1bdf65d0ef5032909f4"),
+            (["quantize"], {"params": _README_QUANTIZE},
+             "29e91eac6b4899c92405b4ef94f11e05e0ad00be3ce2be1f05e1df7e17cbbeae"),
+            (["weak"], {"params": _README_WEAK, "seed": 42},
+             "8876b0deccb8a65465cc846bdef44226b8b6e6882f3786516625e58faa9d71ca"),
+        ],
+        ids=["verify", "lattice", "quantize", "weak"],
+    )
+    def test_cli_json(self, tmp_path, argv, payload, digest):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 0
+        assert hashlib.sha256((tmp_path / "x.json").read_bytes()).hexdigest() == digest
 
     def test_column_csv(self):
         m, a, b = (haar_random_basis(16, s) for s in (1, 2, 3))
