@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, NotOrthonormal, ParseError
+from .errors import DimensionMismatch, IndexOutOfRange, MissingValues, NotOrthonormal, ParseError
 
 #: Gram-matrix deviation accepted on user-supplied columns.
 GRAM_INPUT_TOL = 1e-8
@@ -79,11 +79,6 @@ def _column_phases(mat: np.ndarray) -> np.ndarray:
         column = int(np.flatnonzero(empty)[0]) % mat.shape[-1]
         raise NotOrthonormal(f"column {column} is numerically zero")
     return np.conj(np.take_along_axis(mat, rows, axis=-2)) / pivot_mags
-
-
-def _fix_column_phases(mat: np.ndarray) -> np.ndarray:
-    """Rotate every column so its first component above the pivot floor is real and >= 0."""
-    return mat * _column_phases(mat)
 
 
 def _json_field(payload, key: str):
@@ -171,8 +166,6 @@ class Basis:
     def value(self, k: int) -> float:
         self.check_index(k)
         if self.values is None:
-            from .errors import MissingValues
-
             raise MissingValues(f"basis has no outcome values (label {self.labels[k]})")
         return float(self.values[k])
 

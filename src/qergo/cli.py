@@ -1,9 +1,12 @@
 """Batch command-line front end: scenario configs in, verdicts and exports out.
 
-Each command is one ``COMMANDS`` entry: the flags it reads, its config check
-and its runner.  Exit codes: 0 all checks passed, 1 identity violation (a
-``verify`` or ``quantize`` FAIL), 2 configuration or usage error, 3 internal
-numeric failure.  Every command is deterministic for a fixed (config, seed) pair.
+Each command is one ``COMMANDS`` entry: the flags it reads, its config parser
+and its runner.  The parser reads every field of the config once, nested
+specs included, into the keyword arguments of the library call its runner
+makes, so a malformed config exits 2 before any computation.  Exit codes:
+0 all checks passed, 1 identity violation (a ``verify`` or ``quantize``
+FAIL), 2 configuration or usage error, 3 internal numeric failure.  Every
+command is deterministic for a fixed (config, seed) pair.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ EXIT_NUMERIC_FAILURE = 3
 
 @dataclass(frozen=True)
 class Scenario:
-    """Validated batch scenario: its inputs, root seed and output prefix."""
+    """Parsed batch scenario: its runner's library arguments, root seed and output prefix."""
 
     params: dict[str, Any]
     seed: int
@@ -47,24 +50,31 @@ def _need(params: dict, key: str, types, what: str):
     if key not in params:
         raise ConfigError(f"missing required parameter {key!r} ({what})")
     value = params[key]
-    if not isinstance(value, types):
+    if isinstance(value, bool) or not isinstance(value, types):  # JSON true is no number
         raise ConfigError(f"parameter {key!r} must be {what}, got {type(value).__name__}")
     return value
 
 
-def _need_objects(params: dict, *keys: str) -> None:
-    for key in keys:
-        _need(params, key, dict, "an object")
+def _number(params: dict, key: str, default: float | None = None, positive: bool = False) -> float:
+    """A JSON number as a float; a NaN passes, to the library's own finiteness checks."""
+    if default is not None and key not in params:
+        return default
+    try:
+        value = float(_need(params, key, (int, float), "a number"))
+    except OverflowError:  # an integer literal past the float range
+        raise ConfigError(f"{key} lies past the float range") from None
+    if positive and value <= 0:
+        raise ConfigError(f"{key} must be positive")
+    return value
 
 
-def _need_dim(params: dict) -> None:
-    if _need(params, "dim", int, "an integer") < MIN_DIM:
-        raise ConfigError(f"dim must be >= {MIN_DIM}")
-
-
-def _need_shots(params: dict) -> None:
-    if _need(params, "shots", int, "an integer") < MIN_SHOTS:
-        raise ConfigError(f"shots must be >= {MIN_SHOTS}")
+def _integer(params: dict, key: str, low: int, high: int | None = None) -> int:
+    """An integer within low..high, or at least ``low`` when ``high`` is None."""
+    value = _need(params, key, int, "an integer")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"within {low}..{high}"
+        raise ConfigError(f"{key} must be {bound}, got {value}")
+    return value
 
 
 def _load_config(path: str) -> dict:
@@ -82,8 +92,12 @@ def _load_config(path: str) -> dict:
 
 
 def build_scenario(kind: str, payload: dict | None, seed_flag: int | None, out: str) -> Scenario:
-    """Validate a command's config payload; no computation runs before this passes."""
-    if kind not in COMMANDS or COMMANDS[kind].validate is None:
+    """Parse a command's config payload into its runner's library arguments.
+
+    Every field, nested basis, outcome, grid and column specs included, is read
+    and checked here, so a malformed config raises before any computation runs.
+    """
+    if kind not in COMMANDS or COMMANDS[kind].parse is None:
         raise ConfigError(f"unknown scenario kind {kind!r}")
     if payload is None:
         raise ConfigError("this command requires --config PATH")
@@ -91,10 +105,9 @@ def build_scenario(kind: str, payload: dict | None, seed_flag: int | None, out: 
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
     seed = seed_flag if seed_flag is not None else payload.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError("seed must be an integer")
-    COMMANDS[kind].validate(params)
-    return Scenario(params=params, seed=seed or 0, output=out)
+    return Scenario(params=COMMANDS[kind].parse(params), seed=seed or 0, output=out)
 
 
 def basis_from_spec(spec: Any, dim: int) -> Basis:
@@ -110,89 +123,110 @@ def basis_from_spec(spec: Any, dim: int) -> Basis:
     if kind == "explicit":
         _need(spec, "re", list, "a nested list")
         _need(spec, "im", list, "a nested list")
+        labels = spec.get("labels")
+        if not (labels is None or isinstance(labels, list) and all(type(s) is str for s in labels)):
+            raise ConfigError(f"explicit basis labels must be a list of strings, got {labels!r}")
         try:
-            return make_basis(_json_complex(spec, "re", "im"), labels=spec.get("labels"))
+            basis = make_basis(_json_complex(spec, "re", "im"), labels=labels)
         except QergoError as exc:  # bad re/im arrays, or not an orthonormal square matrix
             raise ConfigError(f"explicit basis: {exc}") from None
+        if basis.dim != dim:
+            raise ConfigError(f"explicit basis of dim {basis.dim} for dim {dim}")
+        return basis
     raise ConfigError(f"unknown basis kind {kind!r}")
 
 
-def _outcome_from_spec(spec: Any, dim: int) -> tuple[Basis, int]:
-    if not isinstance(spec, dict):
-        raise ConfigError("outcome spec must be an object {basis, index}")
-    basis = basis_from_spec(_need(spec, "basis", dict, "a basis spec"), dim)
-    index = _need(spec, "index", int, "an integer")
-    if not 0 <= index < dim:
-        raise ConfigError(f"outcome index {index} outside 0..{dim - 1}")
-    return basis, index
+def _basis(params: dict, key: str, dim: int) -> Basis:
+    return basis_from_spec(_need(params, key, dict, "a basis spec"), dim)
 
 
-def _check_verify(params: dict) -> None:
+def _outcome(params: dict, key: str, dim: int) -> tuple[Basis, int]:
+    spec = _need(params, key, dict, "an outcome spec {basis, index}")
+    return _basis(spec, "basis", dim), _integer(spec, "index", 0, dim - 1)
+
+
+def _parse_verify(params: dict) -> dict:
     dims = _need(params, "dims", list, "a list of integers")
     if not dims or not all(isinstance(d, int) and MIN_DIM <= d <= MAX_DIM for d in dims):
         raise ConfigError(f"dims must be integers within {MIN_DIM}..{MAX_DIM}, got {dims}")
-    if _need(params, "seeds_per_dim", int, "an integer") < 1:
-        raise ConfigError("seeds_per_dim must be >= 1")
+    return {"dims": dims, "seeds_per_dim": _integer(params, "seeds_per_dim", 1)}
 
 
-def _check_kd(params: dict) -> None:
-    _need_dim(params)
-    _need_objects(params, "state", "row_basis", "col_basis")
+def _parse_kd(params: dict) -> dict:
+    dim = _integer(params, "dim", MIN_DIM)
+    return {
+        "state": _outcome(params, "state", dim),
+        "basis_a": _basis(params, "row_basis", dim),
+        "basis_b": _basis(params, "col_basis", dim),
+    }
 
 
-def _check_weak(params: dict) -> None:
-    _need_dim(params)
-    _need_objects(params, "initial", "final", "meter_basis")
-    _need(params, "m_index", int, "an integer")
-    g = _need(params, "g", (int, float), "a number")
+def _parse_weak(params: dict) -> dict:
+    dim = _integer(params, "dim", MIN_DIM)
+    g = _number(params, "g")
     if not 0 < g <= MAX_COUPLING:
         raise ConfigError(f"g must lie in (0, {MAX_COUPLING}]")
-    _need_shots(params)
+    return {
+        "initial": _outcome(params, "initial", dim),
+        "final": _outcome(params, "final", dim),
+        "basis_m": _basis(params, "meter_basis", dim),
+        "m": _integer(params, "m_index", 0, dim - 1),
+        "g": g,
+        "shots": _integer(params, "shots", MIN_SHOTS),
+    }
 
 
-def _check_seq(params: dict) -> None:
-    _need_dim(params)
-    _need_objects(params, "initial", "m_basis", "b_basis")
-    _need_shots(params)
+def _parse_seq(params: dict) -> dict:
+    dim = _integer(params, "dim", MIN_DIM)
+    return {
+        "initial": _outcome(params, "initial", dim),
+        "basis_m": _basis(params, "m_basis", dim),
+        "basis_b": _basis(params, "b_basis", dim),
+        "shots": _integer(params, "shots", MIN_SHOTS),
+    }
 
 
-def _check_grid(spec: dict) -> int:
-    """Validate a lattice spec {d, L, mass, hbar, potential}; return d."""
+def _parse_grid(spec: dict) -> dict:
+    """``build_lattice``'s arguments from a lattice spec {d, L, mass, hbar, potential}."""
     d = _need(spec, "d", int, "an integer")
     if not lat.valid_grid_size(d):
         raise ConfigError(f"d must be even and >= {lat.MIN_GRID_SIZE}")
-    for key in ("L", "mass", "hbar"):
-        if _need(spec, key, (int, float), "a number") <= 0:
-            raise ConfigError(f"{key} must be positive")
-    _need_objects(spec, "potential")
-    return d
+    return {
+        "d": d,
+        "length": _number(spec, "L", positive=True),
+        "mass": _number(spec, "mass", positive=True),
+        "hbar": _number(spec, "hbar", positive=True),
+        "potential": _need(spec, "potential", dict, "an object"),  # read by build_lattice
+    }
 
 
-def _check_lattice(params: dict) -> None:
-    d = _check_grid(params)
-    column = params.get("column")
-    if column is not None:
-        if not isinstance(column, dict):
-            raise ConfigError("column must be an object")
-        for key in ("energy_index", "p_ref_index"):
-            idx = _need(column, key, int, "an integer")
-            if not 0 <= idx < d:
-                raise ConfigError(f"{key} {idx} outside 0..{d - 1}")
+def _parse_lattice(params: dict) -> dict:
+    grid, column = _parse_grid(params), None
+    if params.get("column") is not None:
+        spec, last = _need(params, "column", dict, "an object"), grid["d"] - 1
+        column = (_integer(spec, "energy_index", 0, last), _integer(spec, "p_ref_index", 0, last))
+    return {**grid, "column": column}
 
 
-def _check_quantize(params: dict) -> None:
+def _parse_quantize(params: dict) -> dict:
+    """``quantized_spectrum_check``'s arguments; a lattice and ``levels`` stand in for values."""
     if "values" in params:
-        values = params["values"]
-        if not isinstance(values, list) or len(values) < 2:
+        values = _need(params, "values", list, "a list of numbers")
+        if len(values) < 2 or not all(type(v) in (int, float) for v in values):  # bool is no number
             raise ConfigError("values must be a list of at least two numbers")
+        source = {"generator_values": [float(v) for v in values]}
     elif "lattice" in params:
-        d = _check_grid(_need(params, "lattice", dict, "an object"))
-        if not 2 <= _need(params, "levels", int, "an integer") <= d:
-            raise ConfigError(f"levels must lie within 2..{d}")
+        grid = _parse_grid(_need(params, "lattice", dict, "an object"))
+        levels = _integer(params, "levels", 2, grid["d"])
+        source = {"lattice": grid, "levels": levels, "hbar": grid["hbar"]}
     else:
         raise ConfigError("quantize needs either 'values' or 'lattice'")
-    if _need(params, "period", (int, float), "a number") <= 0:
-        raise ConfigError("period must be positive")
+    return {
+        "period": _number(params, "period", positive=True),
+        "hbar": _number(params, "hbar", default=1.0),
+        "rtol": _number(params, "rtol", default=1e-8),
+        **source,  # a lattice's own hbar replaces the top-level one
+    }
 
 
 def _write(prefix: str, ext: str, text: str) -> None:
@@ -210,16 +244,9 @@ def _export(prefix: str, fmt: str, result) -> None:
         _write(prefix, ".json", result.to_json(indent=2) + "\n")
 
 
-def _lattice_from_spec(spec: dict):
-    return lat.build_lattice(
-        spec["d"], float(spec["L"]), float(spec["mass"]), float(spec["hbar"]), spec["potential"]
-    )
-
-
 def _run_verify(scenario: Scenario, args) -> int:
-    params = scenario.params
     started = time.perf_counter()
-    report = run_verification_suite(params["dims"], params["seeds_per_dim"], scenario.seed)
+    report = run_verification_suite(**scenario.params, root_seed=scenario.seed)
     elapsed = time.perf_counter() - started
     for line in report.lines():
         print(line)
@@ -229,27 +256,12 @@ def _run_verify(scenario: Scenario, args) -> int:
 
 
 def _run_kd(scenario: Scenario, args) -> int:
-    params = scenario.params
-    dim = params["dim"]
-    state = _outcome_from_spec(params["state"], dim)
-    row = basis_from_spec(params["row_basis"], dim)
-    col = basis_from_spec(params["col_basis"], dim)
-    _export(scenario.output, args.format, pure_state_joint(state, row, col))
+    _export(scenario.output, args.format, pure_state_joint(**scenario.params))
     return EXIT_OK
 
 
 def _run_weak(scenario: Scenario, args) -> int:
-    params = scenario.params
-    dim = params["dim"]
-    report = simulate_weak_value(
-        _outcome_from_spec(params["initial"], dim),
-        _outcome_from_spec(params["final"], dim),
-        basis_from_spec(params["meter_basis"], dim),
-        params["m_index"],
-        float(params["g"]),
-        params["shots"],
-        scenario.seed,
-    )
+    report = simulate_weak_value(**scenario.params, seed=scenario.seed)
     print(
         f"estimate: {report.estimate.real:+.6f}{report.estimate.imag:+.6f}i  "
         f"(analytic {report.analytic_ref.real:+.6f}{report.analytic_ref.imag:+.6f}i)"
@@ -259,42 +271,29 @@ def _run_weak(scenario: Scenario, args) -> int:
 
 
 def _run_seq(scenario: Scenario, args) -> int:
-    params = scenario.params
-    dim = params["dim"]
-    run = simulate_sequential(
-        _outcome_from_spec(params["initial"], dim),
-        basis_from_spec(params["m_basis"], dim),
-        basis_from_spec(params["b_basis"], dim),
-        params["shots"],
-        scenario.seed,
-    )
+    run = simulate_sequential(**scenario.params, seed=scenario.seed)
     _export(scenario.output, args.format, run)
     return EXIT_OK
 
 
 def _run_lattice(scenario: Scenario, args) -> int:
-    params = scenario.params
-    sys_ = _lattice_from_spec(params)
+    grid = dict(scenario.params)
+    column = grid.pop("column")
+    sys_ = lat.build_lattice(**grid)
     payload = {"config": json.loads(sys_.config_json()), "energies": sys_.energies.tolist()}
     _write(scenario.output, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    column = params.get("column")
     if column is not None:
-        col = lat.ccp_xEp(sys_, column["energy_index"], column["p_ref_index"])
-        _write(scenario.output, ".csv", lat.distribution_csv(sys_, col))
+        _write(scenario.output, ".csv", lat.distribution_csv(sys_, lat.ccp_xEp(sys_, *column)))
     return EXIT_OK
 
 
 def _run_quantize(scenario: Scenario, args) -> int:
-    params = scenario.params
-    hbar = float(params.get("hbar", 1.0))
-    rtol = float(params.get("rtol", 1e-8))
-    if "values" in params:
-        values = [float(v) for v in params["values"]]
-    else:
-        sys_ = _lattice_from_spec(params["lattice"])
-        hbar = sys_.hbar
-        values = [float(e) for e in sys_.energies[: params["levels"]]]
-    result = quantized_spectrum_check(values, float(params["period"]), hbar, rtol=rtol)
+    params = dict(scenario.params)
+    if "lattice" in params:
+        sys_ = lat.build_lattice(**params.pop("lattice"))
+        params["generator_values"] = [float(e) for e in sys_.energies[: params.pop("levels")]]
+    result = quantized_spectrum_check(**params)
+    values = params["generator_values"]
     payload = {"pass": result.passed, "max_defect": result.max_defect, "values": values}
     print(f"{'PASS' if result.passed else 'FAIL'}  max_defect={result.max_defect:.3e}")
     _write(scenario.output, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -312,10 +311,10 @@ def _run_render(scenario: None, args) -> int:
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand.  ``validate`` is None if it takes no config; ``default`` runs without one."""
+    """A subcommand.  ``parse`` is None if it takes no config; ``default`` runs without one."""
 
     flags: tuple[str, ...]
-    validate: Callable[[dict], None] | None
+    parse: Callable[[dict], dict] | None
     run: Callable[[Scenario | None, argparse.Namespace], int]
     default: dict | None = None
 
@@ -331,14 +330,14 @@ _FLAGS: dict[str, tuple[tuple[str, ...], dict]] = {
 
 COMMANDS: dict[str, Command] = {
     "verify": Command(
-        ("config", "seed", "out"), _check_verify, _run_verify,
+        ("config", "seed", "out"), _parse_verify, _run_verify,
         default={"params": {"dims": list(range(2, 9)), "seeds_per_dim": 10}},
     ),
-    "kd": Command(("config", "out", "format"), _check_kd, _run_kd),
-    "weak": Command(("config", "seed", "out"), _check_weak, _run_weak),
-    "seq": Command(("config", "seed", "out", "format"), _check_seq, _run_seq),
-    "lattice": Command(("config", "out"), _check_lattice, _run_lattice),
-    "quantize": Command(("config", "out"), _check_quantize, _run_quantize),
+    "kd": Command(("config", "out", "format"), _parse_kd, _run_kd),
+    "weak": Command(("config", "seed", "out"), _parse_weak, _run_weak),
+    "seq": Command(("config", "seed", "out", "format"), _parse_seq, _run_seq),
+    "lattice": Command(("config", "out"), _parse_lattice, _run_lattice),
+    "quantize": Command(("config", "out"), _parse_quantize, _run_quantize),
     "render": Command(("input", "style", "out"), None, _run_render),
 }
 
@@ -362,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     command = COMMANDS[args.command]
     try:
         scenario = None
-        if command.validate is not None:
+        if command.parse is not None:
             payload = command.default if args.config is None else _load_config(args.config)
             scenario = build_scenario(args.command, payload, getattr(args, "seed", None), args.out)
         return command.run(scenario, args)

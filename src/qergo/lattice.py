@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -56,57 +57,49 @@ def valid_grid_size(d: int) -> bool:
     return d >= MIN_GRID_SIZE and d % 2 == 0
 
 
-def _parse_potential(spec, positions: np.ndarray, length: float, mass: float, hbar: float):
-    """Accepts 'free', 'box', ('harmonic', omega), {'kind': ...}, or an array.
+def _parse_potential(spec, d: int, length: float, mass: float, hbar: float):
+    """V on the grid and its canonical dict; a shorthand becomes that dict, read once.
 
-    Raises :class:`BadGrid` on an unknown kind, a wrong shape, or any
-    non-finite value of V.
+    Raises :class:`BadGrid` on each malformed potential ``build_lattice`` lists.
     """
-    v, canonical = _potential_values(spec, positions, length, mass, hbar)
+    if isinstance(spec, str):
+        spec = {"kind": spec}
+    elif isinstance(spec, tuple):  # (kind,) or (kind, omega)
+        if len(spec) not in (1, 2):
+            raise BadGrid(f"potential tuple of length {len(spec)}")
+        spec = dict(zip(("kind", "omega"), spec))
+    elif not isinstance(spec, dict):
+        spec = {"kind": "custom", "values": spec}
+    kind = spec.get("kind")
+    if kind in ("free", "box"):
+        v = np.zeros(d)
+        if kind == "box":  # one wall site; the periodic seam closes the box
+            v[0] = BOX_WALL_FACTOR * hbar**2 / (mass * length**2)
+        canonical = {"kind": kind}
+    elif kind == "harmonic":
+        omega = spec.get("omega")
+        if isinstance(omega, bool) or not isinstance(omega, numbers.Real) or not math.isfinite(omega):
+            raise BadGrid(f"harmonic frequency is {omega!r}")
+        # Signed offsets from the centre x_{d/2}: exactly odd under j -> -j
+        # mod d on any grid, where positions - L/2 is so only for dyadic L/d.
+        offsets = (np.arange(d) - d // 2) * (length / d)
+        v = 0.5 * mass * omega**2 * offsets**2
+        canonical = {"kind": "harmonic", "omega": float(omega)}
+    elif kind == "custom":
+        try:
+            v = np.array(spec["values"])
+        except (KeyError, ValueError):  # absent, or ragged
+            raise BadGrid("custom potential needs d numbers as its values") from None
+        if v.dtype.kind not in "iuf" or v.shape != (d,):
+            raise BadGrid(f"custom potential of shape {v.shape} and dtype {v.dtype} for d={d}")
+        v = v.astype(np.float64)
+        canonical = {"kind": "custom", "values": v.tolist()}
+    else:
+        raise BadGrid(f"unknown potential kind {kind!r}")
     bad = np.flatnonzero(~np.isfinite(v))
     if bad.size:
         raise BadGrid(f"potential is {v[bad[0]]} at grid point {bad[0]}")
     return v, canonical
-
-
-def _potential_values(spec, positions: np.ndarray, length: float, mass: float, hbar: float):
-    d = positions.size
-    if isinstance(spec, str):
-        spec = {"kind": spec}
-    elif isinstance(spec, tuple):
-        kind, *params = spec
-        spec = {"kind": kind, "params": params}
-    if isinstance(spec, dict):
-        kind = spec["kind"]
-        if kind == "free":
-            return np.zeros(d), {"kind": "free"}
-        if kind == "box":
-            wall = BOX_WALL_FACTOR * hbar**2 / (mass * length**2)
-            v = np.zeros(d)
-            v[0] = wall  # one wall site; the periodic seam closes the box
-            return v, {"kind": "box"}
-        if kind == "harmonic":
-            if "params" in spec:
-                (omega,) = spec["params"]
-            else:
-                omega = spec["omega"]
-            if not np.isfinite(omega):
-                raise BadGrid(f"harmonic frequency is {omega}")
-            # Signed offsets from the centre x_{d/2}: exactly odd under j -> -j
-            # mod d on any grid, where positions - L/2 is so only for dyadic L/d.
-            offsets = (np.arange(d) - d // 2) * (length / d)
-            v = 0.5 * mass * omega**2 * offsets**2
-            return v, {"kind": "harmonic", "omega": float(omega)}
-        if kind == "custom":
-            arr = np.asarray(spec["values"], dtype=np.float64)
-            if arr.shape != (d,):
-                raise BadGrid(f"custom potential of shape {arr.shape} for d={d}")
-            return arr.copy(), {"kind": "custom", "values": [float(x) for x in arr]}
-        raise BadGrid(f"unknown potential kind {kind!r}")
-    arr = np.asarray(spec, dtype=np.float64)
-    if arr.shape != (d,):
-        raise BadGrid(f"potential array of shape {arr.shape} for d={d}")
-    return arr.copy(), {"kind": "custom", "values": [float(x) for x in arr]}
 
 
 @dataclass(frozen=True)
@@ -211,14 +204,18 @@ def build_lattice(
         Grid size; even and at least 8.
     length, mass, hbar : float
         Box length and physical constants, all positive and finite.
-    potential : str | tuple | dict | array_like
-        'free', 'box', ('harmonic', omega), {'kind': ..., ...}, or V values.
+    potential : dict | str | tuple | array_like
+        {'kind': 'free'}, {'kind': 'box'}, {'kind': 'harmonic', 'omega': w} or
+        {'kind': 'custom', 'values': V}, as ``config_json`` records it; or a
+        shorthand for one: 'free', 'box', ('harmonic', w), or V alone.
 
     Raises
     ------
     BadGrid
-        On a bad grid size or constant, or a potential with an unknown
-        kind, a wrong shape, or a non-finite value.
+        On a bad grid size or constant; on a potential with a missing or
+        unknown kind, an omega that is missing, not a number or not finite,
+        custom values that are missing, not numbers or not d of them; or on
+        any non-finite value of V.
     NonHermitian, NumericsError
         If the kinetic column is not real and even to within rounding, or
         an eigen-residual exceeds 1e-8 * max(||H||, 1).
@@ -233,7 +230,7 @@ def build_lattice(
     dx = length / d
     positions = dx * np.arange(d)
     momenta = 2.0 * np.pi * hbar * (np.arange(d) - d / 2) / length
-    v, spec = _parse_potential(potential, positions, length, mass, hbar)
+    v, spec = _parse_potential(potential, d, length, mass, hbar)
 
     # Kinetic term: the circulant t[(j - l) mod d], with t = DFT(T) / d for the
     # multiplier T = p_k^2/(2 mass) in FFT order.  T is even, so the DFT's sign

@@ -581,6 +581,70 @@ def test_command_rejects_flags_it_does_not_read(command, flag, value):
     assert exc.value.code == 2
 
 
+_GRID = {"d": 16, "L": 1.0, "mass": 1.0, "hbar": 1.0, "potential": {"kind": "box"}}
+_QUANTIZE = {"values": [0.0, 2 * np.pi], "period": 1.0}
+_COLUMN = {"energy_index": 0, "p_ref_index": 8}
+
+
+def _potential(spec):
+    return {**_GRID, "potential": spec}
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("lattice", {"params": _potential({"kind": "harmonic"})}),
+        ("lattice", {"params": _potential({"kind": "custom"})}),
+        ("lattice", {"params": _potential({"kind": "harmonic", "omega": "x"})}),
+        ("lattice", {"params": _potential({})}),
+        ("quantize", {"params": {"lattice": _potential({"kind": "harmonic"}), "levels": 3,
+                                 "period": 1.0}}),
+        ("quantize", {"params": {**_QUANTIZE, "values": [0.0, None]}}),
+        ("quantize", {"params": {**_QUANTIZE, "values": [0.0, [1.0]]}}),
+        ("quantize", {"params": {**_QUANTIZE, "hbar": None}}),
+        ("quantize", {"params": {**_QUANTIZE, "rtol": "x"}}),
+        ("kd", {"params": {**_KD, "row_basis": {**HADAMARD, "labels": 5}}}),
+        ("weak", {"params": {**_WEAK, "m_index": 5}}),
+        ("verify", {"params": {"dims": [2], "seeds_per_dim": True}, "seed": True}),
+        # A JSON boolean is no integer and no number.
+        ("verify", {"params": {"dims": [2], "seeds_per_dim": True}}),
+        ("verify", {"params": {"dims": [2], "seeds_per_dim": 1}, "seed": True}),
+        ("quantize", {"params": {**_QUANTIZE, "period": True}}),
+        ("quantize", {"params": {**_QUANTIZE, "period": 10**400}}),
+        ("quantize", {"params": {**_QUANTIZE, "hbar": True}}),
+        ("quantize", {"params": {**_QUANTIZE, "rtol": True}}),
+        ("quantize", {"params": {**_QUANTIZE, "values": [0.0, True]}}),
+        ("lattice", {"params": {**_GRID, "L": True}}),
+        ("lattice", {"params": {**_GRID, "mass": True}}),
+        ("lattice", {"params": {**_GRID, "hbar": True}}),
+        ("lattice", {"params": {**_GRID, "column": {**_COLUMN, "energy_index": True}}}),
+        ("lattice", {"params": {**_GRID, "column": {**_COLUMN, "p_ref_index": True}}}),
+        ("lattice", {"params": _potential({"kind": "harmonic", "omega": True})}),
+        ("kd", {"params": {**_KD, "state": {"basis": {"kind": "computational"}, "index": True}}}),
+        ("kd", {"params": {**_KD, "col_basis": {"kind": "haar", "seed": True}}}),
+        ("weak", {"params": {**_WEAK, "m_index": True}}),
+        ("kd", {"params": {**_KD, "row_basis": {**HADAMARD, "labels": "pm"}}}),
+        ("kd", {"params": {**_KD, "row_basis": {"kind": "explicit", "re": np.eye(3).tolist(),
+                                                "im": np.zeros((3, 3)).tolist()}}}),
+    ],
+    ids=[
+        "harmonic-no-omega", "custom-no-values", "omega-str", "potential-empty",
+        "quantize-no-omega", "values-null", "values-nested", "hbar-null", "rtol-str",
+        "labels-int", "m_index-out-of-range", "seeds_per_dim-and-seed-true",
+        "seeds_per_dim-true", "seed-true", "period-true", "period-past-float",
+        "quantize-hbar-true", "rtol-true", "values-true", "L-true", "mass-true", "hbar-true",
+        "energy_index-true", "p_ref_index-true", "omega-true", "index-true", "haar-seed-true",
+        "m_index-true", "labels-str", "explicit-dim-mismatch",
+    ],
+)
+def test_malformed_config_exits_two_before_any_output(tmp_path, capsys, kind, payload):
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 _README_KD = {
     "dim": 2,
     "state": {"basis": {"kind": "computational"}, "index": 0},

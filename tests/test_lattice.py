@@ -724,6 +724,37 @@ class TestFftForms:
             assert abs(fast - dense) <= sys_.d * EPS
 
 
+class TestPotentialSpec:
+    """One parser reads every potential form: a malformed spec is BadGrid, a valid one keeps its config."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [("harmonic",), ("harmonic", 1.0, 2.0), ("harmonic", "x"), {"kind": "harmonic"},
+         {"kind": "custom"}, {"kind": "custom", "values": ["a"] * 16}, {}],
+        ids=["no-omega", "long-tuple", "omega-str", "dict-no-omega", "custom-no-values",
+             "custom-str-values", "no-kind"],
+    )
+    def test_malformed_potential_is_bad_grid(self, spec):
+        # TestNonFiniteInput and test_grid_validation cover a non-finite omega or V and
+        # an unknown kind.
+        with pytest.raises(BadGrid):
+            build_lattice(16, 1.0, 1.0, 1.0, spec)
+
+    @pytest.mark.parametrize(
+        "spec, potential_json",
+        [("box", '{"kind": "box"}'),
+         (("harmonic", 1), '{"kind": "harmonic", "omega": 1.0}'),
+         ({"kind": "harmonic", "omega": 1}, '{"kind": "harmonic", "omega": 1.0}'),
+         (np.array([0.0, 0.25, 1.0, 2.25, 4.0, 2.25, 1.0, 0.25]),
+          '{"kind": "custom", "values": [0.0, 0.25, 1.0, 2.25, 4.0, 2.25, 1.0, 0.25]}')],
+        ids=["box", "harmonic-tuple", "harmonic-dict", "array"],
+    )
+    def test_config_json_bytes(self, spec, potential_json):
+        sys_ = build_lattice(8, 2.0, 1.0, 1.0, spec)
+        expected = '{"L": 2.0, "d": 8, "hbar": 1.0, "mass": 1.0, "potential": ' + potential_json + "}"
+        assert sys_.config_json() == expected
+
+
 class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("form", ["array", "custom"])
