@@ -55,7 +55,9 @@ def _gram_defect(mat: np.ndarray, weights=None) -> float:
     """max|U^H diag(w) U - I| over a matrix U or a stack; w, scalar or one per row, default 1."""
     adj = _adjoint(mat)
     gram = adj @ mat if weights is None else (adj * weights) @ mat
-    return float(np.max(np.abs(gram - np.eye(mat.shape[-1]))))
+    # gram - I and its abs in place, but a complex gram's abs, which is real
+    np.einsum("...ii->...i", gram)[...] -= 1.0
+    return float(np.max(np.abs(gram, out=None if np.iscomplexobj(gram) else gram)))
 
 
 def _check_input_gram(mat: np.ndarray) -> None:
@@ -233,7 +235,6 @@ def _finish_basis(
     mat: np.ndarray,
     labels: Sequence[str] | None = None,
     values: Sequence[float] | None = None,
-    gram_defect: float | None = None,
 ) -> Basis:
     """Gauge-fix, Gram-check, label and freeze a unitary matrix or stack of them, dim >= 2.
 
@@ -241,31 +242,38 @@ def _finish_basis(
     unitary by construction (Haar QR, the identity, the DFT) come here
     directly: they skip the polar step but keep the Gram gate, one product
     U^H U for a stack: U^H U - I and U U^H - I are similar, so one side
-    bounds the other's spectral norm.  A builder that has already bounded
-    max|U^H U - I| from the factors it built U from (the lattice's energy
-    basis, from its ``eigh`` blocks) passes that bound as ``gram_defect``;
-    the gate then takes the bound, widened by the gauge phases, and forms no
-    product.  A real matrix is gauge-fixed in real arithmetic, then cast.
+    bounds the other's spectral norm.  A real matrix is gauge-fixed in real
+    arithmetic, then cast.
     """
     dim = mat.shape[-1]
-    phases = _column_phases(mat)
-    mat = mat * phases
-    if gram_defect is None:
-        internal = _gram_defect(mat)
-    else:
-        # Each entry becomes u c (1 + r): |c| is 1 to within delta, and the
-        # complex product rounds by |r| <= sqrt(5) 2^-53 (a real phase, +-1, is
-        # exact).  With m = (1 + delta)(1 + |r|), every entry of the phased
-        # Gram matrix minus I is at most m^2 gram_defect + (m^2 - 1)(1 + gram_defect).
-        delta = float(np.max(np.abs(np.abs(phases) - 1.0)))
-        rounding = math.sqrt(5.0) * 2.0**-53 if np.iscomplexobj(mat) else 0.0
-        m2 = ((1.0 + delta) * (1.0 + rounding)) ** 2
-        internal = m2 * gram_defect + (m2 - 1.0) * (1.0 + gram_defect)
-    if not internal <= GRAM_INTERNAL_TOL:
-        raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
+    mat = mat * _column_phases(mat)
+    _check_internal_gram(_gram_defect(mat))
     label_tuple, value_arr = _checked_labels_values(dim, labels, values)
     mat = mat.astype(np.complex128, copy=False)
     return Basis(dim=dim, vectors=_freeze(mat), labels=label_tuple, values=value_arr)
+
+
+def _phased_gram_bound(phases: np.ndarray, gram_defect: float) -> float:
+    """A bound on max|U^H U - I| after the columns of U are multiplied by ``phases``.
+
+    ``gram_defect`` bounds it before: a builder that bounded it from the
+    factors it built U from (the lattice's energy basis, from its ``eigh``
+    blocks) gates U with no product.  Each entry becomes u c (1 + r): |c| is 1
+    to within delta, and the complex product rounds by |r| <= sqrt(5) 2^-53 (a
+    real phase, +-1, is exact).  With m = (1 + delta)(1 + |r|), every entry of
+    the phased Gram matrix minus I is at most m^2 gram_defect + (m^2 - 1)(1 +
+    gram_defect).  No phases, or real ones, leave the bound as it is.
+    """
+    delta = float(np.max(np.abs(np.abs(phases) - 1.0), initial=0.0))
+    rounding = math.sqrt(5.0) * 2.0**-53 if np.iscomplexobj(phases) else 0.0
+    m2 = ((1.0 + delta) * (1.0 + rounding)) ** 2
+    return m2 * gram_defect + (m2 - 1.0) * (1.0 + gram_defect)
+
+
+def _check_internal_gram(internal: float) -> None:
+    """Raise :class:`NotOrthonormal` if a built basis's Gram defect exceeds ``GRAM_INTERNAL_TOL``."""
+    if not internal <= GRAM_INTERNAL_TOL:
+        raise NotOrthonormal(f"internal Gram defect {internal:.3e}")
 
 
 def _dft_columns(dim: int, first: int, cols) -> np.ndarray:

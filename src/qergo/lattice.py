@@ -12,7 +12,9 @@ makes H commute with it, and H is diagonalized as one even and one odd
 block of about half the size, read off t and V, a quarter of the ``eigh``
 cost; a dense H is formed only for any other V, or when a caller reads it.  The
 energy basis's eigen-residual and Gram gates are taken on those blocks,
-where ``eigh`` produces them, not on the assembled d x d matrix.
+where ``eigh`` produces them, and the system keeps the basis as those
+blocks: a column is scattered and gauge-fixed where it is read, and the
+whole d x d basis only on a caller's first read of ``e_basis``.
 
 Degenerate energy eigenspaces (exactly, or within the block tolerance)
 are re-diagonalized against the momentum operator, which makes the energy
@@ -31,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .basis import Basis, _check_index, _csv, _dft_columns, _finish_basis, _freeze, _gram_defect
+from .basis import Basis, _check_index, _check_internal_gram, _column_phases, _csv, _dft_columns
+from .basis import _finish_basis, _freeze, _gram_defect, _phased_gram_bound
 from .ccp import _require_defined, is_defined
 from .errors import (
     BadGrid,
@@ -71,21 +74,35 @@ def _parse_potential(spec, d: int, length: float, mass: float, hbar: float):
     elif not isinstance(spec, dict):
         spec = {"kind": "custom", "values": spec}
     kind = spec.get("kind")
+    try:  # a wall or V past the float range raises here rather than warning
+        with np.errstate(over="raise"):
+            v, canonical = _potential_on_grid(kind, spec, d, length, mass, hbar)
+    except (OverflowError, ZeroDivisionError, FloatingPointError):
+        raise BadGrid(f"the {kind} potential leaves the float range") from None
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise BadGrid(f"potential is {v[bad[0]]} at grid point {bad[0]}")
+    return v, canonical
+
+
+def _potential_on_grid(kind, spec: dict, d: int, length: float, mass: float, hbar: float):
+    """V on the grid and the canonical dict of a potential of kind ``kind``."""
     if kind in ("free", "box"):
         v = np.zeros(d)
         if kind == "box":  # one wall site; the periodic seam closes the box
             v[0] = BOX_WALL_FACTOR * hbar**2 / (mass * length**2)
-        canonical = {"kind": kind}
-    elif kind == "harmonic":
+            if not v[0] > 0.0:  # hbar^2 underflowed, or the denominator overflowed
+                raise BadGrid("the box wall leaves the float range")
+        return v, {"kind": kind}
+    if kind == "harmonic":
         omega = spec.get("omega")
         if isinstance(omega, bool) or not isinstance(omega, numbers.Real) or not math.isfinite(omega):
             raise BadGrid(f"harmonic frequency is {omega!r}")
         # Signed offsets from the centre x_{d/2}: exactly odd under j -> -j
         # mod d on any grid, where positions - L/2 is so only for dyadic L/d.
         offsets = (np.arange(d) - d // 2) * (length / d)
-        v = 0.5 * mass * omega**2 * offsets**2
-        canonical = {"kind": "harmonic", "omega": float(omega)}
-    elif kind == "custom":
+        return 0.5 * mass * omega**2 * offsets**2, {"kind": "harmonic", "omega": float(omega)}
+    if kind == "custom":
         try:
             v = np.array(spec["values"])
         except (KeyError, ValueError):  # absent, or ragged
@@ -93,13 +110,59 @@ def _parse_potential(spec, d: int, length: float, mass: float, hbar: float):
         if v.dtype.kind not in "iuf" or v.shape != (d,):
             raise BadGrid(f"custom potential of shape {v.shape} and dtype {v.dtype} for d={d}")
         v = v.astype(np.float64)
-        canonical = {"kind": "custom", "values": v.tolist()}
-    else:
-        raise BadGrid(f"unknown potential kind {kind!r}")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise BadGrid(f"potential is {v[bad[0]]} at grid point {bad[0]}")
-    return v, canonical
+        return v, {"kind": "custom", "values": v.tolist()}
+    raise BadGrid(f"unknown potential kind {kind!r}")
+
+
+class EnergyFactors(NamedTuple):
+    """The energy basis as ``eigh`` produced it: no column is scattered until read.
+
+    Under the reflection split, ``even`` holds the even block's eigenvectors,
+    rows 1..d/2-1 scaled by sqrt(1/2), ``odd`` the odd block's, all scaled by
+    sqrt(1/2), and basis column n is block eigenvector ``order[n]`` of the two,
+    even ones first.  After the full ``eigh``, ``even`` holds every eigenvector,
+    and ``odd`` and ``order`` are None.  ``rotated`` lists, ascending, the
+    columns of the degenerate blocks rotated onto momentum, and
+    ``rotated_vecs`` holds those columns after rotation, complex, d x
+    len(rotated) (real and empty when there are none).
+    """
+
+    even: np.ndarray
+    odd: np.ndarray | None
+    order: np.ndarray | None
+    rotated: np.ndarray
+    rotated_vecs: np.ndarray
+
+    def eigh_columns(self, cols: np.ndarray) -> np.ndarray:
+        """Columns ``cols`` as the ``eigh`` blocks give them, unrotated and unphased: d x n real."""
+        if self.odd is None:
+            return np.take(self.even, cols, axis=1)
+        half = self.even.shape[0] - 1
+        src = self.order[cols]
+        out = np.zeros((2 * half, src.size))
+        even, odd = np.flatnonzero(src <= half), np.flatnonzero(src > half)
+        block = self.even[:, src[even]]
+        out[: half + 1, even] = block
+        out[half + 1 :, even] = block[half - 1 : 0 : -1]  # row d - k holds row k
+        block = self.odd[:, src[odd] - half - 1]
+        out[1:half, odd] = block
+        out[half + 1 :, odd] = -block[::-1]  # row d - k holds minus row k; rows 0, d/2 stay 0
+        return out
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """Basis columns ``cols``, gauge-fixed as ``Basis`` columns are: d x n complex.
+
+        The one scatter behind every energy column a caller reads, one or all.
+        A build with rotated columns gauge-fixes every column in complex
+        arithmetic, where a negative pivot leaves -0.0 imaginary parts.
+        """
+        mat = self.eigh_columns(cols)
+        if self.rotated.size:
+            mat = mat.astype(np.complex128)
+            hit = np.isin(cols, self.rotated)
+            mat[:, hit] = self.rotated_vecs[:, np.searchsorted(self.rotated, cols[hit])]
+        mat = mat * _column_phases(mat)
+        return mat.astype(np.complex128, copy=False)
 
 
 @dataclass(frozen=True)
@@ -108,12 +171,15 @@ class LatticeSystem:
 
     The diagonalized H, the float64 matrix t[|j - l|] + V[j] delta_jl, is held
     as ``kinetic`` (t, exactly even) and ``potential`` (V); ``hamiltonian``
-    assembles it on first read.  The energy basis is built with the system;
-    the position and momentum bases, the exact identity and the centered DFT,
-    are built, Gram-checked like any other basis, and cached on first access,
-    so a caller that reads neither never forms them.  No function of this
-    module reads a dense matrix but the energy basis: each takes the one DFT
-    column or row it needs, or applies H by FFT.
+    assembles it on first read.  The energy basis is held as its ``eigh``
+    factors, gated at build; ``energy_column`` scatters one column, and
+    ``e_basis`` assembles them all on first read.  The position and momentum
+    bases, the exact identity and the centered DFT, are built, Gram-checked
+    like any other basis, and cached on first access.  So a caller that reads
+    none of the three bases forms no d x d matrix on a reflection-symmetric
+    grid.  Only ``energy_concentration`` reads a whole basis: every other
+    function takes the one energy or DFT column or row it needs, or applies
+    H by FFT.
     """
 
     d: int
@@ -123,14 +189,22 @@ class LatticeSystem:
     potential: np.ndarray  # V(x_j)
     positions: np.ndarray  # x_j = j * dx
     momenta: np.ndarray  # p_k = 2 pi hbar (k - d/2) / L
-    e_basis: Basis  # values hold the energy eigenvalues, ascending
+    energies: np.ndarray  # the levels, ascending
     kinetic: np.ndarray  # t: H[j, l] = t[|j - l|] + V[j] delta_jl
+    energy_factors: EnergyFactors
     potential_spec: dict
 
     @cached_property
     def hamiltonian(self) -> np.ndarray:
         """H as a read-only dense float64 matrix, assembled from t and V."""
         return _freeze(_dense_hamiltonian(self.kinetic, self.potential))
+
+    @cached_property
+    def e_basis(self) -> Basis:
+        """The energy basis, assembled from its factors; its gates were taken at build."""
+        vectors = _freeze(self.energy_factors.columns(np.arange(self.d)))
+        labels = tuple(f"E{n}" for n in range(self.d))
+        return Basis(dim=self.d, vectors=vectors, labels=labels, values=self.energies)
 
     @cached_property
     def x_basis(self) -> Basis:
@@ -148,9 +222,10 @@ class LatticeSystem:
     def dx(self) -> float:
         return self.length / self.d
 
-    @property
-    def energies(self) -> np.ndarray:
-        return self.e_basis.values
+    def energy_column(self, n: int) -> np.ndarray:
+        """Column n of ``e_basis``, in the same floats, scattered alone."""
+        _check_index(n, self.d)
+        return self.energy_factors.columns(np.array([n]))[:, 0]
 
     @property
     def hamiltonian_norm(self) -> float:
@@ -196,7 +271,10 @@ def build_lattice(
     by its block's residuals plus the spread of the block's levels, which
     for b levels may reach (b - 1) DEGENERACY_RTOL max(||H||, 1), at or
     above the gate; so H is applied to the rotated columns by FFT to gate
-    them.  The system keeps t and V, not H, nor the position and momentum bases.
+    them.  Both gates are decided here, so a later read never raises.  The
+    system keeps t and V, not H, nor the position and momentum bases; it
+    keeps the energy basis as its block factors and levels, and assembles
+    the d x d basis only on a caller's first read of ``e_basis``.
 
     Parameters
     ----------
@@ -214,8 +292,9 @@ def build_lattice(
     BadGrid
         On a bad grid size or constant; on a potential with a missing or
         unknown kind, an omega that is missing, not a number or not finite,
-        custom values that are missing, not numbers or not d of them; or on
-        any non-finite value of V.
+        custom values that are missing, not numbers or not d of them; on
+        any non-finite value of V; or on a box wall, a V or a kinetic term
+        that leaves the float range.
     NonHermitian, NumericsError
         If the kinetic column is not real and even to within rounding, or
         an eigen-residual exceeds 1e-8 * max(||H||, 1).
@@ -229,14 +308,18 @@ def build_lattice(
         raise BadGrid("length, mass, and hbar must all be positive and finite")
     dx = length / d
     positions = dx * np.arange(d)
-    momenta = 2.0 * np.pi * hbar * (np.arange(d) - d / 2) / length
     v, spec = _parse_potential(potential, d, length, mass, hbar)
 
     # Kinetic term: the circulant t[(j - l) mod d], with t = DFT(T) / d for the
     # multiplier T = p_k^2/(2 mass) in FFT order.  T is even, so the DFT's sign
     # does not matter and t is real and even up to rounding; both are gated here.
-    multiplier = np.fft.ifftshift(momenta**2 / (2.0 * mass))
-    t = np.fft.fft(multiplier) / d
+    try:  # a momentum or kinetic term past the float range raises here rather than warning
+        with np.errstate(over="raise", invalid="raise"):
+            momenta = 2.0 * np.pi * hbar * (np.arange(d) - d / 2) / length
+            multiplier = np.fft.ifftshift(momenta**2 / (2.0 * mass))
+            t = np.fft.fft(multiplier) / d
+    except FloatingPointError:
+        raise BadGrid("the kinetic term leaves the float range") from None
     mirror = -np.arange(d)  # n -> (-n) mod d
     scale = max(1.0, float(np.max(np.abs(t))), float(np.max(np.abs(t[0].real + v))))
     herm_defect = float(np.max(np.abs(t - t[mirror].conj())))
@@ -247,12 +330,14 @@ def build_lattice(
         raise NumericsError(f"imaginary kinetic part {imag_part:.3e}")
     t = 0.5 * (t.real + t.real[mirror])  # exactly even
 
-    energies, vectors, residuals, gram_defect = _energy_eigh(t, v, multiplier, momenta)
+    energies, factors, residuals, gram_defect = _energy_eigh(t, v, multiplier, momenta)
     h_norm = float(np.max(np.abs(energies)))
     residual = float(np.max(residuals))
     if not residual <= 1e-8 * max(h_norm, 1.0):
         raise NumericsError(f"eigen-residual {residual:.3e} exceeds 1e-8 * ||H||")
-    e_basis = _finish_basis(vectors, [f"E{n}" for n in range(d)], energies, gram_defect=gram_defect)
+    # Every unrotated column has a real pivot, so a phase of modulus 1 exactly:
+    # only the rotated columns' phases widen the bound.
+    _check_internal_gram(_phased_gram_bound(_column_phases(factors.rotated_vecs), gram_defect))
 
     return LatticeSystem(
         d=d,
@@ -262,8 +347,9 @@ def build_lattice(
         potential=_freeze(v),
         positions=_freeze(positions),
         momenta=_freeze(momenta),
-        e_basis=e_basis,
+        energies=_freeze(energies),
         kinetic=_freeze(t),
+        energy_factors=EnergyFactors(*(a if a is None else _freeze(a) for a in factors)),
         potential_spec=spec,
     )
 
@@ -288,8 +374,8 @@ def _apply_h(multiplier: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndar
 
 def _energy_eigh(
     t: np.ndarray, v: np.ndarray, multiplier: np.ndarray, momenta: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Levels, eigenvectors, eigen-residual per column and Gram defect of H.
+) -> tuple[np.ndarray, EnergyFactors, np.ndarray, float]:
+    """Levels, eigenvector factors, eigen-residual per column and Gram defect of H.
 
     H, t[|j - l|] + diag(V), is diagonalized by ``_reflection_eigh`` when V
     is exactly even, else as one dense block; either way both gates come
@@ -304,35 +390,33 @@ def _energy_eigh(
     """
     d = t.size
     if np.array_equal(v, v[-np.arange(d)]):  # exactly even: V[j] == V[(-j) mod d]
-        energies, vectors, residuals, gram_defect = _reflection_eigh(t, v)
+        energies, factors, residuals, gram_defect = _reflection_eigh(t, v)
     else:
         energies, vectors, residuals = _block_eigh(_dense_hamiltonian(t, v))
         gram_defect = _gram_defect(vectors)
+        factors = EnergyFactors(vectors, None, None, np.arange(0), np.empty((d, 0)))
     tol = DEGENERACY_RTOL * max(float(np.max(np.abs(energies))), 1.0)
     # Blocks break where neighbouring energies differ by more than tol (or by NaN).
     bounds = np.concatenate(([0], np.flatnonzero(~(np.diff(energies) <= tol)) + 1, [d]))
-    rotated, rot_defects = [], []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        if stop - start > 1:
-            if not np.iscomplexobj(vectors):
-                vectors = vectors.astype(np.complex128)
-            block = vectors[:, start:stop]
-            # momentum amplitudes <p_k|block>, k in the centered order of ``momenta``
-            fb = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0) / math.sqrt(d)
-            sub = (fb.conj().T * momenta) @ fb
-            sub = 0.5 * (sub + sub.conj().T)
-            _, rot = np.linalg.eigh(sub)
-            vectors[:, start:stop] = block @ rot
-            rotated.append(np.arange(start, stop))
-            rot_defects.append(_gram_defect(rot))
-    if rotated:
-        cols = np.concatenate(rotated)
-        vecs = np.take(vectors, cols, axis=1)
-        resid = _apply_h(multiplier, v, vecs) - vecs * energies[cols]
-        residuals[cols] = np.linalg.norm(resid, axis=0)
-        rho, width = float(np.max(rot_defects)), max(map(len, rotated))
-        gram_defect = rho + width * (1.0 + rho) * (gram_defect + 2.0 * np.finfo(float).eps)
-    return energies, vectors, residuals, gram_defect
+    blocks = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi - lo > 1]
+    if not blocks:
+        return energies, factors, residuals, gram_defect
+    cols = np.concatenate(blocks)
+    vecs = factors.eigh_columns(cols).astype(np.complex128)
+    rot_defects = []
+    for block in np.split(vecs, np.cumsum([b.size for b in blocks])[:-1], axis=1):  # views of vecs
+        # momentum amplitudes <p_k|block>, k in the centered order of ``momenta``
+        fb = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0) / math.sqrt(d)
+        sub = (fb.conj().T * momenta) @ fb
+        sub = 0.5 * (sub + sub.conj().T)
+        _, rot = np.linalg.eigh(sub)
+        block[...] = block @ rot
+        rot_defects.append(_gram_defect(rot))
+    resid = _apply_h(multiplier, v, vecs) - vecs * energies[cols]
+    residuals[cols] = np.linalg.norm(resid, axis=0)
+    rho, width = float(np.max(rot_defects)), max(b.size for b in blocks)
+    gram_defect = rho + width * (1.0 + rho) * (gram_defect + 2.0 * np.finfo(float).eps)
+    return energies, factors._replace(rotated=cols, rotated_vecs=vecs), residuals, gram_defect
 
 
 def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,7 +429,7 @@ def _block_eigh(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _reflection_eigh(
     t: np.ndarray, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, EnergyFactors, np.ndarray, float]:
     """``eigh`` of H = t[|j - l|] + diag(V), for t and V exactly even under j -> -j mod d.
 
     The reflection splits R^d into an even space, spanned by e_0, e_{d/2}
@@ -356,10 +440,10 @@ def _reflection_eigh(
     rows and columns scaled by sqrt(1/2), where h[k, l] = t[|k - l|] and
     h[k, d-l] = t[(k + l) mod d], plus V on the diagonal of h.  The two block
     ``eigh`` together cost about a quarter of one on H.  The eigenvectors
-    are scattered back with sqrt(1/2) weights to the columns of the
-    ascending merge of the two spectra (even first among equal levels), so
-    each column is exactly even or odd, and an odd one is exactly 0 at x_0
-    and x_{d/2}.
+    are kept, with their sqrt(1/2) weights, as the factors of the columns of
+    the ascending merge of the two spectra (even first among equal levels);
+    scattered, each column is exactly even or odd, and an odd one is exactly
+    0 at x_0 and x_{d/2}.
 
     It also returns each column's residual in its block, ||B u - u lambda||,
     which is H's on the scattered column up to the rounding of the sqrt(1/2)
@@ -371,47 +455,59 @@ def _reflection_eigh(
     """
     d = t.size
     half = d // 2
-    k = np.arange(half + 1)
-    inner, outer = k[1:half], d - k[1:half]  # the points 0 < k < d/2 and their mirrors
-    near, far = t[np.abs(np.subtract.outer(k, k))], t[np.add.outer(k, k) % d]  # h[k, l], h[k, d-l]
-    near[k, k] += v[k]
-    far[[0, half], [0, half]] += v[[0, half]]
+    # h[k, l] and h[k, d-l], 0 <= k, l <= d/2, as windows of t, the way
+    # ``_dense_hamiltonian`` reads its rows: no index matrix is formed.
+    window = np.lib.stride_tricks.sliding_window_view
+    near = window(np.concatenate((t[half:0:-1], t[: half + 1])), half + 1)[::-1]
+    far = window(np.append(t, t[0]), half + 1)
+    diag = np.arange(half + 1)
+    near_diag = t[0] + v[: half + 1]
+    far_diag = far.diagonal().copy()
+    far_diag[[0, half]] += v[[0, half]]  # where d - k = k
     even = near + far
-    odd = (near - far)[1:half, 1:half]
+    even[diag, diag] = near_diag + far_diag
+    odd = near[1:half, 1:half] - far[1:half, 1:half]
+    odd[diag[:-2], diag[:-2]] = (near_diag - far_diag)[1:half]
     root = math.sqrt(0.5)
     even[[0, half]] *= root
     even[:, [0, half]] *= root
     even_levels, even_vecs, even_res = _block_eigh(even)
+    del even  # one block fewer at the odd block's memory peak
     odd_levels, odd_vecs, odd_res = _block_eigh(odd)
+    del odd
 
     levels = np.concatenate((even_levels, odd_levels))
     order = np.argsort(levels, kind="stable")
-    slot = np.empty(d, dtype=np.intp)
-    slot[order] = np.arange(d)  # column of each block eigenvector in the merge
-    even_cols, odd_cols = slot[: half + 1], slot[half + 1 :]
-    vectors = np.zeros((d, d))
     even_vecs[1:half] *= root
     odd_vecs *= root
     twice = np.r_[1.0, np.full(half - 1, 2.0), 1.0]  # rows 0 and d/2 are stored once
     gram_defect = float(np.maximum(_gram_defect(even_vecs, twice), _gram_defect(odd_vecs, 2.0)))
-    vectors[np.ix_(k, even_cols)] = even_vecs
-    vectors[np.ix_(outer, even_cols)] = even_vecs[1:half]
-    vectors[np.ix_(inner, odd_cols)] = odd_vecs
-    vectors[np.ix_(outer, odd_cols)] = -odd_vecs
     residuals = np.concatenate((even_res, odd_res))[order]
-    return levels[order], vectors, residuals, gram_defect
+    factors = EnergyFactors(even_vecs, odd_vecs, order, np.arange(0), np.empty((d, 0)))
+    return levels[order], factors, residuals, gram_defect
 
 
 def _xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> tuple[np.ndarray, complex]:
     """The column p(x|E, p_ref) and the overlap <p_ref|E> it is divided by."""
-    sys.e_basis.check_index(e_index)
+    e_col = sys.energy_column(e_index)
     _check_index(p_ref, sys.d)
-    e_col = sys.e_basis.vectors[:, e_index]
     p_col = _dft_columns(sys.d, -sys.zero_momentum_index(), p_ref)  # column p_ref of p_basis
-    denom = np.vdot(p_col, e_col)
-    _require_defined(denom, sys.e_basis.labels[e_index], f"p{p_ref}")
+    denom = _strided_vdot(p_col, e_col)
+    _require_defined(denom, f"E{e_index}", f"p{p_ref}")
     # + 0.0 turns an exact -0.0 into +0.0, as in ``ccp_column``
     return p_col.conj() * e_col / denom + 0.0, denom
+
+
+def _strided_vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """``np.vdot(a, b)`` in the floats of ``Basis.overlap``, which reads columns of d x d bases.
+
+    BLAS sums a strided dot in index order and a unit-stride one in SIMD
+    lanes, so ``b`` goes in as a strided copy: <p|E> then has the floats
+    ``ccp_column`` divides by and reports when it refuses the pair.
+    """
+    strided = np.empty((b.size, 2), dtype=b.dtype)[:, 0]
+    strided[...] = b
+    return np.vdot(a, strided)
 
 
 def _pEx(sys: LatticeSystem, e_index: int, x_ref: int) -> np.ndarray:
@@ -421,10 +517,9 @@ def _pEx(sys: LatticeSystem, e_index: int, x_ref: int) -> np.ndarray:
     rolled to centered order: the same roots-table entries.  <p|E> is the
     energy column's FFT in the same order.  It raises ``ccp_column``'s errors.
     """
-    sys.e_basis.check_index(e_index)
+    e_col = sys.energy_column(e_index)
     _check_index(x_ref, sys.d)
-    e_col = sys.e_basis.vectors[:, e_index]
-    _require_defined(e_col[x_ref], sys.e_basis.labels[e_index], f"x{x_ref}")
+    _require_defined(e_col[x_ref], f"E{e_index}", f"x{x_ref}")
     shift = sys.zero_momentum_index()
     x_row = np.roll(_dft_columns(sys.d, 0, x_ref), shift)  # <x_ref|p_k>
     p_e = np.roll(np.fft.fft(e_col), shift) / math.sqrt(sys.d)  # <p_k|E>
@@ -436,7 +531,7 @@ def ccp_xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> np.ndarray:
 
     On the grid <x|m> is the identity, so the definition <p|x><x|E>/<p|E>
     is the product of the energy column and the conjugate momentum column,
-    over their inner product: O(d), with neither d x d basis formed.  It
+    over their inner product: O(d), with no d x d basis formed.  It
     equals ``ccp_column(sys.x_basis, sys.e_basis, e_index, sys.p_basis,
     p_ref)`` in every float and raises the same errors.
     """
@@ -573,7 +668,7 @@ def classical_momentum_check(
     allowed region, away from the grid edges, with the local wavelength
     resolved by at least four grid points.
     """
-    sys.e_basis.check_index(e_index)
+    _check_index(e_index, sys.d)
     if p_ref is None:
         p_ref = sys.zero_momentum_index()
     lo, hi = window.start, window.stop

@@ -626,6 +626,11 @@ def _potential(spec):
         ("kd", {"params": {**_KD, "row_basis": {**HADAMARD, "labels": "pm"}}}),
         ("kd", {"params": {**_KD, "row_basis": {"kind": "explicit", "re": np.eye(3).tolist(),
                                                 "im": np.zeros((3, 3)).tolist()}}}),
+        # Well-typed constants whose wall or V leaves the float range.
+        ("lattice", {"params": {**_GRID, "L": 1e200}}),
+        ("lattice", {"params": _potential({"kind": "harmonic", "omega": 1e200})}),
+        ("lattice", {"params": _potential({"kind": "harmonic", "omega": 10**400})}),
+        ("lattice", {"params": {**_GRID, "L": 1e-300, "potential": {"kind": "free"}}}),
     ],
     ids=[
         "harmonic-no-omega", "custom-no-values", "omega-str", "potential-empty",
@@ -635,6 +640,8 @@ def _potential(spec):
         "quantize-hbar-true", "rtol-true", "values-true", "L-true", "mass-true", "hbar-true",
         "energy_index-true", "p_ref_index-true", "omega-true", "index-true", "haar-seed-true",
         "m_index-true", "labels-str", "explicit-dim-mismatch",
+        "box-wall-past-float", "omega-squared-past-float", "omega-int-past-float",
+        "kinetic-past-float",
     ],
 )
 def test_malformed_config_exits_two_before_any_output(tmp_path, capsys, kind, payload):

@@ -1,6 +1,11 @@
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,7 +599,7 @@ class TestBlockGates:
             levels[np.abs(levels - target) <= tol] += 1e-6 * norm
 
         self._patch_eigh(monkeypatch, shift_level)
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="eigen-residual .* exceeds 1e-8"):
             GRIDS[kind](64)
 
     @pytest.mark.parametrize("kind, members", [("harmonic", 1), ("shifted", 1), ("free", 2)])
@@ -610,7 +615,7 @@ class TestBlockGates:
                 scaled.append(near[0])
 
         self._patch_eigh(monkeypatch, scale_column)
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(NotOrthonormal, match="internal Gram defect"):
             GRIDS[kind](64)
         assert scaled
 
@@ -619,7 +624,7 @@ class TestBlockGates:
             vecs *= 1 + 1e-9
 
         self._patch_eigh(monkeypatch, scale_rotation, rotation=True)
-        with pytest.raises(NotOrthonormal):
+        with pytest.raises(NotOrthonormal, match="internal Gram defect"):
             GRIDS["free"](64)
 
 
@@ -631,8 +636,13 @@ class TestKineticDescription:
         sys_ = GRIDS[kind](64)
         arrays = [getattr(sys_, f.name) for f in dataclasses.fields(sys_)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        assert len(arrays) == 4  # potential, positions, momenta, kinetic
+        assert len(arrays) == 5  # potential, positions, momenta, energies, kinetic
         assert all(a.size <= sys_.d for a in arrays)
+        # the energy basis is held as its eigh factors, d x d only after the full eigh
+        factors = [a for a in sys_.energy_factors if a is not None]
+        assert (max(a.size for a in factors) >= sys_.d**2) == (kind == "shifted")
+        assert not any(a.flags.writeable for a in factors)
+        assert "e_basis" not in vars(sys_)
 
     @pytest.mark.parametrize("kind", list(GRIDS))
     def test_dense_h_assembled_only_for_the_full_eigh(self, kind, monkeypatch):
@@ -773,6 +783,26 @@ class TestNonFiniteInput:
             with pytest.raises(BadGrid):
                 build_lattice(16, 1.0, 1.0, 1.0, ("harmonic", bad))
 
+    @pytest.mark.parametrize(
+        "length, mass, hbar, potential",
+        [
+            (1e200, 1.0, 1.0, "box"),  # length^2 overflows
+            (1e-200, 1.0, 1.0, "box"),  # length^2 underflows to 0
+            (1.0, 1e100, 1e-200, "box"),  # hbar^2 underflows: no wall
+            (1e150, 1e100, 1.0, "box"),  # mass length^2 overflows: no wall
+            (1.0, 1.0, 1.0, ("harmonic", 1e200)),  # omega^2 overflows
+            (1.0, 1.0, 1.0, ("harmonic", 10**400)),  # omega is no float
+            (1e300, 1.0, 1.0, ("harmonic", 1e10)),  # V overflows in numpy
+            (1e-300, 1.0, 1.0, "free"),  # p^2 overflows
+            (1.0, 1e-300, 1e300, "free"),  # p^2 / (2 mass) overflows
+        ],
+    )
+    def test_grid_past_float_range_rejected(self, length, mass, hbar, potential):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadGrid, match="float range"):
+                build_lattice(16, length, mass, hbar, potential)
+
     @pytest.mark.parametrize("field", [0, 1, 2])
     def test_grid_constants_rejected(self, field):
         constants = [1.0, 1.0, 1.0]
@@ -814,19 +844,17 @@ class TestCcpXEpFromColumns:
         assert str(got.value) == str(want.value)
 
     def test_cli_paths_build_no_dense_x_or_p(self, monkeypatch, tmp_path):
-        finish, columns = lattice._finish_basis, lattice._dft_columns
+        columns = lattice._dft_columns
 
-        def energy_basis_only(mat, labels=None, values=None, gram_defect=None):
-            if labels is None or labels[0] != "E0":
-                raise AssertionError("a dense position or momentum basis was built")
-            return finish(mat, labels, values, gram_defect)
+        def no_dense_basis(mat, labels=None, values=None):
+            raise AssertionError("a dense position or momentum basis was built")
 
         def one_column_only(dim, first, cols):
             if np.ndim(cols) != 0:
                 raise AssertionError("a dense DFT was built")
             return columns(dim, first, cols)
 
-        monkeypatch.setattr(lattice, "_finish_basis", energy_basis_only)
+        monkeypatch.setattr(lattice, "_finish_basis", no_dense_basis)
         monkeypatch.setattr(lattice, "_dft_columns", one_column_only)
         potential = {"kind": "harmonic", "omega": 1.0}
         grid = {"d": 64, "L": 20.0, "mass": 1.0, "hbar": 1.0, "potential": potential}
@@ -931,3 +959,117 @@ class TestConditionalsFromColumns:
         with pytest.raises(IndexOutOfRange) as got:
             energy_concentration(sys_, x, p, 8)
         assert str(got.value) == str(want.value)
+
+
+#: SHA-256 of ``e_basis.vectors`` and of ``energies``, as the build that scattered
+#: its ``eigh`` blocks into a d x d matrix wrote them: the lazy basis keeps every float.
+PINNED_ENERGY_DIGESTS = {
+    ("harmonic", 64): ("9a6fbe6abe4f0deadefa6a3befe8299e189cfed7a817cde3407a1687f87b66cc",
+                       "9a0e26a4f11ab1708f0989644387038f96268dcf0cd565e5c4eb5fdcb57e7c55"),
+    ("harmonic", 1024): ("18a399cda4da45c4ae559b8cc235286e77216f44622e6aabd0e11ff31872afd0",
+                         "15ad89f55cb62b71f59627a1e9909ee771eb87e1e3642c5a84073ac5ea3f37ab"),
+    ("harmonic", 2048): ("a622ed4963f59791bb8c21661c2bd1710f70a8a4f3f42a4976390f84406e94a4",
+                         "2c24cc4ee2ead87e2ed0d70ca2c3a4c1d410a09dda44e3580397c0d6b6cbd82f"),
+    ("box", 256): ("b286f24ab44ba03ff2a3f6416796fa6ab548b4b67484d9d30487b19394090110",
+                   "bfa38219a21b86694471696df90763969618c9b62a2e7fd5f6bae08426b388a5"),
+    ("free", 128): ("f5cdad3d501890110c830028039d8de6b12bfa2d4bbed6323d2f12df3173117d",
+                    "ca00bfd14d6644d661728a0b2057bab31d4f1d2204fb6fa27f0846bd05965ff4"),
+    ("free", 1024): ("7a5d99ef58e6170625ca0015920b9064ae4b47ad452ce9fda6662e4ca44d9e2d",
+                     "b06e1dc4cd2a4829f2e381c173d36d7add7f9bbf017894101788d63458c31330"),
+    ("circulating", 128): ("b16b53cb8fff5f0cfe2d4d33bdd3ec86f4f7ac64cea681aee69bca32da4a0ef7",
+                           "4297405c65b03411ec25fe60fc9d1805f56b3b31861ba57f0c6a49a155c20c29"),
+    ("shifted", 128): ("03a2c477938dbf7f31b803ca29e7713ce528557dcd47c028d3d271fbd48c8c6b",
+                       "d076447515990b42814aabb1066bf647eb395a55173fae89b62d57c22dad3748"),
+}
+
+
+class TestLazyEnergyBasis:
+    """The energy basis is held as its ``eigh`` factors and assembled on first read."""
+
+    @pytest.mark.parametrize("kind, d", list(PINNED_ENERGY_DIGESTS), ids=lambda p: str(p))
+    def test_bytes_unchanged(self, kind, d):
+        sys_ = GRIDS[kind](d)
+        vecs = sys_.e_basis.vectors
+        assert vecs.dtype == np.complex128 and vecs.flags.c_contiguous
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (vecs, sys_.energies))
+        assert digests == PINNED_ENERGY_DIGESTS[kind, d]
+        if (kind, d) == ("harmonic", 2048):
+            assert sum(b.stop - b.start == 2 for b in _blocks(sys_.energies)) == 818
+
+    def test_column_equals_assembled_column_bytes(self, built):
+        sys_, _ = built
+        vecs = sys_.e_basis.vectors
+        for n in range(sys_.d):
+            col = sys_.energy_column(n)
+            assert col.dtype == np.complex128 and col.tobytes() == vecs[:, n].tobytes(), n
+
+    @pytest.mark.parametrize("n", [-1, 64])
+    def test_column_index_checked(self, harmonic64, n):
+        with pytest.raises(IndexOutOfRange):
+            harmonic64.energy_column(n)
+
+    def test_read_takes_no_gate_and_is_frozen(self, monkeypatch):
+        sys_ = GRIDS["free"](64)  # rotated blocks: the complex-first gauge
+
+        def no_gate(*args, **kwargs):
+            raise AssertionError("the energy basis was gated again")
+
+        for name in ("_check_internal_gram", "_phased_gram_bound", "_gram_defect", "_finish_basis"):
+            monkeypatch.setattr(lattice, name, no_gate)
+        monkeypatch.setattr(basis, "_gram_defect", no_gate)
+        e_basis = sys_.e_basis
+        assert sys_.e_basis is e_basis
+        assert not e_basis.vectors.flags.writeable
+        assert e_basis.labels == tuple(f"E{n}" for n in range(64))
+        assert e_basis.values is sys_.energies
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys_.e_basis = e_basis
+
+    def test_cli_runs_leave_the_basis_unassembled(self, monkeypatch, tmp_path):
+        systems, scattered = [], []
+        build, columns = lattice.build_lattice, lattice.EnergyFactors.columns
+        monkeypatch.setattr(lattice, "build_lattice", lambda **k: systems.append(build(**k)) or systems[-1])
+        monkeypatch.setattr(lattice.EnergyFactors, "columns",
+                            lambda f, cols: scattered.append(len(cols)) or columns(f, cols))
+        potential = {"kind": "harmonic", "omega": 1.0}
+        grid = {"d": 128, "L": 20.0, "mass": 1.0, "hbar": 1.0, "potential": potential}
+        configs = {
+            "lattice": {**grid, "column": {"energy_index": 2, "p_ref_index": 64}},
+            "quantize": {"lattice": grid, "levels": 5, "period": 2 * np.pi, "rtol": 0.01},
+        }
+        for command, params in configs.items():
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({"params": params}))
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert len(systems) == 2
+        assert all("e_basis" not in vars(s) for s in systems)
+        assert scattered == [1]  # the one exported column
+
+
+def test_build_and_one_column_peak_within_eight_blocks():
+    """tracemalloc's peak over a d=1024 harmonic build and one ``ccp_xEp``, in a fresh interpreter.
+
+    The bound is eight float64 blocks of the even block's size, 8 (d/2+1)^2
+    doubles, 16.8 MB: the build holds at most the eigenvector blocks, the
+    block in ``eigh`` and its residual product, or the weighted Gram product.
+    A d x d complex basis alone is 16.8 MB; the build that scattered its
+    blocks into one peaked at 33.8 MB.  tracemalloc sees numpy's arrays but
+    not LAPACK's workspace, which ``eigh`` takes outside Python's allocators;
+    ``tools/lattice_sizes.py`` reports ``ru_maxrss``, which counts it, beside
+    this peak.
+    """
+    d = 1024
+    probe = (
+        "import tracemalloc\n"
+        "from qergo.lattice import build_lattice, ccp_xEp\n"
+        "tracemalloc.start()\n"
+        f"ccp_xEp(build_lattice({d}, 20.0, 1.0, 1.0, ('harmonic', 1.0)), 0, {d // 2})\n"
+        "print(tracemalloc.get_traced_memory()[1])"
+    )
+    src = str(Path(lattice.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert int(out.stdout) <= 8 * (d // 2 + 1) ** 2 * 8

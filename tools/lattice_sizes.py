@@ -8,7 +8,10 @@ and omega all 1) ``--builds`` times and reports the median build wall time,
 the median time of each of the two block ``eigh`` of the reflection split
 (timed inside the build), the build over their sum, and its own peak
 resident set (``ru_maxrss``).  No warm-up build is made, so the median of
-three holds one cold build.  The d=4096 build peaks above 1 GB.
+three holds one cold build.  One more build then runs under ``tracemalloc``,
+whose peak counts numpy's arrays but not LAPACK's ``eigh`` workspace, which
+``ru_maxrss`` does count; the traced build is not timed, and ``ru_maxrss`` is
+read before it.  The d=4096 build peaks above 1 GB.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -52,10 +56,14 @@ def measure(d: int, builds: int) -> dict:
         raise SystemExit(f"d={d}: expected the two block eigh of the split, saw {blocks}")
     even, odd = (float(np.median([b[k] for b in blocks])) for k in (0, 1))
     wall = float(np.median(walls))
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracemalloc.start()
+    build_lattice(d, 20.0, 1.0, 1.0, ("harmonic", 1.0))
+    traced = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     return {
         "d": d, "builds": builds, "build_s": wall, "even_eigh_s": even, "odd_eigh_s": odd,
-        "build_over_split": wall / (even + odd),
-        "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "build_over_split": wall / (even + odd), "maxrss_mb": maxrss, "traced_peak_mb": traced,
     }
 
 
@@ -69,7 +77,8 @@ def main(argv: list[str] | None = None) -> None:
         print(json.dumps(measure(args.dims[0], args.builds)))
         return
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    print(f"{'d':>5} {'build s':>8} {'even eigh s':>12} {'odd eigh s':>11} {'build/split':>12} {'maxrss MB':>10}")
+    print(f"{'d':>5} {'build s':>8} {'even eigh s':>12} {'odd eigh s':>11} {'build/split':>12} "
+          f"{'maxrss MB':>10} {'traced MB':>10}")
     for d in args.dims:
         cmd = [sys.executable, __file__, "--child", "--dims", str(d), "--builds", str(args.builds)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
@@ -77,7 +86,8 @@ def main(argv: list[str] | None = None) -> None:
             raise SystemExit(f"d={d} exited {proc.returncode}\n{proc.stderr}")
         r = json.loads(proc.stdout.strip().splitlines()[-1])
         print(f"{d:>5} {r['build_s']:>8.3f} {r['even_eigh_s']:>12.3f} {r['odd_eigh_s']:>11.3f} "
-              f"{r['build_over_split']:>12.2f} {r['maxrss_mb']:>10.1f}", flush=True)
+              f"{r['build_over_split']:>12.2f} {r['maxrss_mb']:>10.1f} {r['traced_peak_mb']:>10.1f}",
+              flush=True)
 
 
 if __name__ == "__main__":
