@@ -714,6 +714,10 @@ class TestPinnedArtifactBytes:
     @pytest.mark.parametrize(
         "argv, payload, digest",
         [
+            (["kd"], {"params": _README_KD},
+             "bc802a33921b32197838282462a1fb77f27ca2f14b2aefcd8802bd4c1a103c03"),
+            (["seq"], {"params": _PINNED_SEQ, "seed": 9},
+             "156c27ab3e2b698398528af1e90f2552c9133390dab9ef412520905b4c04aca1"),
             (["verify"], {"params": _README_VERIFY, "seed": 7},
              "bcdd4beb424a2c0722e2624868e03786984c1d7cdfdd97d4439d9a4511407b2c"),
             (["lattice"], {"params": _README_LATTICE},
@@ -723,7 +727,7 @@ class TestPinnedArtifactBytes:
             (["weak"], {"params": _README_WEAK, "seed": 42},
              "8876b0deccb8a65465cc846bdef44226b8b6e6882f3786516625e58faa9d71ca"),
         ],
-        ids=["verify", "lattice", "quantize", "weak"],
+        ids=["kd", "seq", "verify", "lattice", "quantize", "weak"],
     )
     def test_cli_json(self, tmp_path, argv, payload, digest):
         cfg = write_config(tmp_path, "cfg.json", payload)
