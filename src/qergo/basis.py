@@ -104,6 +104,25 @@ def _json_complex(payload, re_key: str, im_key: str) -> np.ndarray:
     return re + 1j * im
 
 
+def _json_complex_fields(arr, re_key: str, im_key: str) -> dict:
+    """The fields ``_json_complex`` reads back: a complex array or scalar as two nested lists."""
+    arr = np.asarray(arr)
+    return {re_key: arr.real.tolist(), im_key: arr.imag.tolist()}
+
+
+def _vdot(u: np.ndarray, v: np.ndarray) -> complex:
+    """<u|v> as ``np.vdot``, summed in index order whatever the memory layout of u and v:
+    BLAS sums a unit-stride dot in SIMD lanes, so ``v`` goes in as a strided copy."""
+    strided = np.empty((v.size, 2), dtype=v.dtype)[:, 0]
+    strided[...] = v
+    return np.vdot(u, strided)
+
+
+def _rng(entropy) -> np.random.Generator:
+    """The one stream constructor: PCG64 over ``SeedSequence(entropy)``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
 def _csv(**columns) -> str:
     """CSV text whose header is the keywords and whose columns are their values.
 
@@ -147,7 +166,7 @@ class Basis:
             raise DimensionMismatch("overlap takes single bases; use overlaps_with for stacks")
         self.check_index(j)
         other.check_index(k)
-        return complex(np.vdot(self.vectors[:, j], other.vectors[:, k]))
+        return complex(_vdot(self.vectors[:, j], other.vectors[:, k]))
 
     def overlaps_with(self, other: "Basis") -> np.ndarray:
         """Matrix of amplitudes <self_j | other_k>, shape (..., dim, dim)."""
@@ -176,8 +195,7 @@ class Basis:
             "dim": self.dim,
             "labels": list(self.labels),
             "values": None if self.values is None else [float(v) for v in self.values],
-            "re": [[float(v) for v in row] for row in self.vectors.real],
-            "im": [[float(v) for v in row] for row in self.vectors.imag],
+            **_json_complex_fields(self.vectors, "re", "im"),
         }
         return json.dumps(payload, sort_keys=True, indent=indent)
 
@@ -344,8 +362,7 @@ def haar_random_bases(dim: int, seeds: Sequence[int]) -> Basis:
         raise DimensionMismatch(f"need dim >= {MIN_DIM}, got {dim}")
     parts = np.empty((len(seeds), 2, dim, dim))
     for draw, seed in zip(parts, seeds):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        rng.standard_normal(out=draw)
+        _rng(seed).standard_normal(out=draw)
     q, r = np.linalg.qr((parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[:, np.newaxis, :]

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import COMPATIBLE_TOL, Basis, _csv, _json_complex, _json_field
+from .basis import COMPATIBLE_TOL, Basis, _csv, _freeze, _json_complex, _json_complex_fields
+from .basis import _json_field
 from .ccp import CcpTable, IMAG_RESIDUE_TOL, _require_shared_dim, is_defined
 from .errors import (
     BasisMismatch,
@@ -173,10 +174,8 @@ class JointQuasiProb:
         payload = {
             "a_basis": json.loads(self.a_basis.to_json()),
             "b_basis": json.loads(self.b_basis.to_json()),
-            "re": self.vals.real.tolist(),
-            "im": self.vals.imag.tolist(),
-            "sandwich_re": self.sandwich.real.tolist(),
-            "sandwich_im": self.sandwich.imag.tolist(),
+            **_json_complex_fields(self.vals, "re", "im"),
+            **_json_complex_fields(self.sandwich, "sandwich_re", "sandwich_im"),
         }
         return json.dumps(payload, sort_keys=True, indent=indent)
 
@@ -206,7 +205,7 @@ class JointQuasiProb:
         for name, arr in (("values", vals), ("sandwich", sandwich)):
             if arr.shape != shape:
                 raise ParseError(f"need {name} of shape {shape}, got {arr.shape}", 1)
-            arr.setflags(write=False)
+            _freeze(arr)
         defect = np.abs(vals - sandwich * b_basis.overlaps_with(a_basis).T)
         bound = 2.0 * np.sqrt(shape[0]) * COMPATIBLE_TOL + 1e-12  # basis drift + rounding
         if not np.all(defect <= bound):
@@ -249,8 +248,7 @@ def pure_state_joint(state: tuple[Basis, int], basis_a: Basis, basis_b: Basis) -
     b_a = basis_b.overlaps_with(basis_a)  # <b|a>, [..., b, a]
     vals = sandwich * np.swapaxes(b_a, -1, -2)
     _validate_joint(vals)
-    vals.setflags(write=False)
-    sandwich.setflags(write=False)
+    vals, sandwich = _freeze(vals), _freeze(sandwich)
     return JointQuasiProb(a_basis=basis_a, b_basis=basis_b, vals=vals, sandwich=sandwich)
 
 
@@ -275,8 +273,7 @@ def mix_joints(joints, weights) -> JointQuasiProb:
             raise BasisMismatch("joints are defined over different basis pairs")
     vals = sum(w * j.vals for w, j in zip(weights, joints))
     sandwich = sum(w * j.sandwich for w, j in zip(weights, joints))
-    vals.setflags(write=False)
-    sandwich.setflags(write=False)
+    vals, sandwich = _freeze(vals), _freeze(sandwich)
     return JointQuasiProb(
         a_basis=first.a_basis, b_basis=first.b_basis, vals=vals, sandwich=sandwich
     )

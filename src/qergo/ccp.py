@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _adjoint, _csv, _json_complex, _json_field, _freeze, ergodic_table
+from .basis import Basis, _adjoint, _csv, _freeze, _json_complex, _json_complex_fields, _json_field
+from .basis import ergodic_table
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -79,6 +80,13 @@ def _require_defined(denom, a_label: str, b_label: str) -> None:
         )
 
 
+def _ratio(numer, denom, a_label: str, b_label: str):
+    """``numer`` / <b|a>; :class:`OrthogonalCondition` where ``denom`` = <b|a> is undefined."""
+    _require_defined(denom, a_label, b_label)
+    # + 0.0 turns an exact -0.0 into +0.0: an exact zero has one sign however formed
+    return numer / denom + 0.0
+
+
 def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -> np.ndarray:
     """All p(m|a,b) for fixed (a, b), as a length-dim complex array.
 
@@ -89,13 +97,11 @@ def ccp_column(basis_m: Basis, basis_a: Basis, a: int, basis_b: Basis, b: int) -
     basis_a.check_index(a)
     basis_b.check_index(b)
     denom = basis_b.overlap(b, basis_a, a)
-    _require_defined(denom, basis_a.labels[a], basis_b.labels[b])
     # numpy's own loops, not BLAS: a threaded gemv here would leave BLAS
     # workers spinning on every core after each of many small calls.
     b_m = np.einsum("i,im->m", basis_b.vectors[:, b].conj(), basis_m.vectors)  # <b|m>
     m_a = np.einsum("i,im->m", basis_a.vectors[:, a].conj(), basis_m.vectors).conj()  # <m|a>
-    # + 0.0 turns an exact -0.0 into +0.0: an exact zero has one sign however formed
-    return b_m * m_a / denom + 0.0
+    return _ratio(b_m * m_a, denom, basis_a.labels[a], basis_b.labels[b])
 
 
 def ccp_value(basis_m: Basis, m: int, basis_a: Basis, a: int, basis_b: Basis, b: int) -> complex:
@@ -150,8 +156,7 @@ class CcpTable:
             "m_basis": json.loads(self.m_basis.to_json()),
             "a_basis": json.loads(self.a_basis.to_json()),
             "b_basis": json.loads(self.b_basis.to_json()),
-            "re": self.vals.real.tolist(),
-            "im": self.vals.imag.tolist(),
+            **_json_complex_fields(self.vals, "re", "im"),
             "defined_mask": self.defined_mask.tolist(),
         }
         return json.dumps(payload, sort_keys=True, indent=indent)
@@ -173,10 +178,8 @@ class CcpTable:
             raise ParseError(f"need values of shape {(dim,) * 3}, got {vals.shape}", 1)
         if mask.shape != (dim, dim) or mask.dtype != bool:
             raise ParseError(f"need a boolean mask of shape {(dim, dim)}", 1)
-        table = cls(m_basis=m_b, a_basis=a_b, b_basis=b_b, vals=vals, defined_mask=mask)
-        table.vals.setflags(write=False)
-        table.defined_mask.setflags(write=False)
-        return table
+        vals, mask = _freeze(vals), _freeze(mask)
+        return cls(m_basis=m_b, a_basis=a_b, b_basis=b_b, vals=vals, defined_mask=mask)
 
     def column_csv(self, a: int, b: int) -> str:
         """One (a, b) column as CSV rows (m_label, re, im, magnitude, phase)."""

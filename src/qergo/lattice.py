@@ -34,8 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .basis import Basis, _check_index, _check_internal_gram, _column_phases, _csv, _dft_columns
-from .basis import _finish_basis, _freeze, _gram_defect, _phased_gram_bound
-from .ccp import _require_defined, is_defined
+from .basis import _finish_basis, _freeze, _gram_defect, _phased_gram_bound, _vdot
+from .ccp import _ratio, _require_defined, is_defined
 from .errors import (
     BadGrid,
     NonHermitian,
@@ -492,22 +492,8 @@ def _xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> tuple[np.ndarray, comp
     e_col = sys.energy_column(e_index)
     _check_index(p_ref, sys.d)
     p_col = _dft_columns(sys.d, -sys.zero_momentum_index(), p_ref)  # column p_ref of p_basis
-    denom = _strided_vdot(p_col, e_col)
-    _require_defined(denom, f"E{e_index}", f"p{p_ref}")
-    # + 0.0 turns an exact -0.0 into +0.0, as in ``ccp_column``
-    return p_col.conj() * e_col / denom + 0.0, denom
-
-
-def _strided_vdot(a: np.ndarray, b: np.ndarray) -> complex:
-    """``np.vdot(a, b)`` in the floats of ``Basis.overlap``, which reads columns of d x d bases.
-
-    BLAS sums a strided dot in index order and a unit-stride one in SIMD
-    lanes, so ``b`` goes in as a strided copy: <p|E> then has the floats
-    ``ccp_column`` divides by and reports when it refuses the pair.
-    """
-    strided = np.empty((b.size, 2), dtype=b.dtype)[:, 0]
-    strided[...] = b
-    return np.vdot(a, strided)
+    denom = _vdot(p_col, e_col)  # the floats ``ccp_column`` divides by and reports
+    return _ratio(p_col.conj() * e_col, denom, f"E{e_index}", f"p{p_ref}"), denom
 
 
 def _pEx(sys: LatticeSystem, e_index: int, x_ref: int) -> np.ndarray:
@@ -731,8 +717,7 @@ def energy_concentration(
     k_star = int(np.clip(np.searchsorted(edges, h_classical, side="right") - 1, 0, n_bins - 1))
     weights = np.abs(sums) ** 2
     ratio = float(weights[k_star] / weights.sum())
-    sums.setflags(write=False)
-    return ConcentrationResult(ratio=ratio, classical_bin=k_star, bin_sums=sums)
+    return ConcentrationResult(ratio=ratio, classical_bin=k_star, bin_sums=_freeze(sums))
 
 
 def distribution_csv(sys: LatticeSystem, column: np.ndarray) -> str:

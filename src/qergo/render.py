@@ -43,8 +43,8 @@ def _parse_float(text: str, line: int, what: str) -> float:
 def _data_rows(text: str, header_ok):
     """Yield (line number, fields) of every non-blank row under an accepted header.
 
-    ``header_ok`` judges the stripped header fields.  Each row must have as
-    many fields as the header; every ParseError names the first bad line.
+    ``header_ok`` judges the stripped header fields.  There must be a row, each with
+    as many fields as the header; every ParseError names the first bad line.
     """
     lines = text.splitlines()
     if not lines:
@@ -52,10 +52,10 @@ def _data_rows(text: str, header_ok):
     header = [h.strip() for h in lines[0].split(",")]
     if not header_ok(header):
         raise ParseError(f"unexpected header {lines[0]!r}", 1)
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
+    rows = [(i, line.split(",")) for i, line in enumerate(lines[1:], start=2) if line.strip()]
+    if not rows:
+        raise ParseError("no data rows", 2)
+    for i, parts in rows:
         if len(parts) != len(header):
             raise ParseError(f"expected {len(header)} fields, got {len(parts)}", i)
         yield i, parts
@@ -89,8 +89,6 @@ def parse_profile_csv(text: str):
     for i, parts in _data_rows(text, lambda h: len(h) >= 3 and h[1:3] == ["re", "im"]):
         xs.append(_parse_float(parts[0], i, "x"))
         vals.append(complex(_parse_float(parts[1], i, "re"), _parse_float(parts[2], i, "im")))
-    if not xs:
-        raise ParseError("no data rows", 2)
     return np.array(xs), np.array(vals)
 
 
@@ -210,6 +208,8 @@ def render_distribution(text: str, style: str) -> str:
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", exc.lineno) from None
         mat = _json_complex(payload, "re", "im")
+        if mat.size == 0:
+            raise ParseError("no data values in re/im", 1)
         if style == "heatmap":
             if mat.ndim != 2:
                 raise ParseError("heatmap needs a 2D re/im grid", 1)

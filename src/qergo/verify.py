@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bridge, ccp
-from .basis import MIN_DIM, Basis, _adjoint, _freeze, haar_random_bases
+from .basis import MIN_DIM, Basis, _adjoint, _freeze, _rng, haar_random_bases
 from .transform import PhaseProfile, transformed_prob
 
 MAX_DIM = 32
@@ -126,8 +126,7 @@ def _draw_block(root_seed: int, dim: int, indices: range) -> tuple[list[Basis], 
     bases = [
         Basis(dim, vectors[role], stack.labels, values if role == 1 else None) for role in range(4)
     ]
-    rngs = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(s[4]))) for s in seeds)
-    return bases, np.array([rng.uniform(0.0, 2.0 * np.pi, dim) for rng in rngs])
+    return bases, np.array([_rng(s[4]).uniform(0.0, 2.0 * np.pi, dim) for s in seeds])
 
 
 def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dict[str, np.ndarray]:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _csv
+from .basis import Basis, _csv, _freeze, _json_complex_fields, _rng
 from .ccp import ccp_column, ccp_value
 from .errors import DimensionMismatch, PostSelectionStarvation, WeakRegimeViolation
 
@@ -69,7 +69,7 @@ def _entropy(seed: Seed, *extra: int) -> tuple[int, ...]:
 
 
 def _generator(seed: Seed, *extra: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(seed, *extra))))
+    return _rng(_entropy(seed, *extra))
 
 
 def _cross_attenuation(g: float) -> float:
@@ -261,12 +261,12 @@ class WeakRunReport:
 
     def to_json(self, indent: int | None = None) -> str:
         payload = {
-            "estimate": {"re": self.estimate.real, "im": self.estimate.imag},
-            "std_err": {"re": self.std_err[0], "im": self.std_err[1]},
+            "estimate": _json_complex_fields(self.estimate, "re", "im"),
+            "std_err": _json_complex_fields(complex(*self.std_err), "re", "im"),
             "shots_total": self.shots_total,
             "shots_postselected": self.shots_postselected,
             "coupling": self.coupling,
-            "analytic_ref": {"re": self.analytic_ref.real, "im": self.analytic_ref.imag},
+            "analytic_ref": _json_complex_fields(self.analytic_ref, "re", "im"),
         }
         return json.dumps(payload, sort_keys=True, indent=indent)
 
@@ -393,8 +393,7 @@ def simulate_sequential(
     for m in range(dim):
         if m_counts[m]:
             counts[m] = rng.multinomial(int(m_counts[m]), p_b_m[:, m])
-    counts.setflags(write=False)
-    return SequentialRun(m_basis=basis_m, b_basis=basis_b, counts=counts, shots=shots)
+    return SequentialRun(m_basis=basis_m, b_basis=basis_b, counts=_freeze(counts), shots=shots)
 
 
 @dataclass(frozen=True)
@@ -453,8 +452,7 @@ def scan_wavefunction(
     values = np.array([scale * r.estimate for r in reports])
     analytic = scale * column
     se_re, se_im = scale * np.array([r.std_err for r in reports]).T
-    for arr in (values, analytic, se_re, se_im):
-        arr.setflags(write=False)
+    values, analytic, se_re, se_im = map(_freeze, (values, analytic, se_re, se_im))
     return WavefunctionScan(values=values, std_err_re=se_re, std_err_im=se_im, analytic=analytic,
                             shots_per_point=shots_per_point, postselection_rate=pooled_rate,
                             coupling=g)

@@ -16,6 +16,7 @@ from qergo import (
     ParseError,
     backaction_check,
     bayes_convert,
+    ccp_column,
     ccp_table,
     ccp_value,
     chain_compose,
@@ -30,7 +31,7 @@ from qergo import (
     phase_antisymmetry_check,
     sampling_variance,
 )
-from qergo.basis import haar_random_bases
+from qergo.basis import Basis, haar_random_bases
 from qergo.ccp import PHASE_FLOOR, IdentitySides, _not_below_phase_floor, ccp_tables
 from conftest import haar_triple
 
@@ -73,6 +74,34 @@ class TestCcpValue:
     def test_dimension_mismatch(self, z2):
         with pytest.raises(BasisMismatch):
             ccp_value(computational_basis(3), 0, z2, 0, z2, 0)
+
+
+def _bytes_equal(x, y) -> bool:
+    return np.array_equal(np.atleast_1d(x).view(np.uint64), np.atleast_1d(y).view(np.uint64))
+
+
+class TestMemoryLayout:
+    """A basis's memory layout changes no float: every <b|a> is summed in index order."""
+
+    def test_fortran_ordered_bases_give_the_same_bytes(self):
+        c_ordered = haar_triple(32, 5)
+        fortran = []
+        for b in c_ordered:
+            vectors = np.asfortranarray(b.vectors)
+            vectors.setflags(write=False)
+            assert vectors.flags.f_contiguous and not vectors.flags.c_contiguous
+            fortran.append(Basis(b.dim, vectors, b.labels))
+        (m_c, a_c, b_c), (m_f, a_f, b_f) = c_ordered, fortran
+        pairs = [(j, k) for j in range(32) for k in range(32)]
+        assert _bytes_equal(
+            [b_c.overlap(j, a_c, k) for j, k in pairs], [b_f.overlap(j, a_f, k) for j, k in pairs]
+        )
+        assert _bytes_equal(
+            [ccp_column(m_c, a_c, a, b_c, b) for a, b in pairs],
+            [ccp_column(m_f, a_f, a, b_f, b) for a, b in pairs],
+        )
+        for m, a, b in [(0, 0, 0), (3, 17, 29), (31, 8, 2)]:
+            assert _bytes_equal(ccp_value(m_c, m, a_c, a, b_c, b), ccp_value(m_f, m, a_f, a, b_f, b))
 
 
 class TestCcpTable:

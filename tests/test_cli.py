@@ -1,15 +1,10 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-import qergo
 from qergo.basis import MIN_DIM, haar_random_basis
 from qergo.ccp import ccp_table
 from qergo.cli import build_scenario, main
@@ -18,6 +13,7 @@ from qergo.errors import ConfigError, ParseError
 from qergo.lattice import MIN_GRID_SIZE
 from qergo.verify import MAX_DIM
 from qergo.weak import MAX_COUPLING, MIN_SHOTS
+from conftest import run_fresh_interpreter
 
 HADAMARD = {
     "kind": "explicit",
@@ -472,6 +468,25 @@ class TestRenderErrors:
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize(
+        "name, style, text, line",
+        [
+            ("grid.csv", "heatmap", "a_label,b_label,re,im\n", 2),
+            ("profile.json", "profile", '{"re": [], "im": []}', 1),
+            ("grid.json", "heatmap", '{"re": [[]], "im": [[]]}', 1),
+        ],
+        ids=["header-only-grid-csv", "empty-json-profile", "empty-json-heatmap"],
+    )
+    def test_empty_data_names_line(self, tmp_path, name, style, text, line):
+        bad = tmp_path / name
+        bad.write_text(text)
+        code = main(["render", str(bad), "--style", style, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert not (tmp_path / "x.svg").exists()
+        with pytest.raises(ParseError, match="no data") as err:
+            render_distribution(text, style)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize(
         "fields",
         [
             {"a_basis": [1, 2]},
@@ -751,10 +766,4 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
         "top = {m.partition('.')[0] for m in set(sys.modules) - before}; "
         "print(' '.join(sorted(top - set(sys.stdlib_module_names))))"
     )
-    src = str(Path(qergo.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.split() == ["numpy", "qergo"]
+    assert run_fresh_interpreter(probe).split() == ["numpy", "qergo"]

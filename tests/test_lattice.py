@@ -1,11 +1,7 @@
 import dataclasses
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +32,7 @@ from qergo.lattice import (
     schrodinger_residual,
     unwrap_phase,
 )
+from conftest import run_fresh_interpreter
 
 
 @pytest.fixture(scope="module")
@@ -1066,10 +1063,4 @@ def test_build_and_one_column_peak_within_eight_blocks():
         f"ccp_xEp(build_lattice({d}, 20.0, 1.0, 1.0, ('harmonic', 1.0)), 0, {d // 2})\n"
         "print(tracemalloc.get_traced_memory()[1])"
     )
-    src = str(Path(lattice.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    assert int(out.stdout) <= 8 * (d // 2 + 1) ** 2 * 8
+    assert int(run_fresh_interpreter(probe)) <= 8 * (d // 2 + 1) ** 2 * 8

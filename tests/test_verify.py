@@ -1,7 +1,4 @@
 import math
-import os
-import subprocess
-import sys
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -34,7 +31,7 @@ from qergo.ccp import (
 from qergo.transform import PhaseProfile, transformed_prob
 from qergo.verify import IdentityCheck, conjugation_prob, run_verification_suite
 
-from conftest import haar_triple
+from conftest import haar_triple, run_fresh_interpreter
 
 
 def _triple_worsts(m_b, a_b, b_b, f_b, rng_seed):
@@ -276,13 +273,7 @@ def fresh_d32_sweep():
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f, "
         "time.process_time() - c, time.perf_counter() - w)"
     )
-    src = str(Path(verify.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
-    )
-    faults, cpu, wall = out.stdout.split()
+    faults, cpu, wall = run_fresh_interpreter(probe).split()
     return int(faults), float(cpu), float(wall)
 
 
