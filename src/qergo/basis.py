@@ -113,7 +113,7 @@ def _json_complex_fields(arr, re_key: str, im_key: str) -> dict:
 def _vdot(u: np.ndarray, v: np.ndarray) -> complex:
     """<u|v> as ``np.vdot``, summed in index order whatever the memory layout of u and v:
     BLAS sums a unit-stride dot in SIMD lanes, so ``v`` goes in as a strided copy."""
-    strided = np.empty((v.size, 2), dtype=v.dtype)[:, 0]
+    strided = np.empty((v.size, 2), dtype=np.complex128)[:, 0]
     strided[...] = v
     return np.vdot(u, strided)
 
