@@ -35,7 +35,7 @@ import numpy as np
 
 from .basis import Basis, _check_index, _check_internal_gram, _column_phases, _csv, _dft_columns
 from .basis import _finish_basis, _freeze, _gram_defect, _phased_gram_bound, _vdot
-from .ccp import _ratio, _require_defined, is_defined
+from .ccp import _ratio, is_defined
 from .errors import (
     BadGrid,
     NonHermitian,
@@ -174,12 +174,15 @@ class LatticeSystem:
     assembles it on first read.  The energy basis is held as its ``eigh``
     factors, gated at build; ``energy_column`` scatters one column, and
     ``e_basis`` assembles them all on first read.  The position and momentum
-    bases, the exact identity and the centered DFT, are built, Gram-checked
-    like any other basis, and cached on first access.  So a caller that reads
-    none of the three bases forms no d x d matrix on a reflection-symmetric
-    grid.  Only ``energy_concentration`` reads a whole basis: every other
-    function takes the one energy or DFT column or row it needs, or applies
-    H by FFT.
+    bases, the exact identity and the centered DFT, are Gram-checked like any
+    other basis and cached on first access.  So a caller that reads none of
+    the three bases forms no d x d matrix on a reflection-symmetric grid:
+    every function but ``energy_concentration`` takes one column.  Each grid
+    convention is stated once: H's entries in ``_toeplitz``, the kinetic
+    multiplier in ``_kinetic_multiplier``, the momentum amplitudes <p_k|c>
+    in ``_centered_fft``, the momentum columns in ``_momentum_column`` (from
+    ``_dft_columns``' roots table), and every conditional's division in
+    ``ccp._ratio``.
     """
 
     d: int
@@ -215,8 +218,7 @@ class LatticeSystem:
     def p_basis(self) -> Basis:
         """The centered DFT: column k is the mode exp(i p_k x / hbar), of DFT frequency k - d/2."""
         labels = [f"p{k}" for k in range(self.d)]
-        dft = _dft_columns(self.d, -self.zero_momentum_index(), range(self.d))
-        return _finish_basis(dft, labels, self.momenta)
+        return _finish_basis(_momentum_column(self.d, range(self.d)), labels, self.momenta)
 
     @property
     def dx(self) -> float:
@@ -252,29 +254,26 @@ def build_lattice(
     hbar: float,
     potential="free",
 ) -> LatticeSystem:
-    """Construct the grid, diagonalize, and assemble the three bases.
+    """Construct the grid and diagonalize H, keeping the energy basis as its ``eigh`` factors.
 
-    The spectral kinetic term is a real symmetric circulant, its column t one
-    length-d FFT of p^2/(2 mass), so H is real and real ``eigh``
-    diagonalizes it.  t is exactly even, so when V[j] == V[(-j) mod d] for
-    every j, H commutes exactly with the reflection and ``_reflection_eigh``
-    diagonalizes its even and odd blocks, read off t and V, for about a
-    quarter of the cost of one ``eigh`` of H; any other V takes that one
-    ``eigh``, of a dense H dropped after the build.  The symmetry test is
-    exact: a V symmetric only to rounding takes the full ``eigh``, about 3.5
-    times the split's cost at d=2048.  The eigen-residual and Gram gates are
-    taken on the blocks ``eigh`` diagonalizes, so a symmetric build with no
-    degenerate block forms no d x d product besides its two block ``eigh``.
-    The energy basis becomes complex only where a degenerate block is
-    rotated onto momentum eigenstates; the block's momentum amplitudes come
-    from an FFT of its columns.  A rotated column's residual is bounded only
-    by its block's residuals plus the spread of the block's levels, which
-    for b levels may reach (b - 1) DEGENERACY_RTOL max(||H||, 1), at or
+    The spectral kinetic term is a real symmetric circulant: its column t is
+    the FFT of ``_kinetic_multiplier`` over d, and H, ``_toeplitz(t)`` plus
+    diag(V), is real, so real ``eigh`` diagonalizes it.  t is exactly even,
+    so when V[j] == V[(-j) mod d] for every j, H commutes exactly with the
+    reflection and ``_reflection_eigh`` diagonalizes its even and odd blocks,
+    read off t and V, for about a quarter of the cost of one ``eigh`` of H;
+    any other V takes that one ``eigh``, of a dense H dropped after the
+    build.  The symmetry test is exact: a V symmetric only to rounding takes
+    the full ``eigh``, about 3.5 times the split's cost at d=2048.  The
+    eigen-residual and Gram gates are taken on the blocks ``eigh``
+    diagonalizes, so a symmetric build with no degenerate block forms no
+    d x d product besides its two block ``eigh``.  The energy basis becomes
+    complex only where a degenerate block is rotated onto the momentum
+    eigenstates that ``_centered_fft`` reads.  A rotated column's residual is
+    bounded only by its block's residuals plus the spread of the block's
+    levels, up to (b - 1) DEGENERACY_RTOL max(||H||, 1) for b levels, at or
     above the gate; so H is applied to the rotated columns by FFT to gate
-    them.  Both gates are decided here, so a later read never raises.  The
-    system keeps t and V, not H, nor the position and momentum bases; it
-    keeps the energy basis as its block factors and levels, and assembles
-    the d x d basis only on a caller's first read of ``e_basis``.
+    them.  Both gates are decided here, so a later read never raises.
 
     Parameters
     ----------
@@ -310,13 +309,11 @@ def build_lattice(
     positions = dx * np.arange(d)
     v, spec = _parse_potential(potential, d, length, mass, hbar)
 
-    # Kinetic term: the circulant t[(j - l) mod d], with t = DFT(T) / d for the
-    # multiplier T = p_k^2/(2 mass) in FFT order.  T is even, so the DFT's sign
-    # does not matter and t is real and even up to rounding; both are gated here.
+    # T is even, so t = DFT(T) / d is real and even, up to rounding gated here.
     try:  # a momentum or kinetic term past the float range raises here rather than warning
         with np.errstate(over="raise", invalid="raise"):
             momenta = 2.0 * np.pi * hbar * (np.arange(d) - d / 2) / length
-            multiplier = np.fft.ifftshift(momenta**2 / (2.0 * mass))
+            multiplier = _kinetic_multiplier(momenta, mass)
             t = np.fft.fft(multiplier) / d
     except FloatingPointError:
         raise BadGrid("the kinetic term leaves the float range") from None
@@ -354,19 +351,46 @@ def build_lattice(
     )
 
 
+def _kinetic_multiplier(momenta: np.ndarray, mass: float) -> np.ndarray:
+    """p^2/(2 mass) at centered ``momenta``, in FFT order: H's kinetic column t is its DFT / d."""
+    return np.fft.ifftshift(momenta**2 / (2.0 * mass))
+
+
+def _toeplitz(t: np.ndarray) -> np.ndarray:
+    """The read-only view t[|j - l|] of an even t: row j is a window of [t[d-1], ..., t[1], t]."""
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), t.size)[::-1]
+
+
+def _centered_fft(cols: np.ndarray) -> np.ndarray:
+    """<p_k|c> = fftshift(fft(c))[k] / sqrt(d), k as in ``momenta``, along axis 0 of ``cols``."""
+    return np.fft.fftshift(np.fft.fft(cols, axis=0), axes=0) / math.sqrt(cols.shape[0])
+
+
+def _momentum_column(d: int, p) -> np.ndarray:
+    """Column p of ``p_basis``: <x_j|p> = exp(2i pi j (p - d/2)/d)/sqrt(d), from the roots table."""
+    return _dft_columns(d, -(d // 2), p)
+
+
+def _momentum_given_position(col: np.ndarray, x_ref: int, a_label: str, b_label: str) -> np.ndarray:
+    """<x_ref|p><p|c>/<x_ref|c> over every momentum p; ``ccp_column``'s errors on (a, b).
+
+    Row x_ref of ``p_basis`` is the uncentered DFT column x_ref, rolled to centered order.
+    """
+    x_row = np.roll(_dft_columns(col.size, 0, x_ref), col.size // 2)
+    return _ratio(x_row * _centered_fft(col), col[x_ref], a_label, b_label)
+
+
 def _dense_hamiltonian(t: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense H[j, l] = t[|j - l|] + V[j] delta_jl: rows are windows of [t[d-1], ..., t[1], t]."""
-    d = t.size
-    h = np.lib.stride_tricks.sliding_window_view(np.concatenate((t[:0:-1], t)), d)[::-1].copy()
-    h[np.diag_indices(d)] += v
+    """Dense H[j, l] = t[|j - l|] + V[j] delta_jl."""
+    h = _toeplitz(t).copy()
+    h[np.diag_indices(t.size)] += v
     return h
 
 
 def _apply_h(multiplier: np.ndarray, v: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """ifft(T fft(c)) + v c, for a column c or each column of a d x n array.
+    """ifft(T fft(c)) + v c along axis 0 of ``cols``, T from ``_kinetic_multiplier``: H c at v = V.
 
-    With T the kinetic ``multiplier`` in FFT order and v = V it is H c, at
-    d log d a column; v = V - E gives (H - E) c.
+    It costs d log d a column; v = V - E gives (H - E) c.
     """
     axis = (slice(None),) + (np.newaxis,) * (cols.ndim - 1)
     return np.fft.ifft(multiplier[axis] * np.fft.fft(cols, axis=0), axis=0) + v[axis] * cols
@@ -383,7 +407,7 @@ def _energy_eigh(
     re-diagonalized against momentum, so the energy basis is deterministic
     and running waves come out pure; only these rotations make the
     eigenvectors complex.  A rotated column's residual is recomputed by
-    applying H by FFT, with t's ``multiplier``, and its Gram defect is composed:
+    ``_apply_h``, and its Gram defect is composed:
     for rotations R of at most b columns, each entry of (V R)^H (V R) - I is at most
         max|R^H R - I| + b (1 + max|R^H R - I|) (max|V^T V - I| + 2 eps),
     the 2 eps covering the rounding of the length-b products V R.
@@ -405,8 +429,7 @@ def _energy_eigh(
     vecs = factors.eigh_columns(cols).astype(np.complex128)
     rot_defects = []
     for block in np.split(vecs, np.cumsum([b.size for b in blocks])[:-1], axis=1):  # views of vecs
-        # momentum amplitudes <p_k|block>, k in the centered order of ``momenta``
-        fb = np.fft.fftshift(np.fft.fft(block, axis=0), axes=0) / math.sqrt(d)
+        fb = _centered_fft(block)
         sub = (fb.conj().T * momenta) @ fb
         sub = 0.5 * (sub + sub.conj().T)
         _, rot = np.linalg.eigh(sub)
@@ -455,11 +478,9 @@ def _reflection_eigh(
     """
     d = t.size
     half = d // 2
-    # h[k, l] and h[k, d-l], 0 <= k, l <= d/2, as windows of t, the way
-    # ``_dense_hamiltonian`` reads its rows: no index matrix is formed.
-    window = np.lib.stride_tricks.sliding_window_view
-    near = window(np.concatenate((t[half:0:-1], t[: half + 1])), half + 1)[::-1]
-    far = window(np.append(t, t[0]), half + 1)
+    # h[k, l] and h[k, d-l], 0 <= k, l <= d/2, as views of t
+    near = _toeplitz(t)[: half + 1, : half + 1]
+    far = np.lib.stride_tricks.sliding_window_view(np.append(t, t[0]), half + 1)
     diag = np.arange(half + 1)
     near_diag = t[0] + v[: half + 1]
     far_diag = far.diagonal().copy()
@@ -491,25 +512,16 @@ def _xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> tuple[np.ndarray, comp
     """The column p(x|E, p_ref) and the overlap <p_ref|E> it is divided by."""
     e_col = sys.energy_column(e_index)
     _check_index(p_ref, sys.d)
-    p_col = _dft_columns(sys.d, -sys.zero_momentum_index(), p_ref)  # column p_ref of p_basis
+    p_col = _momentum_column(sys.d, p_ref)
     denom = _vdot(p_col, e_col)  # the floats ``ccp_column`` divides by and reports
     return _ratio(p_col.conj() * e_col, denom, f"E{e_index}", f"p{p_ref}"), denom
 
 
 def _pEx(sys: LatticeSystem, e_index: int, x_ref: int) -> np.ndarray:
-    """The column p(p|E, x_ref) = <x_ref|p><p|E>/<x_ref|E> over every momentum.
-
-    Row x_ref of the centered DFT is column x_ref of the uncentered one,
-    rolled to centered order: the same roots-table entries.  <p|E> is the
-    energy column's FFT in the same order.  It raises ``ccp_column``'s errors.
-    """
+    """The column p(p|E, x_ref) over every momentum; it raises ``ccp_column``'s errors."""
     e_col = sys.energy_column(e_index)
     _check_index(x_ref, sys.d)
-    _require_defined(e_col[x_ref], f"E{e_index}", f"x{x_ref}")
-    shift = sys.zero_momentum_index()
-    x_row = np.roll(_dft_columns(sys.d, 0, x_ref), shift)  # <x_ref|p_k>
-    p_e = np.roll(np.fft.fft(e_col), shift) / math.sqrt(sys.d)  # <p_k|E>
-    return x_row * p_e / e_col[x_ref]
+    return _momentum_given_position(e_col, x_ref, f"E{e_index}", f"x{x_ref}")
 
 
 def ccp_xEp(sys: LatticeSystem, e_index: int, p_ref: int) -> np.ndarray:
@@ -543,10 +555,8 @@ def gauge_shift(sys: LatticeSystem, e_index: int, p_from: int, p_to: int) -> np.
     """
     col = ccp_xEp(sys, e_index, p_from)
     _check_index(p_to, sys.d)
-    ramp = np.exp(
-        1j * (sys.momenta[p_from] - sys.momenta[p_to]) * sys.positions / sys.hbar
-    )
-    shifted = col * ramp
+    # (p_from - p_to) x_j / hbar = 2 pi j (p_from - p_to) / d: sqrt(d) times that DFT column
+    shifted = col * (math.sqrt(sys.d) * _dft_columns(sys.d, p_from - p_to, 0))
     denom = shifted.sum()
     if not is_defined(denom):
         raise OrthogonalCondition(
@@ -588,15 +598,10 @@ def fourier_relation_check(
     """
     col = ccp_xEp(sys, e_index, p_ref)
     direct = _pEx(sys, e_index, x_ref)
-    # On the grid (p' - p) x_j / hbar = 2 pi j (p_ref - k) / d, so the sum over
-    # x' is the DFT of the column at frequency k - p_ref.
-    numer = np.roll(np.fft.fft(col), p_ref)
-    k = np.arange(sys.d)
-    ramp = np.exp(2j * np.pi * ((x_ref * (p_ref - k)) % sys.d) / sys.d)
-    denom = sys.d * col[x_ref] * ramp
-    if not is_defined(denom).all():
-        raise OrthogonalCondition("reference position has no support in the column")
-    rebuilt = numer / denom
+    # On the grid (p' - p) x_j / hbar = 2 pi j (p_ref - k) / d, so the right side
+    # is p(p|c, x) of the state c = d p(x'|E,p'), read at momenta shifted by p_ref.
+    rebuilt = _momentum_given_position(sys.d * col, x_ref, f"E{e_index}", f"x{x_ref}")
+    rebuilt = np.roll(rebuilt, p_ref - sys.zero_momentum_index())
     return float(np.max(np.abs(rebuilt - direct)))
 
 
@@ -609,8 +614,7 @@ def schrodinger_residual(sys: LatticeSystem, e_index: int, p_ref: int) -> float:
     at the extreme momenta, where the reference shift would alias.
     """
     col = ccp_xEp(sys, e_index, p_ref)
-    # The momentum basis is the DFT in centered order: the multiplier goes in FFT order.
-    multiplier = np.fft.ifftshift((sys.momenta + sys.momenta[p_ref]) ** 2 / (2.0 * sys.mass))
+    multiplier = _kinetic_multiplier(sys.momenta + sys.momenta[p_ref], sys.mass)
     resid = _apply_h(multiplier, sys.potential - float(sys.energies[e_index]), col)
     return float(np.linalg.norm(resid) / np.linalg.norm(col))
 
@@ -702,12 +706,10 @@ def energy_concentration(
         raise ValueError("need at least two bins")
     _check_index(x, sys.d)
     _check_index(p, sys.d)
-    p_col = _dft_columns(sys.d, -sys.zero_momentum_index(), p)
-    p_x = p_col[x].conj()  # <p|x>
-    _require_defined(p_x, f"x{x}", f"p{p}")
+    p_col = _momentum_column(sys.d, p)
     e = sys.e_basis.vectors
-    # <p|E><E|x>/<p|x>, the floats ccp_column forms from the full bases
-    col = np.einsum("i,im->m", p_col.conj(), e) * e[x].conj() / p_x
+    numer = np.einsum("i,im->m", p_col.conj(), e) * e[x].conj()  # <p|E><E|x>, as ccp_column has it
+    col = _ratio(numer, p_col[x].conj(), f"x{x}", f"p{p}")
     e_lo, e_hi = float(sys.energies[0]), float(sys.energies[-1])
     edges = np.linspace(e_lo, e_hi, n_bins + 1)
     which = np.clip(np.searchsorted(edges, sys.energies, side="right") - 1, 0, n_bins - 1)

@@ -381,7 +381,6 @@ def simulate_sequential(
     basis_a, a = initial
     if basis_a.dim != basis_m.dim or basis_a.dim != basis_b.dim:
         raise DimensionMismatch("bases must share one dimension")
-    dim = basis_a.dim
     p_m = np.abs(basis_m.vectors.conj().T @ basis_a.vectors[:, a]) ** 2
     p_m = p_m / p_m.sum()
     p_b_m = np.abs(basis_b.vectors.conj().T @ basis_m.vectors) ** 2  # [b, m]
@@ -389,10 +388,7 @@ def simulate_sequential(
 
     rng = _generator(seed, 0)
     m_counts = rng.multinomial(shots, p_m)
-    counts = np.zeros((dim, dim), dtype=np.int64)
-    for m in range(dim):
-        if m_counts[m]:
-            counts[m] = rng.multinomial(int(m_counts[m]), p_b_m[:, m])
+    counts = rng.multinomial(m_counts, p_b_m.T)  # row m draws b | m; a zero count draws nothing
     return SequentialRun(m_basis=basis_m, b_basis=basis_b, counts=_freeze(counts), shots=shots)
 
 

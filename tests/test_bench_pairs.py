@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh_interpreter
+
 ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -44,3 +46,31 @@ def test_reduce_refuses_a_repeated_run():
                _record(100, "change", 0.05, 43.0)]
     with pytest.raises(ValueError, match="weak-scan seed 100 change was run twice"):
         bench_pairs.reduce_runs(records, spec)
+
+
+def test_environment_records_the_openblas_kernel_and_thread_count(monkeypatch):
+    env = bench_pairs.environment()
+    if any(bench_pairs.NUMPY_LIBS.glob("libscipy_openblas64_*.so")):
+        assert isinstance(env["openblas_core"], str) and env["openblas_core"]
+        assert isinstance(env["openblas_threads"], int) and env["openblas_threads"] >= 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read when a fresh interpreter loads numpy
+        probe = (
+            "import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('bench_pairs', {str(_SPEC.origin)!r})\n"
+            "module = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(module)\n"
+            "print(module.openblas()['openblas_threads'])"
+        )
+        assert run_fresh_interpreter(probe).strip() == "1"
+    else:  # a numpy without its bundled OpenBLAS
+        assert env["openblas_core"] is None and env["openblas_threads"] is None
+
+
+def test_openblas_is_none_without_the_library_or_its_symbols(monkeypatch, tmp_path):
+    none = {"openblas_core": None, "openblas_threads": None}
+    monkeypatch.setattr(bench_pairs, "NUMPY_LIBS", tmp_path)
+    assert bench_pairs.openblas() == none  # no library
+    (tmp_path / "libscipy_openblas64_-0.so").write_bytes(b"not a shared object")
+    assert bench_pairs.openblas() == none  # a library that does not load
+    monkeypatch.setattr(bench_pairs.ctypes, "CDLL", lambda path: object())
+    assert bench_pairs.openblas() == none  # a library without the two symbols

@@ -993,6 +993,24 @@ class TestLazyEnergyBasis:
         if (kind, d) == ("harmonic", 2048):
             assert sum(b.stop - b.start == 2 for b in _blocks(sys_.energies)) == 818
 
+    # ROADMAP item 2: the pins hold on one OpenBLAS kernel at its default thread
+    # count.  This passes once the pins say which BLAS setting they were taken on.
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="single-threaded OpenBLAS moves the d >= 1024 lattice bytes "
+        "(CHANGES.md FOUND on OPENBLAS_NUM_THREADS=1)",
+    )
+    def test_bytes_unchanged_on_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # read when the fresh interpreter loads numpy
+        probe = (
+            "import hashlib\n"
+            "from qergo.lattice import build_lattice\n"
+            "sys_ = build_lattice(1024, 20.0, 1.0, 1.0, ('harmonic', 1.0))\n"
+            "for a in (sys_.e_basis.vectors, sys_.energies):\n"
+            "    print(hashlib.sha256(a.tobytes()).hexdigest())"
+        )
+        assert tuple(run_fresh_interpreter(probe).split()) == PINNED_ENERGY_DIGESTS["harmonic", 1024]
+
     def test_column_equals_assembled_column_bytes(self, built):
         sys_, _ = built
         vecs = sys_.e_basis.vectors

@@ -504,6 +504,23 @@ class TestSimulateSequential:
         se = np.sqrt(expected * (1 - expected) / run.shots)
         assert np.all(np.abs(marginal - expected) < 4.0 * se)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_counts_equal_the_per_m_loop(self, dim):
+        """One broadcast multinomial draws what a loop over m does, zero-count rows included."""
+        for seed in range(10):
+            m, a, b = haar_triple(dim, 1200 + seed)
+            for initial in ((a, 0), (m, dim - 1)):  # (m, .) leaves every other row at zero count
+                run = simulate_sequential(initial, m, b, MIN_SHOTS, seed)
+                p_m = np.abs(m.vectors.conj().T @ initial[0].vectors[:, initial[1]]) ** 2
+                p_b_m = np.abs(b.vectors.conj().T @ m.vectors) ** 2
+                p_b_m = p_b_m / p_b_m.sum(axis=0, keepdims=True)
+                rng = _generator(seed, 0)
+                m_counts = rng.multinomial(MIN_SHOTS, p_m / p_m.sum())
+                loop = np.zeros((dim, dim), dtype=np.int64)
+                for row in np.flatnonzero(m_counts):
+                    loop[row] = rng.multinomial(int(m_counts[row]), p_b_m[:, row])
+                assert np.array_equal(run.counts, loop), (dim, seed, initial[1])
+
     def test_determinism(self, z2, x2):
         r1 = simulate_sequential((x2, 0), z2, x2, 50_000, 3)
         r2 = simulate_sequential((x2, 0), z2, x2, 50_000, 3)

@@ -11,14 +11,15 @@ pair, the parent first on even pairs and the change first on odd ones, and
 appends one JSON line per run to ``--out``.  ``reduce`` writes, per
 workload, the median and quartiles of every end-to-end metric on each side,
 the pairs the change won, the seeds, the correctness of every run, the numpy
-and BLAS versions, the core count and the ``src/`` line count of each
-checkout.  It refuses a run that repeats a (workload, seed, side), so no run
-made is dropped unreported.
+and BLAS versions, the OpenBLAS kernel set and thread count, the core count
+and the ``src/`` line count of each checkout.  It refuses a run that repeats
+a (workload, seed, side), so no run made is dropped unreported.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import platform
@@ -30,6 +31,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+#: Where numpy's wheel bundles its OpenBLAS.
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -98,10 +101,29 @@ def reduce_runs(records: list[dict], spec: dict) -> dict:
     return workloads
 
 
+def openblas() -> dict:
+    """The kernel set and thread count of numpy's bundled OpenBLAS, None where it cannot say.
+
+    Both decide output bits: another kernel set, or one thread in place of
+    two, sums a d=1024 lattice ``eigh`` in another order.  The count is this
+    process's, which the runs inherit with its environment.
+    """
+    try:
+        lib = ctypes.CDLL(str(next(NUMPY_LIBS.glob("libscipy_openblas64_*.so"))))
+    except (StopIteration, OSError):  # a numpy built against another BLAS, or no library
+        return {"openblas_core": None, "openblas_threads": None}
+    core = getattr(lib, "scipy_openblas_get_corename64_", None)
+    threads = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    for fn, restype in ((core, ctypes.c_char_p), (threads, ctypes.c_int)):
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+    return {"openblas_core": core and core().decode(), "openblas_threads": threads and threads()}
+
+
 def environment() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas['name']} {blas['version']}", "cores": os.cpu_count()}
+            "blas": f"{blas['name']} {blas['version']}", "cores": os.cpu_count(), **openblas()}
 
 
 def reduce_files(args: argparse.Namespace) -> None:
