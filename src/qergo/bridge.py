@@ -18,7 +18,7 @@ import numpy as np
 
 from .basis import COMPATIBLE_TOL, Basis, _csv, _freeze, _json_complex, _json_complex_fields
 from .basis import _json_field
-from .ccp import CcpTable, IMAG_RESIDUE_TOL, _require_shared_dim, is_defined
+from .ccp import CcpTable, IMAG_RESIDUE_TOL, _real_part, _require_shared_dim, is_defined
 from .errors import (
     BasisMismatch,
     DimensionMismatch,
@@ -135,10 +135,7 @@ def born_rule_coherence(
     left, right = _paired_conditionals(basis_f, basis_m, basis_a, basis_b, b_ref)
     back_left, back_right = _paired_conditionals(basis_a, basis_m, basis_f, basis_b, b_ref)
     total = (left @ right) * np.swapaxes(back_left @ back_right, -1, -2)
-    residue = float(np.max(np.abs(total.imag)))
-    if not residue < IMAG_RESIDUE_TOL / 10:
-        raise NumericsError(f"imaginary residue {residue:.3e} in coherence sum")
-    return total.real
+    return _real_part(total, "coherence sum", IMAG_RESIDUE_TOL / 10)
 
 
 @dataclass(frozen=True)
@@ -291,10 +288,7 @@ def predict_outcome_prob(joint: JointQuasiProb, basis_m: Basis) -> np.ndarray:
     m_a = basis_m.overlaps_with(joint.a_basis)  # <m|a>
     b_m = np.conj(basis_m.overlaps_with(joint.b_basis))  # <b|m>, indexed [..., m, b]
     total = np.sum((m_a @ joint.sandwich) * b_m, axis=-1)
-    residue = float(np.max(np.abs(total.imag)))
-    if not residue < 1e-10:
-        raise NumericsError(f"imaginary residue {residue:.3e} in prediction")
-    prob = total.real
+    prob = _real_part(total, "prediction", IMAG_RESIDUE_TOL / 10)
     if not np.all((prob >= -1e-9) & (prob <= 1.0 + 1e-9)):
         raise NumericsError(f"predicted probabilities {prob} outside [0, 1]")
     return prob

@@ -80,6 +80,14 @@ def _require_defined(denom, a_label: str, b_label: str) -> None:
         )
 
 
+def _real_part(z, what: str, tol: float = IMAG_RESIDUE_TOL):
+    """Re z of an analytically real ``z``; :class:`NumericsError` unless max|Im z| < ``tol``."""
+    residue = float(np.max(np.abs(z.imag)))
+    if not residue < tol:
+        raise NumericsError(f"imaginary residue {residue:.3e} in {what}")
+    return z.real
+
+
 def _ratio(numer, denom, a_label: str, b_label: str):
     """``numer`` / <b|a>; :class:`OrthogonalCondition` where ``denom`` = <b|a> is undefined."""
     _require_defined(denom, a_label, b_label)
@@ -404,11 +412,8 @@ def ozawa_error(composed: CcpTable) -> np.ndarray:
     p_a_b = ergodic_table(composed.a_basis, composed.b_basis)  # [..., a, b]
     # numpy's own loops over the [..., b, a', a] storage: einsum is slower, a matmul wakes BLAS
     per_a = np.sum(np.moveaxis(composed.vals, -1, -3) * half_sq, axis=-2)  # [..., b, a]
-    eps = np.sum(per_a * np.swapaxes(p_a_b, -1, -2), axis=-1)
-    residue = np.max(np.abs(eps.imag))
-    if not residue < IMAG_RESIDUE_TOL:
-        raise NumericsError(f"imaginary residue {residue:.3e} in epsilon^2")
-    return np.where(composed.defined_mask.all(axis=-2), eps.real, np.nan)
+    eps = _real_part(np.sum(per_a * np.swapaxes(p_a_b, -1, -2), axis=-1), "epsilon^2")
+    return np.where(composed.defined_mask.all(axis=-2), eps, np.nan)
 
 
 def sampling_variance(values, probs) -> float:

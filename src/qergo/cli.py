@@ -37,15 +37,6 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERIC_FAILURE = 3
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Parsed batch scenario: its runner's library arguments, root seed and output prefix."""
-
-    params: dict[str, Any]
-    seed: int
-    output: str
-
-
 def _need(params: dict, key: str, types, what: str):
     if key not in params:
         raise ConfigError(f"missing required parameter {key!r} ({what})")
@@ -91,8 +82,8 @@ def _load_config(path: str) -> dict:
     return payload
 
 
-def build_scenario(kind: str, payload: dict | None, seed_flag: int | None, out: str) -> Scenario:
-    """Parse a command's config payload into its runner's library arguments.
+def build_scenario(kind: str, payload: dict | None, seed_flag: int | None) -> tuple[dict, int]:
+    """Parse a command's config payload into its runner's library arguments and root seed.
 
     Every field, nested basis, outcome, grid and column specs included, is read
     and checked here, so a malformed config raises before any computation runs.
@@ -107,7 +98,7 @@ def build_scenario(kind: str, payload: dict | None, seed_flag: int | None, out: 
     seed = seed_flag if seed_flag is not None else payload.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError("seed must be an integer")
-    return Scenario(params=COMMANDS[kind].parse(params), seed=seed or 0, output=out)
+    return COMMANDS[kind].parse(params), seed or 0
 
 
 def basis_from_spec(spec: Any, dim: int) -> Basis:
@@ -244,51 +235,50 @@ def _export(prefix: str, fmt: str, result) -> None:
         _write(prefix, ".json", result.to_json(indent=2) + "\n")
 
 
-def _run_verify(scenario: Scenario, args) -> int:
+def _run_verify(params: dict, seed: int, args) -> int:
     started = time.perf_counter()
-    report = run_verification_suite(**scenario.params, root_seed=scenario.seed)
+    report = run_verification_suite(**params, root_seed=seed)
     elapsed = time.perf_counter() - started
     for line in report.lines():
         print(line)
     print(f"wall time: {elapsed:.2f} s")  # console only; the file stays deterministic
-    _export(scenario.output, "json", report)
+    _export(args.out, "json", report)
     return EXIT_OK if report.all_pass else EXIT_IDENTITY_FAILURE
 
 
-def _run_kd(scenario: Scenario, args) -> int:
-    _export(scenario.output, args.format, pure_state_joint(**scenario.params))
+def _run_kd(params: dict, seed: int, args) -> int:
+    _export(args.out, args.format, pure_state_joint(**params))
     return EXIT_OK
 
 
-def _run_weak(scenario: Scenario, args) -> int:
-    report = simulate_weak_value(**scenario.params, seed=scenario.seed)
+def _run_weak(params: dict, seed: int, args) -> int:
+    report = simulate_weak_value(**params, seed=seed)
     print(
         f"estimate: {report.estimate.real:+.6f}{report.estimate.imag:+.6f}i  "
         f"(analytic {report.analytic_ref.real:+.6f}{report.analytic_ref.imag:+.6f}i)"
     )
-    _export(scenario.output, "json", report)
+    _export(args.out, "json", report)
     return EXIT_OK
 
 
-def _run_seq(scenario: Scenario, args) -> int:
-    run = simulate_sequential(**scenario.params, seed=scenario.seed)
-    _export(scenario.output, args.format, run)
+def _run_seq(params: dict, seed: int, args) -> int:
+    _export(args.out, args.format, simulate_sequential(**params, seed=seed))
     return EXIT_OK
 
 
-def _run_lattice(scenario: Scenario, args) -> int:
-    grid = dict(scenario.params)
+def _run_lattice(params: dict, seed: int, args) -> int:
+    grid = dict(params)
     column = grid.pop("column")
     sys_ = lat.build_lattice(**grid)
     payload = {"config": json.loads(sys_.config_json()), "energies": sys_.energies.tolist()}
-    _write(scenario.output, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(args.out, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     if column is not None:
-        _write(scenario.output, ".csv", lat.distribution_csv(sys_, lat.ccp_xEp(sys_, *column)))
+        _write(args.out, ".csv", lat.distribution_csv(sys_, lat.ccp_xEp(sys_, *column)))
     return EXIT_OK
 
 
-def _run_quantize(scenario: Scenario, args) -> int:
-    params = dict(scenario.params)
+def _run_quantize(params: dict, seed: int, args) -> int:
+    params = dict(params)
     if "lattice" in params:
         sys_ = lat.build_lattice(**params.pop("lattice"))
         params["generator_values"] = [float(e) for e in sys_.energies[: params.pop("levels")]]
@@ -296,11 +286,11 @@ def _run_quantize(scenario: Scenario, args) -> int:
     values = params["generator_values"]
     payload = {"pass": result.passed, "max_defect": result.max_defect, "values": values}
     print(f"{'PASS' if result.passed else 'FAIL'}  max_defect={result.max_defect:.3e}")
-    _write(scenario.output, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(args.out, ".json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if result.passed else EXIT_IDENTITY_FAILURE
 
 
-def _run_render(scenario: None, args) -> int:
+def _run_render(params: None, seed: None, args) -> int:
     try:
         text = Path(args.input).read_text()
     except OSError as exc:
@@ -315,7 +305,7 @@ class Command:
 
     flags: tuple[str, ...]
     parse: Callable[[dict], dict] | None
-    run: Callable[[Scenario | None, argparse.Namespace], int]
+    run: Callable[[dict | None, int | None, argparse.Namespace], int]
     default: dict | None = None
 
 
@@ -360,11 +350,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        scenario = None
+        params, seed = None, None
         if command.parse is not None:
             payload = command.default if args.config is None else _load_config(args.config)
-            scenario = build_scenario(args.command, payload, getattr(args, "seed", None), args.out)
-        return command.run(scenario, args)
+            params, seed = build_scenario(args.command, payload, getattr(args, "seed", None))
+        return command.run(params, seed, args)
     except (BadGrid, ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("run 'qergo <command> --help' for usage", file=sys.stderr)

@@ -35,14 +35,8 @@ import numpy as np
 
 from .basis import Basis, _check_index, _check_internal_gram, _column_phases, _csv, _dft_columns
 from .basis import _finish_basis, _freeze, _gram_defect, _phased_gram_bound, _vdot
-from .ccp import _ratio, is_defined
-from .errors import (
-    BadGrid,
-    NonHermitian,
-    NumericsError,
-    OrthogonalCondition,
-    PhaseUnwrapFailure,
-)
+from .ccp import _ratio, _require_defined
+from .errors import BadGrid, NonHermitian, NumericsError, PhaseUnwrapFailure
 
 #: Relative wall height used for the box potential.
 BOX_WALL_FACTOR = 1e6
@@ -551,17 +545,16 @@ def gauge_shift(sys: LatticeSystem, e_index: int, p_from: int, p_to: int) -> np.
     """Shift the reference momentum of a conditional column.
 
     Multiplies p(x|E,p_from) by exp(i (p_from - p_to) x / hbar) and
-    renormalizes; equals the directly computed p(x|E,p_to).
+    renormalizes; equals the directly computed p(x|E,p_to).  The
+    renormalizing sum is <p_to|E>/<p_from|E>, so the target pair is held to
+    ``ccp``'s one definedness rule through <p_to|E> = sum * <p_from|E>.
     """
-    col = ccp_xEp(sys, e_index, p_from)
+    col, p_e = _xEp(sys, e_index, p_from)
     _check_index(p_to, sys.d)
     # (p_from - p_to) x_j / hbar = 2 pi j (p_from - p_to) / d: sqrt(d) times that DFT column
     shifted = col * (math.sqrt(sys.d) * _dft_columns(sys.d, p_from - p_to, 0))
     denom = shifted.sum()
-    if not is_defined(denom):
-        raise OrthogonalCondition(
-            f"target reference p index {p_to} orthogonal to energy index {e_index}"
-        )
+    _require_defined(denom * p_e, f"E{e_index}", f"p{p_to}")
     return shifted / denom
 
 

@@ -99,16 +99,21 @@ def _phase_color(value: complex, max_mag: float) -> str:
     return f"#{round(r * 255):02x}{round(g * 255):02x}{round(b * 255):02x}"
 
 
-def render_heatmap(row_labels, col_labels, mat: np.ndarray) -> str:
-    n_rows, n_cols = mat.shape
-    width = _MARGIN + n_cols * _CELL + 16
-    height = _MARGIN + n_rows * _CELL + 16
-    max_mag = float(np.max(np.abs(mat)))
-    parts = [
+def _svg(width: int, height: int, body: list[str]) -> str:
+    """The SVG document of ``body``'s elements on a white background, one per line."""
+    return "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="#ffffff"/>',
-    ]
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
+def render_heatmap(row_labels, col_labels, mat: np.ndarray) -> str:
+    n_rows, n_cols = mat.shape
+    max_mag = float(np.max(np.abs(mat)))
+    parts = []
     for i, a in enumerate(row_labels):
         y = _MARGIN + i * _CELL
         parts.append(
@@ -128,8 +133,7 @@ def render_heatmap(row_labels, col_labels, mat: np.ndarray) -> str:
             f'<text x="{x + _CELL / 2:.1f}" y="{_MARGIN - 8}" text-anchor="middle" '
             f'font-size="11" font-family="monospace">{str(b).translate(_ESCAPES)}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(_MARGIN + n_cols * _CELL + 16, _MARGIN + n_rows * _CELL + 16, parts)
 
 
 def _polyline(xs: np.ndarray, ys: np.ndarray, color: str) -> str:
@@ -141,8 +145,6 @@ def _polyline(xs: np.ndarray, ys: np.ndarray, color: str) -> str:
 
 
 def render_profile(xs: np.ndarray, vals: np.ndarray) -> str:
-    width = _MARGIN + _PLOT_W + 16
-    height = _MARGIN + _PLOT_H + 16
     x_lo, x_hi = float(xs.min()), float(xs.max())
     series = np.concatenate([vals.real, vals.imag])
     y_lo, y_hi = float(series.min()), float(series.max())
@@ -160,9 +162,6 @@ def render_profile(xs: np.ndarray, vals: np.ndarray) -> str:
         return _MARGIN + _PLOT_H - (y - y_lo) / (y_hi - y_lo) * _PLOT_H
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        '<rect width="100%" height="100%" fill="#ffffff"/>',
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_PLOT_W}" height="{_PLOT_H}" '
         'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
@@ -182,8 +181,7 @@ def render_profile(xs: np.ndarray, vals: np.ndarray) -> str:
         f'<text x="{_MARGIN + 36}" y="{_MARGIN - 10}" font-size="12" '
         f'font-family="monospace" fill="#c2442d">im</text>'
     )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(_MARGIN + _PLOT_W + 16, _MARGIN + _PLOT_H + 16, parts)
 
 
 def _axis_labels(payload: dict, key: str, n: int) -> list[str]:

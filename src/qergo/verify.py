@@ -175,8 +175,7 @@ def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dic
     coherence = bridge.born_rule_coherence(f_b, a_b, m_b, (b_b, b_ref))
     worst["born coherence"] = top(coherence - f_a**2)
     joint = bridge.pure_state_joint((m_b, 0), a_b, b_b)
-    psi = m_b.vectors[..., 0]
-    born_a, born_b, born_f = (np.abs(x.amplitudes(psi)) ** 2 for x in (a_b, b_b, f_b))
+    born_a, born_b, born_f = (bridge._reference_probs(x, m_b, 0) for x in (a_b, b_b, f_b))
     marginals = (top(joint.marginal_a() - born_a, -1), top(joint.marginal_b() - born_b, -1))
     worst["joint quasiprobability"] = np.max([np.abs(joint.total() - 1.0), *marginals], axis=0)
     worst["outcome prediction"] = top(bridge.predict_outcome_prob(joint, f_b) - born_f, -1)

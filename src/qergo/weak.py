@@ -68,19 +68,14 @@ def _entropy(seed: Seed, *extra: int) -> tuple[int, ...]:
     return base + extra
 
 
-def _generator(seed: Seed, *extra: int) -> np.random.Generator:
-    return _rng(_entropy(seed, *extra))
-
-
 def _cross_attenuation(g: float) -> float:
     # Overlap of the shifted and unshifted pointer amplitudes.
     return math.exp(-(g**2) / 8.0)
 
 
 def postselection_weight(w: complex, g: float) -> float:
-    """Norm of the post-selected pointer state divided by p(b|a)."""
-    cross = w - abs(w) ** 2  # w * conj(1 - w)
-    return abs(w) ** 2 + abs(1 - w) ** 2 + 2.0 * cross.real * _cross_attenuation(g)
+    """Norm of the post-selected pointer state divided by p(b|a): the position mixture's mass."""
+    return sum(_position_weights(w, g))
 
 
 def pointer_readout_means(w: complex, g: float) -> complex:
@@ -150,10 +145,15 @@ def _accept_chunks(n: int, acceptance: float, rng, propose: Callable) -> tuple[M
     return moments, proposals
 
 
+def _position_weights(w: complex, g: float) -> tuple[float, float, float]:
+    """Weights of N(g, 1), N(0, 1) and N(g/2, 1) in |w Phi(q-g) + (1-w) Phi(q)|^2."""
+    cross = 2.0 * (w - abs(w) ** 2).real * _cross_attenuation(g)  # Phi(q-g)Phi(q) = aPhi(q-g/2)^2
+    return abs(w) ** 2, abs(1 - w) ** 2, cross
+
+
 def _position_mixture(w: complex, g: float) -> tuple[np.ndarray, np.ndarray]:
     """Weights and centres of the N(centre, 1) summing to |w Phi(q-g) + (1-w) Phi(q)|^2."""
-    cross = 2.0 * (w - abs(w) ** 2).real * _cross_attenuation(g)  # Phi(q-g)Phi(q) = aPhi(q-g/2)^2
-    return np.array([abs(w) ** 2, abs(1 - w) ** 2, cross]), np.array([g, 0.0, 0.5 * g])
+    return np.array(_position_weights(w, g)), np.array([g, 0.0, 0.5 * g])
 
 
 def _momentum_split(w: complex) -> tuple[float, float, float]:
@@ -299,6 +299,11 @@ def _check_run(g: float, shots: int) -> None:
     """Raise unless g is a weak coupling and ``shots`` reaches ``MIN_SHOTS``."""
     if not 0.0 < g <= MAX_COUPLING:
         raise WeakRegimeViolation(f"coupling g={g} outside (0, {MAX_COUPLING}]")
+    _check_shots(shots)
+
+
+def _check_shots(shots: int) -> None:
+    """Raise unless ``shots`` reaches ``MIN_SHOTS``."""
     if shots < MIN_SHOTS:
         raise ValueError(f"shots={shots} below the minimum {MIN_SHOTS}")
 
@@ -319,7 +324,7 @@ def _weak_run(w: complex, rate: float, g: float, shots: int, seed: Seed) -> Weak
     The post-selected count, the positions and the momenta come, in that
     order, from the one generator of ``seed``.
     """
-    rng = _generator(seed)
+    rng = _rng(_entropy(seed))
     n_selected = int(rng.binomial(shots, min(1.0, rate * postselection_weight(w, g))))
     if n_selected < MIN_POSTSELECTED:
         raise PostSelectionStarvation(
@@ -376,8 +381,7 @@ def simulate_sequential(
     The joint frequencies estimate p(b|m) p(m|a), the sequential side of
     the back-action identity.
     """
-    if shots < MIN_SHOTS:
-        raise ValueError(f"shots={shots} below the minimum {MIN_SHOTS}")
+    _check_shots(shots)
     basis_a, a = initial
     if basis_a.dim != basis_m.dim or basis_a.dim != basis_b.dim:
         raise DimensionMismatch("bases must share one dimension")
@@ -386,7 +390,7 @@ def simulate_sequential(
     p_b_m = np.abs(basis_b.vectors.conj().T @ basis_m.vectors) ** 2  # [b, m]
     p_b_m = p_b_m / p_b_m.sum(axis=0, keepdims=True)
 
-    rng = _generator(seed, 0)
+    rng = _rng(_entropy(seed, 0))
     m_counts = rng.multinomial(shots, p_m)
     counts = rng.multinomial(m_counts, p_b_m.T)  # row m draws b | m; a zero count draws nothing
     return SequentialRun(m_basis=basis_m, b_basis=basis_b, counts=_freeze(counts), shots=shots)

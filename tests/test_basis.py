@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from qergo import (
     Basis,
     DimensionMismatch,
+    MissingValues,
     NotOrthonormal,
     ParseError,
     computational_basis,
@@ -396,3 +398,40 @@ class TestFromJsonChecks:
         del payload[key]
         with pytest.raises(ParseError):
             self._load(payload)
+
+
+def _with_dim(basis: Basis, dim: int) -> str:
+    return json.dumps({**json.loads(basis.to_json()), "dim": dim})
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: computational_basis(2).overlaps_with(computational_basis(3)),
+            DimensionMismatch, "dim 2 vs 3", id="overlaps-across-dims",
+        ),
+        pytest.param(
+            lambda: computational_basis(2).value(1),
+            MissingValues, "basis has no outcome values (label 1)", id="value-without-values",
+        ),
+        pytest.param(
+            lambda: Basis.from_json(_with_dim(computational_basis(2), 3)),
+            DimensionMismatch, "declared dim does not match matrix shape", id="json-dim",
+        ),
+        pytest.param(
+            lambda: fourier_basis(1), DimensionMismatch, "need dim >= 2, got 1", id="fourier-dim-1",
+        ),
+        pytest.param(
+            lambda: haar_random_bases(1, [0]), DimensionMismatch, "need dim >= 2, got 1",
+            id="haar-dim-1",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_value_reads_the_outcome_value():
+    assert computational_basis(3, values=[0.5, 1.5, 2.5]).value(1) == 1.5

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,21 +9,28 @@ from hypothesis import strategies as st
 
 from qergo import (
     Basis,
+    BasisMismatch,
+    DimensionMismatch,
     JointQuasiProb,
     NumericsError,
+    OrthogonalCondition,
     ParseError,
     ZeroReferenceOverlap,
     align_global_phase,
     born_rule_coherence,
     ccp_table,
+    computational_basis,
+    fourier_basis,
     haar_random_basis,
     inner_product_ccp,
+    make_basis,
     mix_joints,
     predict_outcome_prob,
     pure_state_joint,
     reconstruct_vector,
     reference_gauge_amplitudes,
 )
+from qergo.bridge import _validate_joint
 from conftest import haar_triple
 
 
@@ -326,3 +334,70 @@ class TestJointFromJsonChecks:
         assert defect.max() <= (2 * n + 3 * dim + 12) * np.finfo(float).eps / 2
         again = JointQuasiProb.from_json(mixed.to_json())
         assert np.array_equal(again.vals, mixed.vals)
+
+
+_Z2, _X2 = computational_basis(2), fourier_basis(2)
+_Y2 = make_basis(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0))
+_Z3 = computational_basis(3)
+
+
+def _doubled_joint() -> JointQuasiProb:
+    """A joint whose prediction for Z outcome 0 reads 2."""
+    joint = pure_state_joint((_Z2, 0), _X2, _Y2)
+    return dataclasses.replace(joint, vals=2 * joint.vals, sandwich=2 * joint.sandwich)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(  # outcome a=1 of Z is orthogonal to b_ref = Z outcome 0
+            lambda: reconstruct_vector(ccp_table(_X2, _Z2, _Z2), 0),
+            OrthogonalCondition, "an initial outcome is orthogonal to the reference",
+            id="reconstruct-orthogonal-initial",
+        ),
+        pytest.param(
+            lambda: born_rule_coherence(_X2, _Y2, _Z3, (_Z2, 0)),
+            DimensionMismatch, "all four bases must share one dimension", id="paired-dims",
+        ),
+        pytest.param(
+            lambda: inner_product_ccp(_X2, _Z2, _Y2, _Z2, 0),
+            OrthogonalCondition, "an initial outcome is orthogonal to the reference",
+            id="paired-orthogonal-initial",
+        ),
+        pytest.param(
+            lambda: inner_product_ccp(_Z2, _X2, _Y2, _Z2, 0),
+            OrthogonalCondition, "a target outcome is orthogonal to the reference",
+            id="inner-orthogonal-target",
+        ),
+        pytest.param(  # total 1, but one marginal entry -0.5
+            lambda: _validate_joint(np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex)),
+            NumericsError, "joint marginals are not real non-negative", id="negative-marginal",
+        ),
+        pytest.param(
+            lambda: pure_state_joint((_Z3, 0), _Z2, _X2),
+            DimensionMismatch, "state and joint bases must share one dimension", id="joint-dims",
+        ),
+        pytest.param(
+            lambda: mix_joints([pure_state_joint((_Y2, 0), _Z2, _X2)], [0.5, 0.5]),
+            DimensionMismatch, "need one weight per joint", id="weight-count",
+        ),
+        pytest.param(
+            lambda: mix_joints(
+                [pure_state_joint((_Y2, 0), _Z2, _X2), pure_state_joint((_Y2, 0), _X2, _Z2)],
+                [0.5, 0.5],
+            ),
+            BasisMismatch, "joints are defined over different basis pairs", id="mixed-pairs",
+        ),
+        pytest.param(
+            lambda: predict_outcome_prob(pure_state_joint((_Y2, 0), _Z2, _X2), _Z3),
+            BasisMismatch, "dim 3 vs joint dim 2", id="prediction-dims",
+        ),
+        pytest.param(
+            lambda: predict_outcome_prob(_doubled_joint(), _Z2),
+            NumericsError, "outside [0, 1]", id="prediction-above-one",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from qergo import (
     BasisMismatch,
     CcpTable,
+    DimensionMismatch,
     MissingValues,
     NumericsError,
     OrthogonalCondition,
@@ -553,3 +555,27 @@ def test_worst_full_mask_path_matches_masked_reduction(
     over = None if axes is None else tuple(range(-axes, 0))
     nan_rule = ~np.any(compared, axis=over) | np.any(compared & np.isnan(lhs), axis=over)
     assert np.array_equal(np.isnan(got), nan_rule)
+
+
+def _with_ragged_mask() -> str:
+    z2, f2 = computational_basis(2), fourier_basis(2)
+    payload = json.loads(ccp_table(f2, z2, f2).to_json())
+    return json.dumps({**payload, "defined_mask": [[True, True], [True]]})
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: CcpTable.from_json(_with_ragged_mask()),
+            ParseError, "ragged defined_mask", id="ragged-mask",
+        ),
+        pytest.param(
+            lambda: sampling_variance([0.0, 1.0], [1.0]),
+            DimensionMismatch, "(2,) values vs (1,) probabilities", id="variance-shapes",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

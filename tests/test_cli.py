@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from xml.dom import minidom
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from qergo.basis import MIN_DIM, haar_random_basis
 from qergo.ccp import ccp_table
 from qergo.cli import build_scenario, main
-from qergo.render import parse_grid_csv, parse_profile_csv, render_distribution
+from qergo.render import parse_grid_csv, parse_profile_csv, render_distribution, render_profile
 from qergo.errors import ConfigError, ParseError
 from qergo.lattice import MIN_GRID_SIZE
 from qergo.verify import MAX_DIM
@@ -564,10 +565,10 @@ _SEQ = {
     ],
 )
 def test_cli_limit_follows_library_constant(tmp_path, kind, base, key, at_limit, past_limit):
-    build_scenario(kind, {"params": {**base, key: at_limit}}, None, "out")
+    build_scenario(kind, {"params": {**base, key: at_limit}}, None)
     past = {"params": {**base, key: past_limit}}
     with pytest.raises(ConfigError):
-        build_scenario(kind, past, None, "out")
+        build_scenario(kind, past, None)
     cfg = write_config(tmp_path, "past.json", past)
     assert main([kind, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
@@ -578,10 +579,10 @@ def test_cli_limit_follows_library_constant(tmp_path, kind, base, key, at_limit,
 def test_cli_grid_rule_follows_library(d, accepted):
     params = {"d": d, "L": 1.0, "mass": 1.0, "hbar": 1.0, "potential": {"kind": "box"}}
     if accepted:
-        build_scenario("lattice", {"params": params}, None, "out")
+        build_scenario("lattice", {"params": params}, None)
     else:
         with pytest.raises(ConfigError):
-            build_scenario("lattice", {"params": params}, None, "out")
+            build_scenario("lattice", {"params": params}, None)
 
 
 @pytest.mark.parametrize(
@@ -767,3 +768,52 @@ def test_cli_import_loads_no_third_party_module_but_numpy():
         "print(' '.join(sorted(top - set(sys.stdlib_module_names))))"
     )
     assert run_fresh_interpreter(probe).split() == ["numpy", "qergo"]
+
+
+_GRID_MISSING_A_CELL = "a_label,b_label,re,im\n0,0,1,0\n0,1,1,0\n1,0,1,0\n"
+_JSON_GRID = '{"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: render_distribution("", "heatmap"), ParseError, "empty input", id="empty",
+        ),
+        pytest.param(
+            lambda: render_distribution("x,y\n1,2\n", "heatmap"),
+            ParseError, "unexpected header 'x,y'", id="header",
+        ),
+        pytest.param(
+            lambda: render_distribution(_GRID_MISSING_A_CELL, "heatmap"),
+            ParseError, "incomplete grid for row '1'", id="incomplete-grid",
+        ),
+        pytest.param(
+            lambda: render_distribution("{", "heatmap"), ParseError, "bad JSON", id="bad-json",
+        ),
+        pytest.param(
+            lambda: render_distribution('{"re": [1, 0], "im": [0, 0]}', "heatmap"),
+            ParseError, "heatmap needs a 2D re/im grid", id="heatmap-of-a-series",
+        ),
+        pytest.param(
+            lambda: render_distribution(_JSON_GRID, "profile"),
+            ParseError, "profile needs a 1D re/im series", id="profile-of-a-grid",
+        ),
+        pytest.param(
+            lambda: render_distribution("x,re,im\n0,1,0\n", "contour"),
+            ValueError, "style must be 'heatmap' or 'profile', got 'contour'", id="style",
+        ),
+    ],
+)
+def test_render_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
+
+
+def test_json_profile_renders_its_series_against_the_index():
+    vals = np.array([0.0 + 0.0j, 0.5 - 0.5j, 1.0 + 0.25j])
+    text = json.dumps({"re": vals.real.tolist(), "im": vals.imag.tolist()})
+    svg = render_distribution(text, "profile")
+    assert svg == render_profile(np.arange(3.0), vals)
+    lines = minidom.parseString(svg).getElementsByTagName("polyline")
+    assert [len(line.getAttribute("points").split()) for line in lines] == [3, 3]

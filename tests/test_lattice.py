@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import warnings
 
 import numpy as np
@@ -185,6 +186,41 @@ class TestGaugeShift:
         with pytest.raises(IndexOutOfRange, match=f"outcome index {p_to} outside 0..31"):
             gauge_shift(box32, 0, 16, p_to)
 
+    def test_target_pair_held_to_the_one_definedness_rule(self):
+        """gauge_shift raises wherever ccp_xEp at the target reference does, on the same pair.
+
+        The renormalizing sum is <p_to|E>/<p_from|E>.  Held to the cutoff on
+        its own, it passed wherever <p_from|E> was small too: on this even
+        well, level 1, p1 -> p16 (|<p16|E1>| far below the cutoff) returned a
+        column of size 1.2e15.  Every other target must stay accepted.
+        """
+        sys_ = smooth_well(32)
+        with pytest.raises(OrthogonalCondition, match=r"\(a=E1, b=p16\)"):
+            gauge_shift(sys_, 1, 1, 16)
+        rejected = []
+        for e in range(6):
+            for p_from in range(sys_.d):
+                try:
+                    ccp_xEp(sys_, e, p_from)
+                except OrthogonalCondition:
+                    continue
+                for p_to in range(sys_.d):
+                    try:
+                        ccp_xEp(sys_, e, p_to)
+                    except OrthogonalCondition as direct:
+                        with pytest.raises(OrthogonalCondition) as shifted:
+                            gauge_shift(sys_, e, p_from, p_to)
+                        assert _pair(shifted.value) == _pair(direct), (e, p_from, p_to)
+                        rejected.append((e, p_from, p_to))
+                    else:
+                        gauge_shift(sys_, e, p_from, p_to)
+        assert (1, 1, 16) in rejected
+
+
+def _pair(exc: Exception) -> str:
+    """The "(a=..., b=...)" labels an OrthogonalCondition message names."""
+    return re.search(r"\(a=\w+, b=\w+\)", str(exc)).group()
+
 
 class TestConjugateProduct:
     def test_free_any_triple(self):
@@ -334,6 +370,35 @@ class TestQuantizationOnLattice:
         )
         assert result.passed
         assert result.max_defect < 0.01
+
+
+_FREE16 = (16, 2 * np.pi, 1.0, 1.0, "free")  # momenta -8..7, so the top level has |p| = 8
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: classical_momentum_check(build_lattice(*_FREE16), 0, range(2, 8, 2)),
+            ValueError, "window must have unit step", id="window-step",
+        ),
+        pytest.param(  # wavelength 2 pi / 8 against four grid steps of 2 pi / 16
+            lambda: classical_momentum_check(build_lattice(*_FREE16), 15, range(2, 6)),
+            ValueError, "local wavelength under-resolved", id="under-resolved",
+        ),
+        pytest.param(
+            lambda: energy_concentration(build_lattice(*_FREE16), 3, 8, 1),
+            ValueError, "need at least two bins", id="one-bin",
+        ),
+        pytest.param(
+            lambda: distribution_csv(build_lattice(*_FREE16), np.zeros(3, dtype=complex)),
+            BadGrid, "column of shape (3,) for d=16", id="column-shape",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
 
 
 class TestDistributionCsv:

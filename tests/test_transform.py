@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from qergo import (
     BasisMismatch,
+    DimensionMismatch,
     PhaseProfile,
     apply_phase_transform,
     backaction_check,
     ccp_table,
+    computational_basis,
     ergodic_table,
     quantized_spectrum_check,
     transformed_prob,
@@ -311,3 +314,29 @@ class TestQuantizedSpectrum:
         args = dict(generator_values=[0.0, 2 * np.pi], period=1.0, hbar=1.0, rtol=1e-8)
         with pytest.raises(ValueError, match=field):
             quantized_spectrum_check(**{**args, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: PhaseProfile.from_phases(computational_basis(2), [0.0]),
+            DimensionMismatch, "(1,) phases for dim 2", id="phase-count",
+        ),
+        pytest.param(
+            lambda: PhaseProfile.from_generator(computational_basis(2), [0.0, 1.0], 1.0, hbar=-1.0),
+            ValueError, "hbar must be positive, got -1.0", id="generator-hbar",
+        ),
+        pytest.param(
+            lambda: PhaseProfile.from_generator(computational_basis(2), [0.0, 1.0, 2.0], 1.0),
+            DimensionMismatch, "(3,) generator values for dim 2", id="generator-value-count",
+        ),
+        pytest.param(
+            lambda: quantized_spectrum_check([0.0, 1.0], 1.0, hbar=-1.0),
+            ValueError, "hbar must be positive, got -1.0", id="quantize-hbar",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

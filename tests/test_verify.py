@@ -1,4 +1,5 @@
 import math
+import re
 import types
 from dataclasses import replace
 from pathlib import Path
@@ -391,3 +392,29 @@ def test_transform_oracle_sees_a_transposed_transition_factor(monkeypatch):
     assert np.all(_entry_00_deviation(t_mab, phases, transposed) < TRANSFORM_TOL)
     monkeypatch.setattr(verify, "transformed_prob", transposed)
     assert np.all(verify._transform_worst(t_mab, phases) > TRANSFORM_TOL)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            lambda: run_verification_suite([], 1, 0),
+            ValueError, "dims must be non-empty and within 2..32", id="no-dims",
+        ),
+        pytest.param(
+            lambda: run_verification_suite([1], 1, 0),
+            ValueError, "dims must be non-empty and within 2..32", id="dim-below",
+        ),
+        pytest.param(
+            lambda: run_verification_suite([verify.MAX_DIM + 1], 1, 0),
+            ValueError, "dims must be non-empty and within 2..32", id="dim-above",
+        ),
+        pytest.param(
+            lambda: run_verification_suite([2], 0, 0),
+            ValueError, "seeds_per_dim must be at least 1", id="no-seeds",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()

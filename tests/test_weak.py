@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,23 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qergo import (
+    DimensionMismatch,
     PostSelectionStarvation,
     WeakRegimeViolation,
     build_lattice,
     ccp_value,
+    computational_basis,
     ergodic_table,
+    fourier_basis,
     haar_random_basis,
+    make_basis,
     scan_wavefunction,
     simulate_sequential,
     simulate_weak_value,
 )
 from qergo import basis, weak
+from qergo.basis import _rng
 from qergo.ccp import ccp_column
 from qergo.weak import (
     MIN_SHOTS,
     SAMPLING_CHUNK,
+    _entropy,
     _fold,
-    _generator,
     _gaussian_moments,
     _momentum_split,
     _position_mixture,
@@ -169,7 +175,7 @@ class TestSamplerEnvelopes:
 
     def test_scan_like_position_rate_near_one(self):
         # small real w: the position draws need no accept test, the momenta almost none
-        (count, _, _), proposals = _sample_positions(0.03, 0.05, 50_000, _generator(3))
+        (count, _, _), proposals = _sample_positions(0.03, 0.05, 50_000, _rng(_entropy(3)))
         assert count == proposals == 50_000
         rate_q, rate_k = _stated_rates(0.03, 0.05)
         assert rate_q == pytest.approx(1.0, abs=1e-15)
@@ -179,8 +185,8 @@ class TestSamplerEnvelopes:
     def test_moments_and_acceptance_at_strong_coupling(self, w):
         g, n = 0.2, 1_000_000
         exact = pointer_readout_means(w, g)
-        (nq, mean_q, ss_q), q_proposals = _sample_positions(w, g, n, _generator((91, 1)))
-        (nk, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n, _generator((91, 2)))
+        (nq, mean_q, ss_q), q_proposals = _sample_positions(w, g, n, _rng(_entropy((91, 1))))
+        (nk, mean_k, ss_k), k_proposals = _sample_momenta(w, g, n, _rng(_entropy((91, 2))))
         assert nq == nk == n
         var_q, var_k = ss_q / (n - 1), ss_k / (n - 1)
         assert abs(mean_q / g - exact.real) < 5.0 * np.sqrt(var_q / n) / g
@@ -210,7 +216,7 @@ class TestSamplerEnvelopes:
         exact = pointer_readout_means(w, g)
         targets = ((_sample_positions, g * exact.real), (_sample_momenta, 0.5 * g * exact.imag))
         for sampler, target in targets:
-            means = np.array([sampler(w, g, n, _generator((93, i)))[0][1] for i in range(runs)])
+            means = np.array([sampler(w, g, n, _rng(_entropy((93, i))))[0][1] for i in range(runs)])
             assert abs(means.mean() - target) < 5.0 * means.std(ddof=1) / np.sqrt(runs)
 
     def test_folded_moments_match_concatenation(self):
@@ -293,7 +299,9 @@ class TestExactMoments:
     def test_positions_match_variate_oracle(self, w, g):
         # at g = 3 the components lie apart, so the SS carries the merge's between-part term
         n, runs = 64, 2000
-        exact = np.array([_sample_positions(w, g, n, _generator((71, i)))[0] for i in range(runs)])
+        exact = np.array(
+            [_sample_positions(w, g, n, _rng(_entropy((71, i))))[0] for i in range(runs)]
+        )
         oracle = np.array([_variate_positions(w, g, n, (72, i)) for i in range(runs)])
         assert np.all(exact[:, 0] == n)
         for col in (1, 2):
@@ -303,7 +311,9 @@ class TestExactMoments:
     def test_momenta_match_variate_oracle(self, w, g):
         # (0.5+0.5j, 2) proposes from |k|N(k) in 44% of remainder draws, (-0.3, 3) from k^2 N(k)
         n, runs = 64, 2000
-        exact = np.array([_sample_momenta(w, g, n, _generator((73, i)))[0] for i in range(runs)])
+        exact = np.array(
+            [_sample_momenta(w, g, n, _rng(_entropy((73, i))))[0] for i in range(runs)]
+        )
         oracle = np.array([_variate_momenta(w, g, n, (74, i)) for i in range(runs)])
         assert np.all(exact[:, 0] == n)
         for col in (1, 2):
@@ -311,7 +321,7 @@ class TestExactMoments:
 
     def test_position_draw_costs_the_same_at_any_n(self):
         n, w, g = 10**12, 0.03, 0.05
-        (count, mean, ss), proposals = _sample_positions(w, g, n, _generator(5))
+        (count, mean, ss), proposals = _sample_positions(w, g, n, _rng(_entropy(5)))
         assert count == proposals == n
         assert math.isfinite(mean) and math.isfinite(ss)
         # against the mixture's mean and variance, within 5 sd of 10^12 near-normal draws
@@ -326,7 +336,7 @@ class TestExactMoments:
         # x = w(1-w)* real and negative: a flat-envelope remainder draw took about 16/g^2 proposals
         n = 10**6
         for seed in range(40):
-            (count, _, _), proposals = _sample_momenta(-0.3, 1e-3, n, _generator(seed))
+            (count, _, _), proposals = _sample_momenta(-0.3, 1e-3, n, _rng(_entropy(seed)))
             assert count == n
             assert proposals <= 3 * n
 
@@ -514,7 +524,7 @@ class TestSimulateSequential:
                 p_m = np.abs(m.vectors.conj().T @ initial[0].vectors[:, initial[1]]) ** 2
                 p_b_m = np.abs(b.vectors.conj().T @ m.vectors) ** 2
                 p_b_m = p_b_m / p_b_m.sum(axis=0, keepdims=True)
-                rng = _generator(seed, 0)
+                rng = _rng(_entropy(seed, 0))
                 m_counts = rng.multinomial(MIN_SHOTS, p_m / p_m.sum())
                 loop = np.zeros((dim, dim), dtype=np.int64)
                 for row in np.flatnonzero(m_counts):
@@ -654,7 +664,7 @@ class TestScanWavefunction:
 _ZERO_PADDED = pytest.mark.xfail(
     strict=True, raises=AssertionError,
     reason="SeedSequence zero-pads entropy, so s, (s, 0) and (s, 0, 0) seed one stream "
-    "(CHANGES.md FOUND on weak._generator)",
+    "(CHANGES.md FOUND on weak._entropy)",
 )
 
 
@@ -701,3 +711,36 @@ class TestIndependentStreams:
         simulate_weak_value(a, b, m_basis, m, 0.05, MIN_SHOTS, 9)
         haar_entropy, weak_entropy = seeded_entropies
         assert _first_words(haar_entropy) != _first_words(weak_entropy)
+
+
+def _starved_run():
+    """A run at post-selection rate 0.002, above the floor, and w = 1: about 20 of 1e4 shots."""
+    s, c = math.sqrt(0.002), math.sqrt(0.998)
+    z2 = computational_basis(2)
+    final = make_basis(np.array([[s, c], [c, -s]]))
+    return simulate_weak_value((z2, 0), (final, 0), z2, 0, 0.05, MIN_SHOTS, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(
+            _starved_run, PostSelectionStarvation, "post-selected shots (< 100)", id="starved",
+        ),
+        pytest.param(
+            lambda: simulate_sequential(
+                (computational_basis(2), 0), fourier_basis(2), fourier_basis(2), MIN_SHOTS - 1, 0
+            ),
+            ValueError, f"shots={MIN_SHOTS - 1} below the minimum {MIN_SHOTS}", id="seq-shots",
+        ),
+        pytest.param(
+            lambda: simulate_sequential(
+                (computational_basis(3), 0), fourier_basis(2), fourier_basis(2), MIN_SHOTS, 0
+            ),
+            DimensionMismatch, "bases must share one dimension", id="seq-dims",
+        ),
+    ],
+)
+def test_input_errors(call, error, fragment):
+    with pytest.raises(error, match=re.escape(fragment)):
+        call()
