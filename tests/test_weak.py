@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -34,6 +35,7 @@ from qergo.weak import (
     _position_mixture,
     _sample_momenta,
     _sample_positions,
+    _weak_run,
     pointer_readout_means,
     postselection_weight,
     readout_bias_rate,
@@ -711,6 +713,55 @@ class TestIndependentStreams:
         simulate_weak_value(a, b, m_basis, m, 0.05, MIN_SHOTS, 9)
         haar_entropy, weak_entropy = seeded_entropies
         assert _first_words(haar_entropy) != _first_words(weak_entropy)
+
+
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+class TestPinnedDraws:
+    """sha256 of the sampler's outputs as first pinned: a change to any draw, decision or float
+    of a weak run moves them.  The README's weak pin runs the tilted momentum envelope (its w
+    is complex); these also pin the flat one, which a scan's real w in (0, 1) takes."""
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (5, "fdf32ce06e2762b30527490ca3c461027aa7d489e7c5629b42480a16a72c527e"),
+            (6, "42b3d8d0d5a47a8b3838720b15b3eb6b247c06a2dcf560f2cb002e0a682b2860"),
+        ],
+    )
+    def test_box_scan_d64(self, seed, digest):
+        box = build_lattice(64, 1.0, 1.0, 1.0, "box")
+        scan = scan_wavefunction(
+            (box.e_basis, 0), box.x_basis, box.p_basis, box.zero_momentum_index(),
+            g=0.05, shots_per_point=100_000, seed=seed,
+        )
+        fields = (scan.values, scan.std_err_re, scan.std_err_im, np.float64(scan.postselection_rate))
+        assert _sha256(*fields) == digest
+
+    @pytest.mark.parametrize(
+        "w, g, digest",
+        [
+            pytest.param(0.3, 0.05, "bbd4c7e7068c792cf7f1caa6e1b7d68e0495a8d706eb1f59e69e76614d3d7f7f",
+                         id="real-flat"),
+            pytest.param(0.3, 0.2, "87c9ac4762032c2432bb43f24356022b86e45a55ae5941e9f467195f2d732669",
+                         id="real-flat-strong"),
+            pytest.param(0.5 + 0.5j, 0.2,
+                         "3a872035b97795d4fac390cb90eaad36695d5153b8fc5326e8dd7bb5184cfd22",
+                         id="tilted-abs"),
+            pytest.param(-0.3, 0.2, "9e16c931e53aeee85afad8f03509f1421d63956ccc483fe9d9313cf711ff093b",
+                         id="negative-cross-square"),
+            pytest.param(1.2 - 0.4j, 0.2,
+                         "5d852ce42eb1ea6f8b7df6f2f6049232c6040fd6ac142978d3097f5265d5486d",
+                         id="negative-cross-both"),
+        ],
+    )
+    def test_weak_run(self, w, g, digest):
+        report = _weak_run(complex(w), 0.5, g, 1_000_000, 17)
+        floats = np.array([report.estimate.real, report.estimate.imag, *report.std_err])
+        counts = np.array([report.shots_postselected, *report.proposals])
+        assert _sha256(floats, counts) == digest
 
 
 def _starved_run():
