@@ -10,6 +10,7 @@ import pytest
 from qergo import (
     BadGrid,
     IndexOutOfRange,
+    NonHermitian,
     NotOrthonormal,
     NumericsError,
     OrthogonalCondition,
@@ -755,6 +756,22 @@ class TestKineticDescription:
         sys_ = request.getfixturevalue(which)
         p0 = sys_.zero_momentum_index()
         assert [schrodinger_residual(sys_, e, p0 + dp) for e, dp, _ in pinned] == [r for *_, r in pinned]
+
+    @pytest.mark.parametrize(
+        "bend, error, fragment",
+        [
+            (lambda m: m * (1.0 + 0.5j), NonHermitian, "Hermiticity defect"),
+            (lambda m: m + np.arange(m.size), NumericsError, "imaginary kinetic part"),
+        ],
+        ids=["complex", "real-plus-ramp"],
+    )
+    def test_kinetic_column_gates(self, bend, error, fragment, monkeypatch):
+        # no caller input reaches these gates, since the multiplier is real and even by
+        # construction; a complex multiplier breaks t[-n] = t[n]*, a real odd part makes t complex
+        multiplier = lattice._kinetic_multiplier
+        monkeypatch.setattr(lattice, "_kinetic_multiplier", lambda p, mass: bend(multiplier(p, mass)))
+        with pytest.raises(error, match=fragment):
+            build_lattice(16, 1.0, 1.0, 1.0, "box")
 
 
 class TestFftForms:

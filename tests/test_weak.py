@@ -28,6 +28,8 @@ from qergo.ccp import ccp_column
 from qergo.weak import (
     MIN_SHOTS,
     SAMPLING_CHUNK,
+    SQUEEZE_MARGIN,
+    _below_one_plus_cos,
     _entropy,
     _fold,
     _gaussian_moments,
@@ -110,7 +112,7 @@ def _stated_rates(w, g):
     no larger, so a rate cannot round above 1; both numerators equal
     postselection_weight(w, g) (see test_envelopes_dominate_and_acceptance_is_exact).
     """
-    weights, (plain, amp, _) = _position_mixture(w, g)[0], _momentum_split(w)
+    weights, (plain, amp, _) = np.array(_position_mixture(w, g)[0]), _momentum_split(w)
     target, envelope = _remainder_target(w, g), _remainder_envelope(w, g)[1]
     return weights.sum() / np.abs(weights).sum(), (plain + amp * target) / (plain + amp * envelope)
 
@@ -148,7 +150,7 @@ class TestSamplerEnvelopes:
         q = np.linspace(-12.0, 12.0, 4001)
         phi_g, phi_0 = np.exp(-((q - g) ** 2) / 4.0), np.exp(-(q**2) / 4.0)
         target = np.abs(w * phi_g + (1 - w) * phi_0) ** 2
-        weights, centres = _position_mixture(w, g)
+        weights, centres = map(np.array, _position_mixture(w, g))
         mixture = sum(wt * np.exp(-((q - c) ** 2) / 2.0) for wt, c in zip(weights, centres))
         assert np.all(np.abs(mixture - target) <= 1e-12 * peak)
         # momentum: plain part plus remainder equals the interference factor
@@ -225,14 +227,59 @@ class TestSamplerEnvelopes:
         rng = np.random.default_rng(5)
         batches = [(0.0, 1), (1e3, 7), (-5.0, 8192), (2.0, 0), (0.5, 100)]
         parts = [rng.normal(loc, 1.0, size) for loc, size in batches]
+        whole = np.concatenate(parts)  # before folding, which overwrites each part
         merged = (0, 0.0, 0.0)
         for part in parts:
             merged = _fold(merged, part)
-        whole = np.concatenate(parts)
         dev = whole - whole.mean()
         assert merged[0] == whole.size
         assert merged[1] == pytest.approx(whole.mean(), rel=1e-12)
         assert merged[2] == pytest.approx(dev @ dev, rel=1e-12)
+
+
+class TestMomentumSqueeze:
+    """The squeezed remainder test against the exact one, v < 1 + cos t taken for every draw."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # small |t|, where 1 + cos t and 2 - t^2/2 round within an ulp of each other, and large |k|
+        k=st.lists(st.floats(-1e-3, 1e-3) | st.floats(-4.0, 4.0) | st.floats(-1e6, 1e6),
+                   min_size=1, max_size=32),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=32),
+        nudge=st.lists(st.floats(-1e-15, 1e-15), min_size=1, max_size=8),
+        phase=st.sampled_from([0.0, -0.0, math.pi]) | st.floats(-math.pi, math.pi),
+        g=st.just(0.2) | st.floats(0.0, 0.2, exclude_min=True),
+        envelope=st.just(2.0) | st.floats(0.0, 6.0),
+    )
+    def test_squeezed_mask_is_the_exact_mask(self, k, u, nudge, phase, g, envelope):
+        t = g * np.array(k)
+        t -= phase
+        exact = 1.0 + np.cos(t)
+        squeeze = (2.0 - SQUEEZE_MARGIN) - 0.5 * t * t
+        # draws u*envelope as the sampler makes them, and values within 1e-15 (and one ulp)
+        # of the exact threshold and of the squeeze bound, each against every t
+        near = np.concatenate([exact + d for d in nudge] + [np.nextafter(exact, -np.inf)]
+                              + [squeeze + d for d in nudge] + [np.nextafter(squeeze, -np.inf)])
+        drawn = np.array(u[: t.size]) * envelope
+        for v, tv in ((drawn, t[: drawn.size]), (near, np.tile(t, near.size // t.size))):
+            assert np.array_equal(_below_one_plus_cos(v, tv), v < 1.0 + np.cos(tv))
+
+    def test_np_cos_within_the_margin_of_math_cos(self):
+        # |t| < 2 is where the squeeze bound is positive; beyond, every draw takes the exact test
+        rng = np.random.default_rng(41)
+        t = np.concatenate([rng.uniform(-2.0, 2.0, 100_000), rng.uniform(-1e-3, 1e-3, 10_000),
+                            [0.0, -0.0, math.pi, -math.pi, 2.0, -2.0]])
+        errors = [abs(c - math.cos(x)) for c, x in zip(np.cos(t).tolist(), t.tolist())]
+        assert max(errors) <= SQUEEZE_MARGIN
+
+    def test_np_cos_of_a_subset_is_the_subset_of_np_cos(self):
+        # the exact test takes np.cos of the undecided draws alone
+        rng = np.random.default_rng(43)
+        t = rng.uniform(-4.0, 4.0, SAMPLING_CHUNK)
+        whole = np.cos(t)
+        for size in (1, 2, 3, 5, 8, 13, 64, 1000):
+            idx = np.sort(rng.choice(t.size, size, replace=False))
+            assert np.array_equal(np.cos(t[idx]), whole[idx])
 
 
 #: Kolmogorov-Smirnov critical value at level 0.001: sqrt(-ln(0.0005) / 2).
@@ -248,7 +295,8 @@ def _ks_distance(x, y):
 
 def _variate_positions(w, g, n, seed):
     """The c >= 0 position sampler drawing every variate: n mixture draws, in chunks, folded."""
-    rng, (weights, centres) = np.random.default_rng(seed), _position_mixture(w, g)
+    rng = np.random.default_rng(seed)
+    weights, centres = map(np.array, _position_mixture(w, g))
     share, moments = weights / weights.sum(), (0, 0.0, 0.0)
     for start in range(0, n, SAMPLING_CHUNK):
         size = min(SAMPLING_CHUNK, n - start)
@@ -327,7 +375,7 @@ class TestExactMoments:
         assert count == proposals == n
         assert math.isfinite(mean) and math.isfinite(ss)
         # against the mixture's mean and variance, within 5 sd of 10^12 near-normal draws
-        weights, centres = _position_mixture(w, g)
+        weights, centres = map(np.array, _position_mixture(w, g))
         share = weights / weights.sum()
         mu = share @ centres
         var = 1.0 + share @ (centres - mu) ** 2
