@@ -35,9 +35,10 @@ The rejection test u * envelope < 1 + cos t, t = gk - arg x, is squeezed:
 ``SQUEEZE_MARGIN`` = 1e-12 covers the rounding of np.cos, t^2 and the two
 subtractions (each below 1e-15 where the bound is positive) several
 hundred times over, so the squeeze never accepts what the exact test
-rejects.  Only the proposals above the bound take the exact test, about 1
-in 7,000 on the d=64 box scan, and np.cos of those alone has the bits it has in the
-whole array: every draw, decision and float is the exact test's.
+rejects.  Only the proposals above the bound take the exact test, about
+1 in 7,000 on the d=64 box scan, and np.cos of those alone has the bits
+it has in the whole array: every draw, decision and float is the exact
+test's.
 
 Each run draws its post-selected count, positions and momenta from one
 generator seeded by the run's seed, and keeps only the count, mean and
