@@ -192,16 +192,10 @@ def _remainder_envelope(phase: float, g: float) -> tuple[tuple[float, ...], tupl
 
 
 def _below_one_plus_cos(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Mask of v < 1 + cos t, with the cosine taken only where the squeeze does not decide.
-
-    1 + cos t >= 2 - t^2/2 for every real t, so v below that bound less
-    ``SQUEEZE_MARGIN`` is below 1 + cos t in floating point as well; the
-    rest take the exact test, and ``np.cos`` gives the same bits on a subset
-    as on the whole array, so the mask is the exact test's.
-    """
+    """The mask of v < 1 + cos t, bit for bit, with the cosine taken only above the squeeze."""
     bound = t * t
     bound *= -0.5
-    bound += 2.0 - SQUEEZE_MARGIN
+    bound += 2.0 - SQUEEZE_MARGIN  # 1 + cos t >= 2 - t^2/2, less the rounding margin
     below = v < bound
     rest = np.flatnonzero(~below)
     below[rest] = v[rest] < 1.0 + np.cos(t[rest])

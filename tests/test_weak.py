@@ -778,6 +778,7 @@ class TestPinnedDraws:
             (5, "fdf32ce06e2762b30527490ca3c461027aa7d489e7c5629b42480a16a72c527e"),
             (6, "42b3d8d0d5a47a8b3838720b15b3eb6b247c06a2dcf560f2cb002e0a682b2860"),
         ],
+        ids=["seed-5", "seed-6"],
     )
     def test_box_scan_d64(self, seed, digest):
         box = build_lattice(64, 1.0, 1.0, 1.0, "box")
