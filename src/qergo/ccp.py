@@ -332,10 +332,7 @@ def backaction_check(table: CcpTable) -> IdentitySides:
     return IdentitySides(seq, direct, table.defined_mask[..., np.newaxis, :, :], axes=3)
 
 
-def phase_antisymmetry_check(
-    forward: CcpTable, backward: CcpTable, swapped: CcpTable | None = None,
-    product: np.ndarray | None = None,
-):
+def phase_antisymmetry_check(forward: CcpTable, backward: CcpTable, swapped: CcpTable):
     """Worst circular defect of the two phase-reversal identities, per stacked triple.
 
     Checks Arg p(a|m,b) = -Arg p(m|a,b) and Arg p(m|a,b) = -Arg p(m|b,a)
@@ -343,35 +340,27 @@ def phase_antisymmetry_check(
     and (M, B, A), skipping entries whose magnitude is below
     ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  As with
     :meth:`IdentitySides.worst`, a NaN entry or an empty mask gives NaN.
-
-    A ``swapped`` of None stands for the exact conjugate of ``forward``, the
-    (M, B, A) table that ``ccp_tables`` builds: conjugation keeps |Re|, |Im|
-    and the definedness mask, so that identity is judged on forward's mask.
-    ``product``, if given, is p(a|m,b) p(m|a,b), the ``lhs`` of
-    :func:`ergodicity_product` on the same two tables, not formed again.
     """
     _require_over(backward, forward.a_basis, forward.m_basis, forward.b_basis)
+    _require_over(swapped, forward.m_basis, forward.b_basis, forward.a_basis)
     fwd = forward.vals  # [..., m, a, b]
     rev = np.swapaxes(backward.vals, -3, -2)  # p(a|m,b) -> [..., m, a, b]
+    swap = np.swapaxes(swapped.vals, -2, -1)  # p(m|b,a) -> [..., m, a, b]
+
     ok_fwd = forward.defined_mask[..., np.newaxis, :, :] & _not_below_phase_floor(fwd)
     ok_rev = backward.defined_mask[..., :, np.newaxis, :] & _not_below_phase_floor(rev)
-    if swapped is None:
-        swap, ok_swap = fwd.conj(), ok_fwd
-    else:
-        _require_over(swapped, forward.m_basis, forward.b_basis, forward.a_basis)
-        swap = np.swapaxes(swapped.vals, -2, -1)  # p(m|b,a) -> [..., m, a, b]
-        swap_mask = np.swapaxes(swapped.defined_mask, -1, -2)[..., np.newaxis, :, :]
-        ok_swap = ok_fwd & swap_mask & _not_below_phase_floor(swap)
+    swap_mask = np.swapaxes(swapped.defined_mask, -1, -2)[..., np.newaxis, :, :]
+    ok_swap = swap_mask & _not_below_phase_floor(swap)
 
-    def circular_defect(prod, ok):
+    def circular_defect(other, ok_other):
         # Arg(u) + Arg(v) and Arg(u v) agree on the circle, so |Arg(u v)| is the
         # defect; arctan2(|Im z|, Re z) is |np.angle(z)| bit for bit.
+        prod = other * fwd
         defect = np.abs(prod.imag)
         np.arctan2(defect, prod.real, out=defect)
-        return _masked_max(defect, ok, 3)
+        return _masked_max(defect, ok_fwd & ok_other, 3)
 
-    rev_defect = circular_defect(rev * fwd if product is None else product, ok_fwd & ok_rev)
-    return np.maximum(rev_defect, circular_defect(swap * fwd, ok_swap))
+    return np.maximum(circular_defect(rev, ok_rev), circular_defect(swap, ok_swap))
 
 
 def _not_below_phase_floor(z: np.ndarray) -> np.ndarray:

@@ -157,14 +157,13 @@ def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dic
     worst["dephasing decomposition"] = ccp.IdentitySides(*dephasing, axes=2).worst()
     del back
     worst["column normalization"] = np.max([x.normalization_defect() for x in t.values()], axis=0)
-    ergodicity = ccp.ergodicity_product(t_mab, t_amb)
-    worst["ergodicity product"] = ergodicity.worst()
-    # ccp_tables builds "mba" as the exact conjugate of "mab", so the check takes it as such,
-    # and the product p(a|m,b) p(m|a,b) is formed once for both checks.
-    worst["phase antisymmetry"] = ccp.phase_antisymmetry_check(
-        t_mab, t_amb, product=ergodicity.lhs
-    )
-    del ergodicity
+    worst["ergodicity product"] = ccp.ergodicity_product(t_mab, t_amb).worst()
+    # ccp_tables builds "mba" as the exact conjugate of "mab", so it is formed from it.
+    # Dropped after its one check, it leaves no d^3 temporary for the allocator to refault.
+    mba = ccp.CcpTable(m_b, b_b, a_b, np.swapaxes(t_mab.vals, -1, -2).conj(),
+                       np.swapaxes(t_mab.defined_mask, -1, -2))
+    worst["phase antisymmetry"] = ccp.phase_antisymmetry_check(t_mab, t_amb, mba)
+    del mba
     worst["bayes conversion"] = ccp.bayes_convert(t_mab, t["abm"]).worst()
 
     f_a = np.abs(f_b.overlaps_with(a_b))  # |<f|a>|

@@ -382,19 +382,6 @@ class TestPhaseAntisymmetry:
         for vals in views:
             assert np.array_equal(_not_below_phase_floor(vals), ~(np.abs(vals) < PHASE_FLOOR))
 
-    def test_conjugate_default_and_shared_product_bit_for_bit(self):
-        # verify passes no (M, B, A) table, since ccp_tables builds "mba" as the exact
-        # conjugate of "mab", and the ergodicity product's lhs in place of p(a|m,b) p(m|a,b)
-        m, a, b = (haar_random_bases(32, seeds) for seeds in ([1, 2], [3, 4], [5, 6]))
-        z = computational_basis(4)
-        for bases in (dict(m=m, a=a, b=b), dict(m=haar_random_basis(4, 7), a=z, b=z)):
-            t = ccp_tables(bases, ["mab", "amb", "mba"])
-            forward, backward = t["mab"], t["amb"]
-            worst = phase_antisymmetry_check(forward, backward, t["mba"])
-            product = ergodicity_product(forward, backward).lhs
-            assert np.array_equal(phase_antisymmetry_check(forward, backward), worst)
-            assert np.array_equal(phase_antisymmetry_check(forward, backward, product=product), worst)
-
     def test_conjugate_relation_between_swapped_conditions(self, z2, x2, y2):
         forward = ccp_value(y2, 0, z2, 0, x2, 0)
         swapped = ccp_value(y2, 0, x2, 0, z2, 0)

@@ -281,6 +281,15 @@ class TestMomentumSqueeze:
             idx = np.sort(rng.choice(t.size, size, replace=False))
             assert np.array_equal(np.cos(t[idx]), whole[idx])
 
+    @pytest.mark.parametrize("w, squeezed", [(0.3, True), (0.5 + 0.3j, True),
+                                             (1.2 - 0.4j, False), (-0.3, False)])
+    def test_squeeze_taken_only_where_cos_arg_x_is_not_negative(self, monkeypatch, w, squeezed):
+        calls = []
+        monkeypatch.setattr(weak, "_below_one_plus_cos", lambda v, t: calls.append(v) or v < 1.0 + np.cos(t))
+        _sample_momenta(complex(w), 0.2, 2_000, _rng(_entropy(5)))
+        assert (math.cos(_momentum_split(complex(w))[2]) >= 0.0) is squeezed
+        assert bool(calls) is squeezed
+
 
 #: Kolmogorov-Smirnov critical value at level 0.001: sqrt(-ln(0.0005) / 2).
 KS_001 = 1.949
