@@ -378,3 +378,8 @@ def haar_random_basis(dim: int, seed: int) -> Basis:
 def ergodic_table(basis_x: Basis, basis_y: Basis) -> np.ndarray:
     """Transition probabilities |<x|y>|^2, frozen, indexed [..., x, y]."""
     return _freeze(np.abs(basis_x.overlaps_with(basis_y)) ** 2)
+
+
+def _reference_probs(basis: Basis, basis_b: Basis, b_ref: int) -> np.ndarray:
+    """Transition probabilities p(x|b_ref) for every outcome x of ``basis``."""
+    return np.abs(basis.amplitudes(basis_b.column(b_ref))) ** 2

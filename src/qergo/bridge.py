@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import COMPATIBLE_TOL, Basis, _csv, _freeze, _json_complex, _json_complex_fields
-from .basis import _json_field
+from .basis import _json_field, _reference_probs
 from .ccp import CcpTable, IMAG_RESIDUE_TOL, _real_part, _require_shared_dim, is_defined
 from .errors import (
     BasisMismatch,
@@ -29,11 +29,6 @@ from .errors import (
 )
 
 REFERENCE_OVERLAP_FLOOR = 1e-14
-
-
-def _reference_probs(basis: Basis, basis_b: Basis, b_ref: int) -> np.ndarray:
-    """Transition probabilities p(x|b_ref) for every outcome x of ``basis``."""
-    return np.abs(basis.amplitudes(basis_b.column(b_ref))) ** 2
 
 
 def reconstruct_vector(table: CcpTable, b_ref: int) -> np.ndarray:

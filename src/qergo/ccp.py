@@ -332,35 +332,25 @@ def backaction_check(table: CcpTable) -> IdentitySides:
     return IdentitySides(seq, direct, table.defined_mask[..., np.newaxis, :, :], axes=3)
 
 
-def phase_antisymmetry_check(forward: CcpTable, backward: CcpTable, swapped: CcpTable):
-    """Worst circular defect of the two phase-reversal identities, per stacked triple.
+def phase_antisymmetry_check(forward: CcpTable, backward: CcpTable):
+    """Worst circular defect of Arg p(a|m,b) = -Arg p(m|a,b), per stacked triple.
 
-    Checks Arg p(a|m,b) = -Arg p(m|a,b) and Arg p(m|a,b) = -Arg p(m|b,a)
-    over all defined triples, from the tables over (M, A, B), (A, M, B)
-    and (M, B, A), skipping entries whose magnitude is below
-    ``PHASE_FLOOR`` (the phase of a numerical zero is noise).  As with
-    :meth:`IdentitySides.worst`, a NaN entry or an empty mask gives NaN.
+    The identity is the phase of the product law: ``forward`` (over
+    (M, A, B)) and ``backward`` (over (A, M, B)) are taken as
+    :func:`ergodicity_product` takes them, and the defect is the angle of
+    its product over the defined triples, skipping entries of either table
+    whose magnitude is below ``PHASE_FLOOR`` (the phase of a numerical zero
+    is noise).  As with :meth:`IdentitySides.worst`, a NaN entry or an
+    empty mask gives NaN.
     """
-    _require_over(backward, forward.a_basis, forward.m_basis, forward.b_basis)
-    _require_over(swapped, forward.m_basis, forward.b_basis, forward.a_basis)
-    fwd = forward.vals  # [..., m, a, b]
-    rev = np.swapaxes(backward.vals, -3, -2)  # p(a|m,b) -> [..., m, a, b]
-    swap = np.swapaxes(swapped.vals, -2, -1)  # p(m|b,a) -> [..., m, a, b]
-
-    ok_fwd = forward.defined_mask[..., np.newaxis, :, :] & _not_below_phase_floor(fwd)
-    ok_rev = backward.defined_mask[..., :, np.newaxis, :] & _not_below_phase_floor(rev)
-    swap_mask = np.swapaxes(swapped.defined_mask, -1, -2)[..., np.newaxis, :, :]
-    ok_swap = swap_mask & _not_below_phase_floor(swap)
-
-    def circular_defect(other, ok_other):
-        # Arg(u) + Arg(v) and Arg(u v) agree on the circle, so |Arg(u v)| is the
-        # defect; arctan2(|Im z|, Re z) is |np.angle(z)| bit for bit.
-        prod = other * fwd
-        defect = np.abs(prod.imag)
-        np.arctan2(defect, prod.real, out=defect)
-        return _masked_max(defect, ok_fwd & ok_other, 3)
-
-    return np.maximum(circular_defect(rev, ok_rev), circular_defect(swap, ok_swap))
+    product = ergodicity_product(forward, backward)
+    ok = product.mask & _not_below_phase_floor(forward.vals)
+    ok &= _not_below_phase_floor(np.swapaxes(backward.vals, -3, -2))
+    # Arg(u) + Arg(v) and Arg(u v) agree on the circle, so |Arg(u v)| is the
+    # defect; arctan2(|Im z|, Re z) is |np.angle(z)| bit for bit.
+    defect = np.abs(product.lhs.imag)
+    np.arctan2(defect, product.lhs.real, out=defect)
+    return _masked_max(defect, ok, 3)
 
 
 def _not_below_phase_floor(z: np.ndarray) -> np.ndarray:

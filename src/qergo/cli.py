@@ -365,7 +365,3 @@ def main(argv: list[str] | None = None) -> int:
     except QergoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC_FAILURE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -10,9 +10,6 @@ seeds, so blocking changes no basis.  This module builds the tables,
 reduces each result to its worst, and keeps the independent oracles.
 The transform oracle compares :func:`.transform.transformed_prob` with an
 explicit conjugation |<b|U|a>|^2 at every defined (a, b), in both directions.
-The second phase identity, Arg p(m|a,b) = -Arg p(m|b,a), checks only the
-formula's consistency: p(m|b,a) is formed as the bitwise conjugate of
-p(m|a,b), so it holds exactly by construction.  It is still reported.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bridge, ccp
-from .basis import MIN_DIM, Basis, _adjoint, _freeze, _rng, haar_random_bases
+from .basis import MIN_DIM, Basis, _adjoint, _freeze, _reference_probs, _rng, haar_random_bases
 from .transform import PhaseProfile, transformed_prob
 
 MAX_DIM = 32
@@ -158,12 +155,7 @@ def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dic
     del back
     worst["column normalization"] = np.max([x.normalization_defect() for x in t.values()], axis=0)
     worst["ergodicity product"] = ccp.ergodicity_product(t_mab, t_amb).worst()
-    # ccp_tables builds "mba" as the exact conjugate of "mab", so it is formed from it.
-    # Dropped after its one check, it leaves no d^3 temporary for the allocator to refault.
-    mba = ccp.CcpTable(m_b, b_b, a_b, np.swapaxes(t_mab.vals, -1, -2).conj(),
-                       np.swapaxes(t_mab.defined_mask, -1, -2))
-    worst["phase antisymmetry"] = ccp.phase_antisymmetry_check(t_mab, t_amb, mba)
-    del mba
+    worst["phase antisymmetry"] = ccp.phase_antisymmetry_check(t_mab, t_amb)
     worst["bayes conversion"] = ccp.bayes_convert(t_mab, t["abm"]).worst()
 
     f_a = np.abs(f_b.overlaps_with(a_b))  # |<f|a>|
@@ -175,7 +167,7 @@ def _block_worsts(m_b: Basis, a_b: Basis, b_b: Basis, f_b: Basis, phases) -> dic
     coherence = bridge.born_rule_coherence(f_b, a_b, m_b, (b_b, b_ref))
     worst["born coherence"] = top(coherence - f_a**2)
     joint = bridge.pure_state_joint((m_b, 0), a_b, b_b)
-    born_a, born_b, born_f = (bridge._reference_probs(x, m_b, 0) for x in (a_b, b_b, f_b))
+    born_a, born_b, born_f = (_reference_probs(x, m_b, 0) for x in (a_b, b_b, f_b))
     marginals = (top(joint.marginal_a() - born_a, -1), top(joint.marginal_b() - born_b, -1))
     worst["joint quasiprobability"] = np.max([np.abs(joint.total() - 1.0), *marginals], axis=0)
     worst["outcome prediction"] = top(bridge.predict_outcome_prob(joint, f_b) - born_f, -1)

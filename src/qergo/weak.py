@@ -61,7 +61,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import Basis, _csv, _freeze, _json_complex_fields, _rng
+from .basis import Basis, _csv, _freeze, _json_complex_fields, _reference_probs, _rng
+from .basis import ergodic_table
 from .ccp import ccp_column, ccp_value
 from .errors import DimensionMismatch, PostSelectionStarvation, WeakRegimeViolation
 
@@ -420,9 +421,9 @@ def simulate_sequential(
     basis_a, a = initial
     if basis_a.dim != basis_m.dim or basis_a.dim != basis_b.dim:
         raise DimensionMismatch("bases must share one dimension")
-    p_m = np.abs(basis_m.vectors.conj().T @ basis_a.vectors[:, a]) ** 2
+    p_m = _reference_probs(basis_m, basis_a, a)
     p_m = p_m / p_m.sum()
-    p_b_m = np.abs(basis_b.vectors.conj().T @ basis_m.vectors) ** 2  # [b, m]
+    p_b_m = ergodic_table(basis_b, basis_m)  # [b, m]
     p_b_m = p_b_m / p_b_m.sum(axis=0, keepdims=True)
 
     rng = _rng(_entropy(seed, 0))

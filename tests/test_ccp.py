@@ -47,7 +47,7 @@ def _ergodicity(m, a, b):
 
 
 def _antisymmetry(m, a, b):
-    return phase_antisymmetry_check(ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a))
+    return phase_antisymmetry_check(ccp_table(m, a, b), ccp_table(a, m, b))
 
 
 def _bayes(m, a, b):
@@ -313,64 +313,65 @@ class TestPhaseAntisymmetry:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_two_angle_formula(self, seed):
         m, a, b = haar_triple(8, seed)
-        forward, backward, swapped = ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)
+        forward, backward = ccp_table(m, a, b), ccp_table(a, m, b)
         fwd = forward.vals
         rev = np.transpose(backward.vals, (1, 0, 2))
-        swap = np.transpose(swapped.vals, (0, 2, 1))
-        ok_fwd = forward.defined_mask[np.newaxis] & ~(np.abs(fwd) < PHASE_FLOOR)
-        ok_rev = backward.defined_mask.T[np.newaxis] & ~(np.abs(rev) < PHASE_FLOOR)
-        ok_swap = swapped.defined_mask.T[np.newaxis] & ~(np.abs(swap) < PHASE_FLOOR)
-        worst = 0.0
-        for other, ok in ((rev, ok_fwd & ok_rev), (swap, ok_fwd & ok_swap)):
-            total = np.angle(other[ok]) + np.angle(fwd[ok])
-            worst = max(worst, np.max(np.abs(np.remainder(total + np.pi, 2 * np.pi) - np.pi)))
+        ok = forward.defined_mask[np.newaxis] & ~(np.abs(fwd) < PHASE_FLOOR)
+        ok &= backward.defined_mask.T[np.newaxis] & ~(np.abs(rev) < PHASE_FLOOR)
+        total = np.angle(rev[ok]) + np.angle(fwd[ok])
+        worst = np.max(np.abs(np.remainder(total + np.pi, 2 * np.pi) - np.pi))
         assert worst > 0.0
-        assert abs(phase_antisymmetry_check(forward, backward, swapped) - worst) <= 1e-12
+        assert abs(phase_antisymmetry_check(forward, backward) - worst) <= 1e-12
 
-    def test_empty_mask_reads_zero(self, z2, x2, y2):
+    def test_empty_mask_reads_nan(self, z2, x2, y2):
         def emptied(t):
             return CcpTable(t.m_basis, t.a_basis, t.b_basis, t.vals, np.zeros((2, 2), dtype=bool))
 
         # nothing to compare: NaN, as IdentitySides.worst gives, so the check fails
-        tables = (ccp_table(y2, z2, x2), ccp_table(z2, y2, x2), ccp_table(y2, x2, z2))
+        tables = (ccp_table(y2, z2, x2), ccp_table(z2, y2, x2))
         assert math.isnan(phase_antisymmetry_check(*map(emptied, tables)))
 
-    @pytest.mark.parametrize("broken", [1, 2])
+    @pytest.mark.parametrize("broken", [0, 1])
     def test_each_identity_breaks_alone(self, broken):
-        # a phase of 0.1 on p(a|m,b) breaks only the first identity; on p(m|b,a) only the second
+        # a phase of 0.1 on p(m|a,b) or on p(a|m,b) is the defect of the reversal identity
         m, a, b = haar_triple(4, 21)
-        tables = [ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)]
+        tables = [ccp_table(m, a, b), ccp_table(a, m, b)]
         assert phase_antisymmetry_check(*tables) < 1e-12
         t = tables[broken]
         tables[broken] = CcpTable(t.m_basis, t.a_basis, t.b_basis, t.vals * np.exp(0.1j),
                                   t.defined_mask)
         assert phase_antisymmetry_check(*tables) == pytest.approx(0.1, abs=1e-12)
 
+    @pytest.mark.parametrize("dim, seed", [(2, 1), (4, 21), (8, 3)])
+    def test_conjugated_backward_table_reads_order_one(self, dim, seed):
+        # p(a|m,b) in the conjugated convention: the product's phase is 2 Arg p(m|a,b)
+        m, a, b = haar_triple(dim, seed)
+        forward, backward = ccp_table(m, a, b), ccp_table(a, m, b)
+        conjugated = CcpTable(backward.m_basis, backward.a_basis, backward.b_basis,
+                              backward.vals.conj(), backward.defined_mask)
+        assert phase_antisymmetry_check(forward, backward) < 1e-12
+        assert phase_antisymmetry_check(forward, conjugated) > 1.0
+
     @pytest.mark.parametrize("dim, seed", [(8, 3), (2, 4), (4, 5)])
     def test_circular_defect_is_the_angle_of_the_product_bit_for_bit(self, dim, seed):
         # reference: |np.angle(u v)| reduced by IdentitySides over the same masks
         m, a, b = haar_triple(dim, seed)
         z = computational_basis(dim)
-        for forward, backward, swapped in (
-            (ccp_table(m, a, b), ccp_table(a, m, b), ccp_table(m, b, a)),
-            (ccp_table(m, z, z), ccp_table(z, m, z), ccp_table(m, z, z)),  # partly undefined
+        for forward, backward in (
+            (ccp_table(m, a, b), ccp_table(a, m, b)),
+            (ccp_table(m, z, z), ccp_table(z, m, z)),  # partly undefined
         ):
-            fwd = forward.vals
-            worst = 0.0
-            for other, mask in (
-                (np.swapaxes(backward.vals, 0, 1), backward.defined_mask[:, np.newaxis, :]),
-                (np.swapaxes(swapped.vals, 1, 2), swapped.defined_mask.T[np.newaxis]),
-            ):
-                ok = forward.defined_mask & mask & ~(np.abs(fwd) < PHASE_FLOOR)
-                ok &= ~(np.abs(other) < PHASE_FLOOR)
-                worst = np.maximum(worst, IdentitySides(np.angle(other * fwd), 0.0, ok).worst())
-            assert phase_antisymmetry_check(forward, backward, swapped) == worst
+            fwd, rev = forward.vals, np.swapaxes(backward.vals, 0, 1)
+            ok = forward.defined_mask & backward.defined_mask[:, np.newaxis, :]
+            ok &= ~(np.abs(fwd) < PHASE_FLOOR) & ~(np.abs(rev) < PHASE_FLOOR)
+            worst = IdentitySides(np.angle(rev * fwd), 0.0, ok).worst()
+            assert phase_antisymmetry_check(forward, backward) == worst
 
     def test_floor_pretest_is_the_abs_mask(self):
         # a d=32 block of two triples, as verify stacks them, in the views the check takes
         m, a, b = (haar_random_bases(32, seeds) for seeds in ([1, 2], [3, 4], [5, 6]))
-        t = ccp_tables(dict(m=m, a=a, b=b), ["mab", "amb", "mba"])
-        views = [t["mab"].vals, np.swapaxes(t["amb"].vals, -3, -2), np.swapaxes(t["mba"].vals, -2, -1)]
+        t = ccp_tables(dict(m=m, a=a, b=b), ["mab", "amb"])
+        views = [t["mab"].vals, np.swapaxes(t["amb"].vals, -3, -2)]
         # a partly undefined triple (its undefined entries hold 0), with NaN, infinite and
         # floor-sized entries; 8e-13 (1 + 1j) is below the floor in each part, not in modulus
         z = computational_basis(4)
@@ -498,7 +499,7 @@ def _conjugate_swap_is_exact(m, a, b):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 32])
 def test_swapped_table_is_the_exact_conjugate_haar(dim):
-    # verify forms the table over (M, B, A) as this conjugate instead of building it
+    # ccp_tables' factor order makes swapping a and b conjugate the table bit for bit
     stack = haar_random_bases(dim, range(10 * dim, 10 * dim + 6))
     m, a, b = (replace(stack, vectors=stack.vectors[[k, k + 3]]) for k in range(3))
     assert _conjugate_swap_is_exact(m, a, b).defined_mask.all()
